@@ -28,7 +28,6 @@ from .noise import (
 )
 from .pipeline import ExperimentConfig, run_pipeline, run_trial
 from .tomography import (
-    ExtractionRule,
     TomographyScheme,
     lsq_reconstruct,
     reconstruct_2q,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EigenSystem",
     "ExperimentConfig",
-    "ExtractionRule",
     "DegenerateSpectrumError",
     "FidelityReport",
     "MarginalPair",

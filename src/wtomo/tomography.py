@@ -1,12 +1,18 @@
 """Density-matrix reconstruction from per-setting probability tables.
 
-Each scheme (17 settings for three qubits, 7 for two) determines every
-element of the density matrix through signed linear combinations of outcome
-probabilities. The combination coefficients are not hardcoded: they are
-derived once per scheme by solving, for each target element, the exact
-linear-inversion problem over the measurement operators of the settings
-assigned to that element. This makes every sign a derivation output, pinned
-by the round-trip property reconstruct(exact_probs(rho)) == rho.
+A d-dimensional density matrix has d² real parameters: the diagonal
+entries, then Re and Im of each upper-triangle entry. Each scheme (17
+settings for three qubits, 7 for two) is derived once into two real arrays:
+
+- ``measurement`` (L·d × d²) maps the parameters to the L stacked
+  outcome-probability tables, p = measurement @ x;
+- ``reconstruction`` (d² × L·d) maps the stacked tables back, x =
+  reconstruction @ p.
+
+The reconstruction weights are not hardcoded: row k is the exact linear
+inversion of the measurement rows of the settings assigned to parameter k.
+This makes every sign a derivation output, pinned by the round-trip property
+reconstruct(exact_probs(rho)) == rho.
 
 Diagonal elements come from the all-Z setting alone; each off-diagonal
 element is assigned to the setting whose basis change exposes it (one
@@ -29,6 +35,7 @@ from .circuits import (
 )
 
 RULE_RESIDUAL_TOL = 1e-10
+MAX_MEASUREMENT_COND = 1e8
 
 # bit-flip mask (row XOR col) -> labels of the assigned settings, (re, im)
 _ASSIGN_3Q = {
@@ -48,27 +55,14 @@ _ASSIGN_2Q = {
 }
 
 
-@dataclass(frozen=True)
-class ExtractionRule:
-    """Linear formula for one real parameter of the density matrix.
-
-    part is 'diag', 're' or 'im'; terms are (setting_label, outcome_index,
-    coefficient) triples, usually over a single setting.
-    """
-
-    element: tuple[int, int]
-    part: str
-    terms: tuple[tuple[str, int, float], ...]
-
-    def apply(self, tables: dict[str, np.ndarray]) -> float:
-        return sum(w * tables[label][m] for label, m, w in self.terms)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyScheme:
+    """A scheme's settings and its two derived linear maps (read-only)."""
+
     name: str
     settings: tuple[MeasurementSetting, ...]
-    rules: tuple[ExtractionRule, ...]
+    measurement: np.ndarray  # (L·d, d²): p = measurement @ x
+    reconstruction: np.ndarray  # (d², L·d): x = reconstruction @ p
 
     @property
     def nqubits(self) -> int:
@@ -79,121 +73,97 @@ class TomographyScheme:
         return tuple(s.label for s in self.settings)
 
 
-def _measurement_operators(s: MeasurementSetting) -> list[np.ndarray]:
-    """M_m = U† |m><m| U, so that p[m] = Tr[rho M_m]."""
+def real_parameters(dim: int) -> list[tuple[str, int, int]]:
+    """(part, row, col) of each real parameter, in the order of the scheme arrays.
+
+    part is 'diag', 're' or 'im'.
+    """
+    params = [("diag", r, r) for r in range(dim)]
+    for r, c in zip(*np.triu_indices(dim, 1)):
+        params += [("re", int(r), int(c)), ("im", int(r), int(c))]
+    return params
+
+
+def _measurement_rows(s: MeasurementSetting, params) -> np.ndarray:
+    """Row m holds Tr[M_m B_k] for each parameter k, with M_m = U† |m><m| U."""
     u = s.unitary()
-    return [np.outer(u[m].conj(), u[m]) for m in range(u.shape[0])]
+    ops = u.conj()[:, :, None] * u[:, None, :]  # ops[m] = M_m
+    # B_k is |r><r|, |r><c| + |c><r| or i|r><c| - i|c><r|
+    traces = {"diag": ops.real, "re": 2 * ops.real, "im": 2 * ops.imag}
+    return np.stack([traces[part][:, r, c] for part, r, c in params], axis=1)
 
 
-def _target_operator(r: int, c: int, part: str, dim: int) -> np.ndarray:
-    """Hermitian T with Tr[rho T] equal to the targeted real parameter."""
-    t = np.zeros((dim, dim), dtype=complex)
-    if part == "diag":
-        t[r, r] = 1
-    elif part == "re":
-        t[r, c] = 0.5
-        t[c, r] = 0.5
-    elif part == "im":
-        t[r, c] = 0.5j
-        t[c, r] = -0.5j
-    else:
-        raise ValueError(part)
-    return t
-
-
-def _solve_rule(
-    r: int, c: int, part: str, settings: dict[str, MeasurementSetting], labels: tuple[str, ...]
-) -> ExtractionRule:
-    dim = 2 ** settings[labels[0]].nqubits
-    cols, keys = [], []
-    for label in labels:
-        for m, op in enumerate(_measurement_operators(settings[label])):
-            cols.append(np.concatenate([op.real.ravel(), op.imag.ravel()]))
-            keys.append((label, m))
-    a = np.array(cols).T
-    b_mat = _target_operator(r, c, part, dim)
-    b = np.concatenate([b_mat.real.ravel(), b_mat.imag.ravel()])
-    w, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = np.linalg.norm(a @ w - b)
-    if residual > RULE_RESIDUAL_TOL:
-        raise RuntimeError(
-            f"settings {labels} cannot determine {part} rho[{r},{c}] "
-            f"(inversion residual {residual:.2e})"
-        )
-    terms = tuple(
-        (label, m, float(wi)) for (label, m), wi in zip(keys, w) if abs(wi) > 1e-12
-    )
-    return ExtractionRule(element=(r, c), part=part, terms=terms)
-
-
-def derive_rules(
+def derive_scheme(
+    name: str,
     settings: tuple[MeasurementSetting, ...],
     assignment: dict[int, tuple[tuple[str, ...], tuple[str, ...]]],
-) -> tuple[ExtractionRule, ...]:
-    """Derive the full rule set for a scheme; raises if any element fails."""
-    by_label = {s.label: s for s in settings}
+) -> TomographyScheme:
+    """Derive a scheme's arrays; raises if any parameter is not determined."""
     dim = 2 ** settings[0].nqubits
+    params = real_parameters(dim)
+    measurement = np.vstack([_measurement_rows(s, params) for s in settings])
+    cond = np.linalg.cond(measurement)
+    if cond > MAX_MEASUREMENT_COND:
+        raise RuntimeError(f"measurement map is numerically singular (cond {cond:.2e})")
+    rows = {s.label: np.arange(i * dim, (i + 1) * dim) for i, s in enumerate(settings)}
     diag_label = settings[0].label  # all-Z setting is first by convention
-    rules = [
-        _solve_rule(r, r, "diag", by_label, (diag_label,)) for r in range(dim)
-    ]
-    for r in range(dim):
-        for c in range(r + 1, dim):
-            re_labels, im_labels = assignment[r ^ c]
-            rules.append(_solve_rule(r, c, "re", by_label, re_labels))
-            rules.append(_solve_rule(r, c, "im", by_label, im_labels))
-    return tuple(rules)
+    identity = np.eye(len(params))
+    reconstruction = np.zeros(measurement.T.shape)
+    for k, (part, r, c) in enumerate(params):
+        labels = (diag_label,) if part == "diag" else assignment[r ^ c][part == "im"]
+        cols = np.concatenate([rows[label] for label in labels])
+        a = measurement[cols].T
+        w, *_ = np.linalg.lstsq(a, identity[k], rcond=None)
+        residual = np.linalg.norm(a @ w - identity[k])
+        if residual > RULE_RESIDUAL_TOL:
+            raise RuntimeError(
+                f"settings {labels} cannot determine {part} rho[{r},{c}] "
+                f"(inversion residual {residual:.2e})"
+            )
+        reconstruction[k, cols] = np.where(np.abs(w) > 1e-12, w, 0.0)
+    measurement.setflags(write=False)
+    reconstruction.setflags(write=False)
+    return TomographyScheme(name, settings, measurement, reconstruction)
 
 
 @lru_cache(maxsize=None)
 def three_qubit_scheme() -> TomographyScheme:
-    settings = three_qubit_settings()
-    return TomographyScheme(
-        name="ThreeQubit17",
-        settings=settings,
-        rules=derive_rules(settings, _ASSIGN_3Q),
-    )
+    return derive_scheme("ThreeQubit17", three_qubit_settings(), _ASSIGN_3Q)
 
 
 @lru_cache(maxsize=None)
 def two_qubit_scheme() -> TomographyScheme:
-    settings = two_qubit_settings()
-    return TomographyScheme(
-        name="TwoQubit7",
-        settings=settings,
-        rules=derive_rules(settings, _ASSIGN_2Q),
-    )
+    return derive_scheme("TwoQubit7", two_qubit_settings(), _ASSIGN_2Q)
 
 
-def _check_tables(scheme: TomographyScheme, tables: dict[str, np.ndarray]) -> None:
+def _stacked_tables(scheme: TomographyScheme, tables: dict[str, np.ndarray]) -> np.ndarray:
     dim = 2**scheme.nqubits
     for label in scheme.labels:
         if label not in tables:
             raise ValueError(f"missing probability table for setting {label}")
         if len(tables[label]) != dim:
             raise ValueError(f"table for {label} has wrong length")
+    return np.concatenate([tables[label] for label in scheme.labels])
+
+
+def _assemble(x: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian matrix from its real parameters."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[np.diag_indices(dim)] = x[:dim]
+    rows, cols = np.triu_indices(dim, 1)
+    upper = x[dim::2] + 1j * x[dim + 1::2]
+    rho[rows, cols] = upper
+    rho[cols, rows] = upper.conj()
+    return rho
 
 
 def reconstruct(scheme: TomographyScheme, tables: dict[str, np.ndarray]) -> np.ndarray:
-    """Assemble a Hermitian unit-trace matrix from a scheme's rule set.
+    """Linear-inversion estimate: Hermitian, unit trace on normalized tables.
 
     The output may have negative eigenvalues before spectral correction.
     """
-    _check_tables(scheme, tables)
-    dim = 2**scheme.nqubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    for rule in scheme.rules:
-        r, c = rule.element
-        val = rule.apply(tables)
-        if rule.part == "diag":
-            rho[r, r] = val
-        elif rule.part == "re":
-            rho[r, c] += val
-            rho[c, r] += val
-        else:
-            rho[r, c] += 1j * val
-            rho[c, r] += -1j * val
-    return rho
+    p = _stacked_tables(scheme, tables)
+    return _assemble(scheme.reconstruction @ p, 2**scheme.nqubits)
 
 
 def reconstruct_3q(tables: dict[str, np.ndarray]) -> np.ndarray:
@@ -206,61 +176,21 @@ def reconstruct_2q(tables: dict[str, np.ndarray]) -> np.ndarray:
     return reconstruct(two_qubit_scheme(), tables)
 
 
-def _hermitian_basis(dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Affine parameterization of Hermitian unit-trace matrices.
-
-    Returns (anchor, basis): rho(x) = anchor + sum_p x_p basis[p]. The last
-    diagonal entry absorbs the trace constraint.
-    """
-    anchor = np.zeros((dim, dim), dtype=complex)
-    anchor[dim - 1, dim - 1] = 1
-    basis = []
-    for r in range(dim - 1):
-        b = np.zeros((dim, dim), dtype=complex)
-        b[r, r] = 1
-        b[dim - 1, dim - 1] = -1
-        basis.append(b)
-    for r in range(dim):
-        for c in range(r + 1, dim):
-            b = np.zeros((dim, dim), dtype=complex)
-            b[r, c] = b[c, r] = 1
-            basis.append(b)
-            b = np.zeros((dim, dim), dtype=complex)
-            b[r, c] = 1j
-            b[c, r] = -1j
-            basis.append(b)
-    return anchor, basis
-
-
 def lsq_reconstruct(
     scheme: TomographyScheme, tables: dict[str, np.ndarray]
 ) -> np.ndarray:
-    """Least-squares fit of a Hermitian unit-trace matrix to all tables.
+    """Least-squares fit of a Hermitian matrix to all tables.
 
     Minimizes the summed squared deviation between the tables and the
     predicted outcome probabilities over every setting of the scheme. Agrees
     with the closed-form reconstruction on exact data; on noisy data it
-    spreads the residual across all settings instead.
+    spreads the residual across all settings instead. On normalized tables
+    the fit has unit trace without a constraint, because each setting's
+    outcome operators sum to the identity.
     """
-    _check_tables(scheme, tables)
-    dim = 2**scheme.nqubits
-    anchor, basis = _hermitian_basis(dim)
-    rows, rhs = [], []
-    for s in scheme.settings:
-        ops = _measurement_operators(s)
-        p = tables[s.label]
-        for m, op in enumerate(ops):
-            rows.append([np.real(np.trace(op @ b)) for b in basis])
-            rhs.append(p[m] - np.real(np.trace(op @ anchor)))
-    a = np.array(rows)
-    cond = np.linalg.cond(a)
-    if cond > 1e8:
-        raise RuntimeError(f"measurement map is numerically singular (cond {cond:.2e})")
-    x, *_ = np.linalg.lstsq(a, np.array(rhs), rcond=None)
-    rho = anchor.copy()
-    for xp, b in zip(x, basis):
-        rho = rho + xp * b
-    return rho
+    p = _stacked_tables(scheme, tables)
+    x, *_ = np.linalg.lstsq(scheme.measurement, p, rcond=None)
+    return _assemble(x, 2**scheme.nqubits)
 
 
 def density_to_json_dict(rho: np.ndarray) -> dict:

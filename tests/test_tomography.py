@@ -5,11 +5,14 @@ from wtomo.circuits import three_qubit_settings, two_qubit_settings, w_vector
 from wtomo.linalg import outer, partial_trace
 from wtomo.noise import exact_probs
 from wtomo.tomography import (
-    ExtractionRule,
+    _ASSIGN_2Q,
+    _ASSIGN_3Q,
     density_from_json_dict,
     density_to_json_dict,
+    derive_scheme,
     load_density,
     lsq_reconstruct,
+    real_parameters,
     reconstruct_2q,
     reconstruct_3q,
     save_density,
@@ -24,54 +27,91 @@ def tables_for(rho, settings):
     return {s.label: exact_probs(rho, s) for s in settings}
 
 
+def row_settings(scheme, k):
+    """Labels of the settings whose outcomes reconstruction row k reads."""
+    dim = 2**scheme.nqubits
+    return {scheme.labels[j // dim] for j in np.flatnonzero(scheme.reconstruction[k])}
+
+
+def offdiagonal_rows(scheme):
+    """(k, part, row, col) of every off-diagonal parameter."""
+    params = real_parameters(2**scheme.nqubits)
+    return [(k, *p) for k, p in enumerate(params) if p[0] != "diag"]
+
+
 class TestSchemes:
     def test_rule_counts(self):
-        # 8 diagonal + 2 * 28 off-diagonal real parameters for 3 qubits
-        assert len(three_qubit_scheme().rules) == 8 + 2 * 28
-        assert len(two_qubit_scheme().rules) == 4 + 2 * 6
+        # 8 diagonal + 2 * 28 off-diagonal real parameters for 3 qubits,
+        # read from 17 (resp. 7) settings of 8 (resp. 4) outcomes each
+        assert three_qubit_scheme().reconstruction.shape == (8 + 2 * 28, 17 * 8)
+        assert two_qubit_scheme().reconstruction.shape == (4 + 2 * 6, 7 * 4)
+        assert three_qubit_scheme().measurement.shape == (17 * 8, 64)
+        assert two_qubit_scheme().measurement.shape == (7 * 4, 16)
 
     def test_every_element_covered(self):
-        covered = {(r.element, r.part) for r in three_qubit_scheme().rules}
+        params = real_parameters(8)
+        assert len(set(params)) == 64
         for r in range(8):
-            assert ((r, r), "diag") in covered
+            assert ("diag", r, r) in params
             for c in range(r + 1, 8):
-                assert ((r, c), "re") in covered
-                assert ((r, c), "im") in covered
+                assert ("re", r, c) in params
+                assert ("im", r, c) in params
+        # every parameter is read from at least one outcome
+        assert np.abs(three_qubit_scheme().reconstruction).max(axis=1).min() > 0
 
     def test_diagonal_uses_all_z_only(self):
         for scheme, label in ((three_qubit_scheme(), "ZZZ"), (two_qubit_scheme(), "ZZ")):
-            for rule in scheme.rules:
-                if rule.part == "diag":
-                    assert {t[0] for t in rule.terms} == {label}
+            for k in range(2**scheme.nqubits):
+                assert row_settings(scheme, k) == {label}
 
     def test_single_setting_per_offdiagonal_except_antidiagonal(self):
-        for rule in three_qubit_scheme().rules:
-            if rule.part == "diag":
-                continue
-            labels = {t[0] for t in rule.terms}
-            r, c = rule.element
+        scheme = three_qubit_scheme()
+        for k, part, r, c in offdiagonal_rows(scheme):
+            labels = row_settings(scheme, k)
             if r ^ c == 0b111:
-                assert len(labels) == 2, rule
+                assert len(labels) == 2, (part, r, c, labels)
             else:
-                assert len(labels) == 1, rule
+                assert len(labels) == 1, (part, r, c, labels)
 
     def test_antidiagonal_setting_pairs(self):
-        for rule in three_qubit_scheme().rules:
-            r, c = rule.element
-            if r ^ c != 0b111 or rule.part == "diag":
+        scheme = three_qubit_scheme()
+        for k, part, r, c in offdiagonal_rows(scheme):
+            if r ^ c != 0b111:
                 continue
-            labels = {t[0] for t in rule.terms}
-            if rule.part == "re":
-                assert labels == {"CXXZ_BC", "CYYZ_BC"}
+            if part == "re":
+                assert row_settings(scheme, k) == {"CXXZ_BC", "CYYZ_BC"}
             else:
-                assert labels == {"CXYZ_BC", "CYXZ_BC"}
+                assert row_settings(scheme, k) == {"CXYZ_BC", "CYXZ_BC"}
 
     def test_coefficients_are_half_integers(self):
-        # derivation recovers the exact analytic weights (+-1/2, +-1/4, 1)
+        # derivation recovers the exact analytic weights (+-1/2, +-1/4, 1):
+        # every weight is a multiple of 1/4
         for scheme in (three_qubit_scheme(), two_qubit_scheme()):
-            for rule in scheme.rules:
-                for _, _, w in rule.terms:
-                    assert abs(4 * w - round(4 * w)) <= 1e-9, rule
+            w = scheme.reconstruction
+            assert np.abs(4 * w - np.round(4 * w)).max() <= 1e-9
+
+    def test_reconstruction_inverts_measurement(self):
+        for scheme in (three_qubit_scheme(), two_qubit_scheme()):
+            n = scheme.measurement.shape[1]
+            assert np.abs(scheme.reconstruction @ scheme.measurement - np.eye(n)).max() <= 1e-12
+
+
+class TestDerivation:
+    def test_antidiagonal_needs_both_settings(self):
+        assignment = dict(_ASSIGN_3Q)
+        assignment[0b111] = (("CXXZ_BC",), _ASSIGN_3Q[0b111][1])
+        with pytest.raises(RuntimeError, match=r"\('CXXZ_BC',\) cannot determine re rho\[0,7\]"):
+            derive_scheme("broken", three_qubit_settings(), assignment)
+
+    def test_setting_that_hides_the_element_is_rejected(self):
+        assignment = dict(_ASSIGN_3Q)
+        assignment[0b110] = (("XZZ",), _ASSIGN_3Q[0b110][1])
+        with pytest.raises(RuntimeError, match=r"\('XZZ',\) cannot determine re rho\[0,6\]"):
+            derive_scheme("broken", three_qubit_settings(), assignment)
+
+    def test_incomplete_settings_are_singular(self):
+        with pytest.raises(RuntimeError, match="numerically singular"):
+            derive_scheme("broken", two_qubit_settings()[:6], _ASSIGN_2Q)
 
 
 class TestRoundTrip:
@@ -115,13 +155,6 @@ class TestRoundTrip:
         tables["ZZZ"] = tables["ZZZ"][:4]
         with pytest.raises(ValueError):
             reconstruct_3q(tables)
-
-
-class TestExtractionRule:
-    def test_apply_is_linear_combination(self):
-        rule = ExtractionRule((0, 1), "re", (("ZZ", 0, 0.5), ("ZZ", 3, -0.5)))
-        tables = {"ZZ": np.array([0.4, 0.1, 0.1, 0.4])}
-        assert rule.apply(tables) == pytest.approx(0.0)
 
 
 class TestLsqReconstruct:
