@@ -10,12 +10,11 @@ reporting against published reference matrices.
 from .circuits import (
     MeasurementSetting,
     prepare_w,
-    setting_unitary,
     three_qubit_settings,
     two_qubit_settings,
     w_vector,
 )
-from .linalg import EigenSystem, eig_hermitian, kron, matmul, outer, partial_trace
+from .linalg import EigenSystem, eig_hermitian, kron, outer, partial_trace
 from .metrics import FidelityReport, fidelity_pure, trace_distance
 from .mitigation import mitigate_probs, spectral_correct
 from .noise import (
@@ -67,7 +66,6 @@ __all__ = [
     "fidelity_pure",
     "kron",
     "lsq_reconstruct",
-    "matmul",
     "mitigate_probs",
     "outer",
     "partial_trace",
@@ -78,7 +76,6 @@ __all__ = [
     "run_pipeline",
     "run_trial",
     "sample_shots",
-    "setting_unitary",
     "simulate_calibration",
     "single_party_marginals",
     "solve_phases",

@@ -129,17 +129,6 @@ class MeasurementSetting:
             raise ValueError(f"malformed setting label {label!r}")
         return cls(label=label, nqubits=nqubits, basis=label, cnot=None)
 
-    def gates(self) -> list[Gate]:
-        out: list[Gate] = []
-        if self.cnot is not None:
-            out.append(Gate("CNOT", self.cnot))
-        for q, c in enumerate(self.basis):
-            if c == "X":
-                out.append(Gate("H", (q,)))
-            elif c == "Y":
-                out.append(Gate("RX", (q,), np.pi / 2))
-        return out
-
     def unitary(self) -> np.ndarray:
         local = np.eye(1, dtype=complex)
         for c in self.basis:
@@ -147,10 +136,6 @@ class MeasurementSetting:
         if self.cnot is None:
             return local
         return local @ cnot_matrix(*self.cnot, self.nqubits)
-
-
-def setting_unitary(s: MeasurementSetting) -> np.ndarray:
-    return s.unitary()
 
 
 THREE_QUBIT_LABELS = (

@@ -77,11 +77,6 @@ FIDELITY_PARTS_EXPECTED = 0.995
 FIDELITY_PARTS_TOL = 0.01
 
 
-def published_marginals() -> tuple[np.ndarray, np.ndarray]:
-    """The two-qubit matrices exactly as published (opposite convention)."""
-    return _RHO_AB_PUBLISHED.copy(), _RHO_BC_PUBLISHED.copy()
-
-
 def experimental_marginals(eps_b: float = 0.05) -> MarginalPair:
     """The two-qubit fixtures, harmonized to the three-qubit convention."""
     return MarginalPair(_RHO_AB_PUBLISHED.T.copy(), _RHO_BC_PUBLISHED.T.copy(), eps_b)

@@ -28,13 +28,6 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return np.abs(a - a.conj().T).max() <= tol
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, left factor most significant."""
     return np.kron(a, b)
@@ -105,13 +98,3 @@ def partial_trace(rho: np.ndarray, keep: list[int] | tuple[int, ...]) -> np.ndar
     d = 2 ** len(keep)
     return t.reshape(d, d)
 
-
-def assert_density_matrix(rho: np.ndarray, eig_floor: float = -1e-8) -> None:
-    """Raise unless rho is Hermitian, unit-trace, and PSD up to eig_floor."""
-    if not is_hermitian(rho, 1e-10):
-        raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density matrix trace {tr} != 1")
-    if np.linalg.eigvalsh(hermitian_part(rho)).min() < eig_floor:
-        raise ValueError("density matrix has a negative eigenvalue")

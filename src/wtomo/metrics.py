@@ -49,11 +49,3 @@ class FidelityReport:
         for f in (self.f_full, self.f_parts):
             if not np.isnan(f) and not (0.0 <= f <= 1.0 + 1e-12):
                 raise ValueError(f"fidelity {f} outside [0, 1]")
-
-    CSV_HEADER = "trial,shots,mitigated,f_full,f_parts"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.trial_id},{self.shots},{str(self.mitigated).lower()},"
-            f"{self.f_full:.6f},{self.f_parts:.6f}"
-        )

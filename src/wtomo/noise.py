@@ -108,31 +108,6 @@ def sample_shots(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, p)
 
 
-def sample_shots_per_flip(
-    p: np.ndarray, model: ReadoutModel, shots: int, seed: int
-) -> np.ndarray:
-    """Sample ideal outcomes, then flip each read bit per the confusion model.
-
-    Statistically equivalent to sampling from apply_readout_noise(p, model);
-    kept as a realism cross-check.
-    """
-    rng = np.random.default_rng(seed)
-    n = len(model.qubits)
-    outcomes = rng.choice(len(p), size=shots, p=np.clip(p, 0, None) / np.sum(np.clip(p, 0, None)))
-    counts = np.zeros(len(p), dtype=int)
-    u = rng.random(size=(shots, n))
-    for k, m in enumerate(outcomes):
-        out = 0
-        for q in range(n):
-            bit = (m >> (n - 1 - q)) & 1
-            flip_p = model.qubits[q].p01 if bit else model.qubits[q].p10
-            if u[k, q] < flip_p:
-                bit ^= 1
-            out = (out << 1) | bit
-        counts[out] += 1
-    return counts
-
-
 def counts_to_probs(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
     return counts / counts.sum()

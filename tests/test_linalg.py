@@ -6,7 +6,6 @@ from wtomo.linalg import (
     EigenSystem,
     eig_hermitian,
     kron,
-    matmul,
     outer,
     partial_trace,
 )
@@ -42,19 +41,17 @@ def brute_partial_trace(rho, keep, n):
 
 
 class TestMatmul:
+    """Products of the gate constants."""
+
     def test_identity(self):
-        assert np.allclose(matmul(I2, H), H)
+        assert np.allclose(I2 @ H, H)
 
     def test_hadamard_involutive(self):
-        assert np.allclose(matmul(H, H), I2)
+        assert np.allclose(H @ H, I2)
 
     def test_cnot_involutive(self):
         c = cnot_matrix(0, 1, 2)
-        assert np.allclose(matmul(c, c), np.eye(4))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
+        assert np.allclose(c @ c, np.eye(4))
 
 
 class TestKron:

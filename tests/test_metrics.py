@@ -63,12 +63,6 @@ class TestTraceDistance:
 
 
 class TestFidelityReport:
-    def test_csv_row(self):
-        r = FidelityReport(trial_id=2, shots=20000, mitigated=True,
-                           f_full=0.912345, f_parts=0.987654)
-        assert r.csv_row() == "2,20000,true,0.912345,0.987654"
-        assert FidelityReport.CSV_HEADER == "trial,shots,mitigated,f_full,f_parts"
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             FidelityReport(0, 100, False, f_full=1.2, f_parts=0.5)
