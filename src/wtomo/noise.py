@@ -2,13 +2,15 @@
 confusion, finite-shot sampling, and simulated calibration runs.
 
 All sampling uses numpy's PCG64 generator (``np.random.default_rng``); a
-fixed seed gives a bit-for-bit reproducible stream. Distinct settings use
-derived seeds (seed XOR setting index) so they can be sampled independently.
+fixed seed gives a bit-for-bit reproducible stream. In a simulated run every
+sampled circuit draws from its own stream, keyed [seed, trial, stream], so
+no two circuits of any trials share a stream.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,11 @@ import numpy as np
 from .circuits import MeasurementSetting, QUBIT_NAMES
 from .linalg import kron
 
-RNG_ALGORITHM = "numpy PCG64 (default_rng)"
+RNG_ALGORITHM = "numpy PCG64 (default_rng), stream key [seed, trial, stream]"
+
+# Stream ids within a trial: the 17 three-qubit settings are 0-16, the AB
+# and BC two-qubit settings 17-23 and 24-30, the 6 calibration circuits 31-36.
+STREAM_AB, STREAM_BC, STREAM_CALIBRATION = 17, 24, 31
 
 # ibm_osaka readout calibration for the qubit triple (q97, q98, q99) = (A, B, C)
 IBM_OSAKA_READOUT = (
@@ -96,8 +102,8 @@ def apply_readout_noise(p: np.ndarray, model: ReadoutModel) -> np.ndarray:
     return model.confusion_matrix() @ p
 
 
-def sample_shots(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Multinomial counts over outcomes; deterministic for a given seed."""
+def sample_shots(p: np.ndarray, shots: int, seed: int | Sequence[int]) -> np.ndarray:
+    """Multinomial counts over outcomes; deterministic for a given seed or key."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     p = np.asarray(p, dtype=float)
@@ -114,12 +120,14 @@ def counts_to_probs(counts: np.ndarray) -> np.ndarray:
 
 
 def simulate_calibration(
-    model: ReadoutModel, shots: int, seed: int
+    model: ReadoutModel, shots: int, key: Sequence[int]
 ) -> list[np.ndarray]:
     """Empirical calibration matrices from simulated |0>/|1> preparation runs.
 
     Two circuits per qubit (6 for three qubits); columns are exact count
     fractions, so each estimated matrix is column-stochastic by construction.
+    Circuit j (qubit j // 2 prepared in |j % 2>) draws from the stream
+    [*key, STREAM_CALIBRATION + j].
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -127,32 +135,32 @@ def simulate_calibration(
     for qi, q in enumerate(model.qubits):
         f_hat = np.zeros((2, 2))
         for prep, dist in ((0, [1 - q.p10, q.p10]), (1, [q.p01, 1 - q.p01])):
-            counts = sample_shots(np.array(dist), shots, seed ^ (2 * qi + prep + 1))
+            stream = STREAM_CALIBRATION + 2 * qi + prep
+            counts = sample_shots(np.array(dist), shots, [*key, stream])
             f_hat[:, prep] = counts / shots
         mats.append(f_hat)
     return mats
 
 
-def derived_seed(seed: int, index: int) -> int:
-    """Per-setting stream seed: base seed XOR setting index."""
-    return int(seed) ^ int(index)
-
-
 def counts_file_dict(
     counts: dict[str, np.ndarray],
     shots: int,
-    seed: int,
+    seed: int | Sequence[int],
     model: ReadoutModel | None,
     nqubits: int,
 ) -> dict:
-    """Counts-file JSON object: {label -> {bitstring -> count}, shots, seed, noise}."""
+    """Counts-file JSON object: {label -> {bitstring -> count}, shots, seed, noise}.
+
+    seed is the seed or key prefix the counts were drawn from; the pipeline
+    writes its trial key [seed, trial].
+    """
     obj: dict = {}
     for label, c in counts.items():
         obj[label] = {
             format(m, f"0{nqubits}b"): int(c[m]) for m in range(len(c)) if c[m]
         }
     obj["shots"] = int(shots)
-    obj["seed"] = int(seed)
+    obj["seed"] = np.asarray(seed).tolist()
     obj["noise"] = model.to_json_dict() if model is not None else None
     return obj
 

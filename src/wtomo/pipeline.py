@@ -3,8 +3,9 @@ setting, optional mitigation, reconstruction, and fidelity reporting.
 
 Each trial mirrors one hardware run: 6 calibration circuits, the 17
 three-qubit settings, and 7 two-qubit settings per marginal (14 circuits).
-Trials differ only by their derived seed (base seed + trial index), so a
-fixed configuration reproduces byte-identical reports.
+Each sampled circuit of trial t draws from the stream keyed [seed, t,
+stream] (stream ids in ``noise``), so a fixed configuration reproduces
+byte-identical reports and no two circuits share a stream.
 """
 
 from __future__ import annotations
@@ -22,19 +23,17 @@ from .metrics import FidelityReport, fidelity_pure
 from .mitigation import mitigate_probs, spectral_correct
 from .noise import (
     RNG_ALGORITHM,
+    STREAM_AB,
+    STREAM_BC,
     ReadoutModel,
     apply_readout_noise,
     counts_to_probs,
-    derived_seed,
     exact_probs,
     sample_shots,
     simulate_calibration,
 )
 from .tomography import density_to_json_dict, reconstruct_2q, reconstruct_3q
 from .wholeparts import MarginalPair, ReconstructionError, diosi_reconstruct
-
-CALIBRATION_SEED_SALT = 1 << 20
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -49,6 +48,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1 or self.shots < 1:
             raise ValueError("trials and shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.scheme not in ("full3q", "parts2q", "both"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -76,7 +77,7 @@ class TrialResult:
     error: str | None = None
 
 
-def _measure(rho, settings, model, cfg, trial_seed, seed_offset, counts_out):
+def _measure(rho, settings, model, cfg, key, first_stream, counts_out):
     """Probability tables for every setting, noisy and optionally sampled."""
     tables = {}
     for idx, s in enumerate(settings):
@@ -84,7 +85,7 @@ def _measure(rho, settings, model, cfg, trial_seed, seed_offset, counts_out):
         if model is not None:
             p = apply_readout_noise(p, model)
         if not cfg.exact:
-            c = sample_shots(p, cfg.shots, derived_seed(trial_seed, seed_offset + idx))
+            c = sample_shots(p, cfg.shots, [*key, first_stream + idx])
             counts_out[s.label] = c
             p = counts_to_probs(c)
         tables[s.label] = p
@@ -93,13 +94,13 @@ def _measure(rho, settings, model, cfg, trial_seed, seed_offset, counts_out):
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     result = TrialResult(trial_id=trial_index)
-    trial_seed = cfg.seed + trial_index
+    key = (cfg.seed, trial_index)
     psi_w = prepare_w()
     rho_w = outer(psi_w)
 
     model = cfg.noise
     if model is not None and not cfg.exact:
-        f_hats = simulate_calibration(model, cfg.shots, trial_seed ^ CALIBRATION_SEED_SALT)
+        f_hats = simulate_calibration(model, cfg.shots, key)
     elif model is not None:
         f_hats = [q.calibration_matrix() for q in model.qubits]
     else:
@@ -107,7 +108,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     result.calibration = f_hats
 
     tables_3q = _measure(
-        rho_w, three_qubit_settings(), model, cfg, trial_seed, 0, result.counts
+        rho_w, three_qubit_settings(), model, cfg, key, 0, result.counts
     )
     rho_ab_true = partial_trace(rho_w, [0, 1])
     rho_bc_true = partial_trace(rho_w, [1, 2])
@@ -115,13 +116,13 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         rho_ab_true,
         two_qubit_settings(),
         model.subset([0, 1]) if model else None,
-        cfg, trial_seed, 100, {},
+        cfg, key, STREAM_AB, {},
     )
     tables_bc = _measure(
         rho_bc_true,
         two_qubit_settings(),
         model.subset([1, 2]) if model else None,
-        cfg, trial_seed, 200, {},
+        cfg, key, STREAM_BC, {},
     )
 
     try:
@@ -228,7 +229,7 @@ def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) 
                 f.write("\n")
         if r.counts:
             obj = noise_mod.counts_file_dict(
-                r.counts, cfg.shots, cfg.seed + r.trial_id, cfg.noise, 3
+                r.counts, cfg.shots, [cfg.seed, r.trial_id], cfg.noise, 3
             )
             with open(tdir / "counts_3q.json", "w") as f:
                 json.dump(obj, f, indent=1, sort_keys=True)

@@ -12,7 +12,6 @@ from wtomo.noise import (
     apply_readout_noise,
     counts_file_dict,
     counts_to_probs,
-    derived_seed,
     exact_probs,
     load_counts_file,
     sample_shots,
@@ -148,15 +147,11 @@ class TestSampling:
         expected = apply_readout_noise(p, model)
         assert np.abs(counts_to_probs(c) - expected).max() <= 0.01
 
-    def test_derived_seed_is_xor(self):
-        assert derived_seed(1234, 5) == 1234 ^ 5
-        assert derived_seed(1234, 0) == 1234
-
 
 class TestCalibrationSimulation:
     def test_column_stochastic_and_close_to_truth(self):
         model = ReadoutModel.ibm_osaka()
-        mats = simulate_calibration(model, 100_000, 2024)
+        mats = simulate_calibration(model, 100_000, (2024, 0))
         assert len(mats) == 3
         for f_hat, q in zip(mats, model.qubits):
             assert np.allclose(f_hat.sum(axis=0), 1.0)
@@ -164,14 +159,14 @@ class TestCalibrationSimulation:
 
     def test_deterministic(self):
         model = ReadoutModel.ibm_osaka()
-        a = simulate_calibration(model, 1000, 5)
-        b = simulate_calibration(model, 1000, 5)
+        a = simulate_calibration(model, 1000, (5, 0))
+        b = simulate_calibration(model, 1000, (5, 0))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            simulate_calibration(ReadoutModel.ibm_osaka(), 0, 1)
+            simulate_calibration(ReadoutModel.ibm_osaka(), 0, (1, 0))
 
 
 class TestCountsFile:

@@ -27,6 +27,8 @@ class TestConfig:
             ExperimentConfig(trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(scheme="everything")
+        with pytest.raises(ValueError):
+            ExperimentConfig(seed=-1)
 
 
 class TestRunTrial:
@@ -92,6 +94,23 @@ class TestDeterminism:
         ra = run_pipeline(base)
         rb = run_pipeline(other)
         assert report_csv_text(ra) != report_csv_text(rb)
+
+    def test_stream_keys_are_distinct(self, monkeypatch):
+        # every sampled circuit of every trial draws from its own stream:
+        # 17 + 7 + 7 settings and 6 calibration circuits per trial
+        keys = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            keys.append(tuple(seed))
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        trials = 5
+        run_pipeline(ExperimentConfig(shots=100, trials=trials, seed=1234))
+        assert sorted(keys) == [(1234, t, s) for t in range(trials) for s in range(37)]
+        states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
+        assert len(states) == 37 * trials
 
     def test_trials_are_independent_streams(self):
         results = run_pipeline(ExperimentConfig(shots=1000, trials=2, seed=5))
