@@ -8,7 +8,8 @@ Subcommands:
   diosi      whole-from-parts reconstruction from two density-matrix files
   fidelity   square-root fidelity of a density-matrix file against the W state
 
-Exit codes: 0 success, 2 fixture tolerance failure, 3 reconstruction error.
+Exit codes: 0 success, 1 unreadable input file, 2 invalid arguments or
+fixture tolerance failure, 3 reconstruction error.
 """
 
 from __future__ import annotations
@@ -39,13 +40,40 @@ EXIT_FIXTURE_MISMATCH = 2
 EXIT_RECONSTRUCTION = 3
 
 
+def _read(load, path):
+    """load(path); a missing or malformed file ends the command with a message."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        sys.exit(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+
+
+def _load_noise_file(path) -> ReadoutModel:
+    with open(path) as f:
+        return ReadoutModel.from_json_dict(json.load(f))
+
+
 def _parse_noise(spec: str) -> ReadoutModel | None:
     if spec == "none":
         return None
     if spec == "table3":
         return ReadoutModel.ibm_osaka()
-    with open(spec) as f:
-        return ReadoutModel.from_json_dict(json.load(f))
+    return _read(_load_noise_file, spec)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _cmd_pipeline(args) -> int:
@@ -112,10 +140,10 @@ def _cmd_fixtures(args) -> int:
 
 
 def _load_tables(args, nqubits: int):
-    counts, _ = load_counts_file(args.counts)
+    counts, _ = _read(load_counts_file, args.counts)
     tables = {label: counts_to_probs(c) for label, c in counts.items()}
     if args.calib:
-        fs = list(load_calibration(args.calib).values())
+        fs = list(_read(load_calibration, args.calib).values())
         tables = {label: mitigate_probs(p, fs) for label, p in tables.items()}
     return tables
 
@@ -135,7 +163,8 @@ def _cmd_tomo(args, nqubits: int) -> int:
 
 
 def _cmd_diosi(args) -> int:
-    pair = MarginalPair(load_density(args.rho_ab), load_density(args.rho_bc), args.eps_b)
+    rho_ab, rho_bc = _read(load_density, args.rho_ab), _read(load_density, args.rho_bc)
+    pair = MarginalPair(rho_ab, rho_bc, args.eps_b)
     try:
         result = diosi_reconstruct(pair)
     except ReconstructionError as exc:
@@ -152,7 +181,7 @@ def _cmd_diosi(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    rho = load_density(args.state)
+    rho = _read(load_density, args.state)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-6:
         rho = rho / tr
@@ -167,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pipeline", help="run the simulated experiment")
-    p.add_argument("--shots", type=int, default=20000)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--shots", type=_int_at_least(1), default=20000)
+    p.add_argument("--trials", type=_int_at_least(1), default=5)
+    p.add_argument("--seed", type=_int_at_least(0), default=1234)
     p.add_argument("--noise", default="table3", help='noise file, "table3" or "none"')
     p.add_argument("--mitigate", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--exact", action="store_true", help="analytic probabilities, no sampling")

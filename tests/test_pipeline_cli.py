@@ -220,3 +220,25 @@ class TestCli:
         rc = main(["diosi", str(ab), str(bc), "--eps-b", "1e-8",
                    "--out", str(tmp_path / "psi.json")])
         assert rc == 3
+
+    @pytest.mark.parametrize("flag", ["--shots", "--trials"])
+    def test_pipeline_rejects_non_positive_count(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", flag, "0", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected an integer >= 1, got '0'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["tomo3q", "{missing}", "--out", "{out}"],
+        ["tomo2q", "{missing}", "--out", "{out}"],
+        ["diosi", "{missing}", "{missing}", "--out", "{out}"],
+        ["fidelity", "{missing}"],
+    ], ids=lambda c: c[0])
+    def test_missing_input_file_is_reported(self, command, tmp_path):
+        missing = tmp_path / "absent.json"
+        argv = [a.format(missing=missing, out=tmp_path / "out.json") for a in command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith(f"cannot read {missing}: ")
+        assert not (tmp_path / "out.json").exists()
