@@ -48,32 +48,26 @@ def _read(load, path):
         sys.exit(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
-def _load_noise_file(path) -> ReadoutModel:
-    with open(path) as f:
-        return ReadoutModel.from_json_dict(json.load(f))
-
-
 def _parse_noise(spec: str) -> ReadoutModel | None:
     if spec == "none":
         return None
     if spec == "table3":
         return ReadoutModel.ibm_osaka()
-    return _read(_load_noise_file, spec)
+    return _read(
+        lambda path: ReadoutModel.from_json_dict(json.loads(Path(path).read_text())), spec
+    )
 
 
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than low."""
 
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < low:
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return value
 
-    return parse
+    return integer
 
 
 def _cmd_pipeline(args) -> int:

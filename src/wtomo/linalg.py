@@ -15,10 +15,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-8
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """(a + a†)/2."""
     return (a + a.conj().T) / 2

@@ -10,7 +10,6 @@ no two circuits of any trials share a stream.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +101,7 @@ def apply_readout_noise(p: np.ndarray, model: ReadoutModel) -> np.ndarray:
     return model.confusion_matrix() @ p
 
 
-def sample_shots(p: np.ndarray, shots: int, seed: int | Sequence[int]) -> np.ndarray:
+def sample_shots(p: np.ndarray, shots: int, seed: int | list[int]) -> np.ndarray:
     """Multinomial counts over outcomes; deterministic for a given seed or key."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -120,7 +119,7 @@ def counts_to_probs(counts: np.ndarray) -> np.ndarray:
 
 
 def simulate_calibration(
-    model: ReadoutModel, shots: int, key: Sequence[int]
+    model: ReadoutModel, shots: int, key: tuple[int, ...]
 ) -> list[np.ndarray]:
     """Empirical calibration matrices from simulated |0>/|1> preparation runs.
 
@@ -145,7 +144,7 @@ def simulate_calibration(
 def counts_file_dict(
     counts: dict[str, np.ndarray],
     shots: int,
-    seed: int | Sequence[int],
+    seed: int | list[int],
     model: ReadoutModel | None,
     nqubits: int,
 ) -> dict:

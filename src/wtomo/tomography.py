@@ -1,18 +1,12 @@
 """Density-matrix reconstruction from per-setting probability tables.
 
-A d-dimensional density matrix has d² real parameters: the diagonal
-entries, then Re and Im of each upper-triangle entry. Each scheme (17
-settings for three qubits, 7 for two) is derived once into two real arrays:
-
-- ``measurement`` (L·d × d²) maps the parameters to the L stacked
-  outcome-probability tables, p = measurement @ x;
-- ``reconstruction`` (d² × L·d) maps the stacked tables back, x =
-  reconstruction @ p.
-
-The reconstruction weights are not hardcoded: row k is the exact linear
-inversion of the measurement rows of the settings assigned to parameter k.
-This makes every sign a derivation output, pinned by the round-trip property
-reconstruct(exact_probs(rho)) == rho.
+Each scheme (L = 17 settings for three qubits, 7 for two) is derived once
+into two real arrays over the d² real parameters x of the density matrix:
+``measurement`` maps x to the L stacked outcome tables p, and
+``reconstruction`` maps p back to x. The reconstruction weights are not
+hardcoded: row k is the exact linear inversion of the measurement rows of
+the settings assigned to parameter k. This makes every sign a derivation
+output, pinned by the round-trip property reconstruct(exact_probs(rho)) == rho.
 
 Diagonal elements come from the all-Z setting alone; each off-diagonal
 element is assigned to the setting whose basis change exposes it (one
@@ -35,7 +29,6 @@ from .circuits import (
 )
 
 RULE_RESIDUAL_TOL = 1e-10
-MAX_MEASUREMENT_COND = 1e8
 
 # bit-flip mask (row XOR col) -> labels of the assigned settings, (re, im)
 _ASSIGN_3Q = {
@@ -103,7 +96,7 @@ def derive_scheme(
     params = real_parameters(dim)
     measurement = np.vstack([_measurement_rows(s, params) for s in settings])
     cond = np.linalg.cond(measurement)
-    if cond > MAX_MEASUREMENT_COND:
+    if cond > 1e8:
         raise RuntimeError(f"measurement map is numerically singular (cond {cond:.2e})")
     rows = {s.label: np.arange(i * dim, (i + 1) * dim) for i, s in enumerate(settings)}
     diag_label = settings[0].label  # all-Z setting is first by convention
