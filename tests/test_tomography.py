@@ -153,7 +153,7 @@ class TestRoundTrip:
     def test_wrong_length_table_raises(self):
         tables = tables_for(outer(w_vector()), three_qubit_settings())
         tables["ZZZ"] = tables["ZZZ"][:4]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="table for ZZZ has wrong length"):
             reconstruct_3q(tables)
 
 
