@@ -16,7 +16,7 @@ from .circuits import (
 )
 from .linalg import EigenSystem, eig_hermitian, kron, outer, partial_trace
 from .metrics import FidelityReport, fidelity_pure, trace_distance
-from .mitigation import mitigate_probs, spectral_correct
+from .mitigation import mitigate_probs, mitigation_matrix, spectral_correct
 from .noise import (
     QubitReadout,
     ReadoutModel,
@@ -67,6 +67,7 @@ __all__ = [
     "kron",
     "lsq_reconstruct",
     "mitigate_probs",
+    "mitigation_matrix",
     "outer",
     "partial_trace",
     "prepare_w",

@@ -8,8 +8,9 @@ Subcommands:
   diosi      whole-from-parts reconstruction from two density-matrix files
   fidelity   square-root fidelity of a density-matrix file against the W state
 
-Exit codes: 0 success, 1 unreadable input file, 2 invalid arguments or
-fixture tolerance failure, 3 reconstruction error.
+Exit codes: 0 success, 1 unreadable or malformed input file, 2 invalid
+arguments or fixture tolerance failure, 3 reconstruction error (for pipeline:
+every trial failed), 4 pipeline trials failed in part.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import fixtures
 from .circuits import w_vector
 from .metrics import fidelity_pure
-from .mitigation import load_calibration, mitigate_probs, spectral_correct
+from .mitigation import load_calibration, mitigation_matrix, spectral_correct
 from .noise import ReadoutModel, counts_to_probs, load_counts_file
 from .pipeline import ExperimentConfig, run_pipeline
 from .tomography import (
@@ -38,6 +39,7 @@ from .wholeparts import MarginalPair, ReconstructionError, diosi_reconstruct
 EXIT_OK = 0
 EXIT_FIXTURE_MISMATCH = 2
 EXIT_RECONSTRUCTION = 3
+EXIT_PARTIAL = 4
 
 
 def _read(load, path):
@@ -92,7 +94,9 @@ def _cmd_pipeline(args) -> int:
                 f"f_parts {u.f_parts:.4f}/{m.f_parts:.4f} (unmitigated/mitigated)"
             )
     print(f"outputs written to {args.out}")
-    return EXIT_RECONSTRUCTION if len(failed) == len(results) else EXIT_OK
+    if len(failed) == len(results):
+        return EXIT_RECONSTRUCTION
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def _cmd_fixtures(args) -> int:
@@ -133,18 +137,26 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK if ok else EXIT_FIXTURE_MISMATCH
 
 
+def _mitigation_map(path, nqubits: int) -> np.ndarray:
+    """Mitigation map of a calibration file, which must hold nqubits matrices."""
+    fs = list(load_calibration(path).values())
+    if len(fs) != nqubits:
+        raise ValueError(f"need {nqubits} calibration matrices, found {len(fs)}")
+    return mitigation_matrix(fs)
+
+
 def _load_tables(args, nqubits: int):
     counts, _ = _read(load_counts_file, args.counts)
     tables = {label: counts_to_probs(c) for label, c in counts.items()}
     if args.calib:
-        fs = list(_read(load_calibration, args.calib).values())
-        tables = {label: mitigate_probs(p, fs) for label, p in tables.items()}
+        m = _read(lambda path: _mitigation_map(path, nqubits), args.calib)
+        tables = {label: m @ p for label, p in tables.items()}
     return tables
 
 
 def _cmd_tomo(args, nqubits: int) -> int:
-    tables = _load_tables(args, nqubits)
     try:
+        tables = _load_tables(args, nqubits)
         rho = reconstruct_3q(tables) if nqubits == 3 else reconstruct_2q(tables)
         if args.correct:
             rho = spectral_correct(rho)

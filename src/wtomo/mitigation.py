@@ -19,20 +19,24 @@ def check_calibration_matrix(f: np.ndarray) -> None:
         raise ValueError("calibration matrix is numerically singular")
 
 
-def mitigate_probs(p: np.ndarray, fs: list[np.ndarray]) -> np.ndarray:
-    """Error-mitigated probabilities p' = (F_A ⊗ F_B ⊗ ...)^-1 p.
-
-    Computed as the Kronecker product of the individual inverses. Small
-    negative entries are passed through unclipped; positivity is restored
-    later at the density-matrix level.
-    """
-    if 2 ** len(fs) != len(p):
-        raise ValueError("need one calibration matrix per measured qubit")
+def mitigation_matrix(fs: list[np.ndarray]) -> np.ndarray:
+    """(F_A ⊗ F_B ⊗ ...)^-1 as the Kronecker product of the checked inverses."""
     inv = np.eye(1)
     for f in fs:
         check_calibration_matrix(f)
         inv = kron(inv, np.linalg.inv(f))
-    return inv @ p
+    return inv
+
+
+def mitigate_probs(p: np.ndarray, fs: list[np.ndarray]) -> np.ndarray:
+    """Error-mitigated probabilities p' = (F_A ⊗ F_B ⊗ ...)^-1 p.
+
+    Small negative entries are passed through unclipped; positivity is
+    restored later at the density-matrix level.
+    """
+    if 2 ** len(fs) != len(p):
+        raise ValueError("need one calibration matrix per measured qubit")
+    return mitigation_matrix(fs) @ p
 
 
 def spectral_correct(rho: np.ndarray) -> np.ndarray:
@@ -67,4 +71,6 @@ def save_calibration(fs: list[np.ndarray], labels: list[str], path) -> None:
 def load_calibration(path) -> dict[str, np.ndarray]:
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("a calibration file holds a JSON object of matrices")
     return {label: np.array(mat, dtype=float) for label, mat in obj.items()}

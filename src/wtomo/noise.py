@@ -168,9 +168,13 @@ def load_counts_file(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a counts JSON file; returns (label -> counts array, metadata)."""
     with open(path) as f:
         obj = json.load(f)
+    if not isinstance(obj, dict):
+        raise ValueError("a counts file holds a JSON object of tables")
     meta = {k: obj.pop(k, None) for k in ("shots", "seed", "noise")}
     counts = {}
     for label, table in obj.items():
+        if not isinstance(table, dict) or not table:
+            raise ValueError(f"table {label!r} is not a non-empty object of counts")
         nqubits = len(next(iter(table)))
         c = np.zeros(2**nqubits, dtype=int)
         for bits, v in table.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import noise as noise_mod
 from .circuits import prepare_w, three_qubit_settings, two_qubit_settings
 from .linalg import outer, partial_trace
 from .metrics import FidelityReport, fidelity_pure
-from .mitigation import mitigate_probs, spectral_correct
+from .mitigation import mitigation_matrix, save_calibration, spectral_correct
 from .noise import (
     RNG_ALGORITHM,
     STREAM_AB,
@@ -52,6 +53,8 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if self.scheme not in ("full3q", "parts2q", "both"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.noise is not None and len(self.noise.qubits) != 3:
+            raise ValueError(f"noise model covers {len(self.noise.qubits)} qubits, not 3")
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,28 +80,50 @@ class TrialResult:
     error: str | None = None
 
 
-def _measure(rho, settings, model, cfg, key, first_stream, counts_out):
-    """Probability tables for every setting, noisy and optionally sampled."""
+@lru_cache(maxsize=None)
+def _noisy_probs(model: ReadoutModel | None):
+    """The W state and the noisy outcome probabilities of every setting on it.
+
+    They depend on the noise model only, not on the trial, so every trial
+    shares one read-only copy. Returns (psi_w, 3q tables, AB tables, BC tables).
+    """
+    psi_w = prepare_w()
+    psi_w.setflags(write=False)
+    rho_w = outer(psi_w)
+    groups = []
+    for qubits in ([0, 1, 2], [0, 1], [1, 2]):
+        settings = three_qubit_settings() if len(qubits) == 3 else two_qubit_settings()
+        rho = partial_trace(rho_w, qubits)
+        sub = model.subset(qubits) if model is not None else None
+        tables = {}
+        for s in settings:
+            p = exact_probs(rho, s)
+            if sub is not None:
+                p = apply_readout_noise(p, sub)
+            p.setflags(write=False)
+            tables[s.label] = p
+        groups.append(tables)
+    return psi_w, *groups
+
+
+def _measure(probs, cfg, key, first_stream, counts_out):
+    """Probability tables for every setting, sampled unless cfg.exact."""
+    if cfg.exact:
+        return probs
     tables = {}
-    for idx, s in enumerate(settings):
-        p = exact_probs(rho, s)
-        if model is not None:
-            p = apply_readout_noise(p, model)
-        if not cfg.exact:
-            c = sample_shots(p, cfg.shots, [*key, first_stream + idx])
-            counts_out[s.label] = c
-            p = counts_to_probs(c)
-        tables[s.label] = p
+    for idx, (label, p) in enumerate(probs.items()):
+        c = sample_shots(p, cfg.shots, [*key, first_stream + idx])
+        counts_out[label] = c
+        tables[label] = counts_to_probs(c)
     return tables
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     result = TrialResult(trial_id=trial_index)
     key = (cfg.seed, trial_index)
-    psi_w = prepare_w()
-    rho_w = outer(psi_w)
-
     model = cfg.noise
+    psi_w, probs_3q, probs_ab, probs_bc = _noisy_probs(model)
+
     if model is not None and not cfg.exact:
         f_hats = simulate_calibration(model, cfg.shots, key)
     elif model is not None:
@@ -107,30 +132,17 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         f_hats = [np.eye(2) for _ in range(3)]
     result.calibration = f_hats
 
-    tables_3q = _measure(
-        rho_w, three_qubit_settings(), model, cfg, key, 0, result.counts
-    )
-    rho_ab_true = partial_trace(rho_w, [0, 1])
-    rho_bc_true = partial_trace(rho_w, [1, 2])
-    tables_ab = _measure(
-        rho_ab_true,
-        two_qubit_settings(),
-        model.subset([0, 1]) if model else None,
-        cfg, key, STREAM_AB, {},
-    )
-    tables_bc = _measure(
-        rho_bc_true,
-        two_qubit_settings(),
-        model.subset([1, 2]) if model else None,
-        cfg, key, STREAM_BC, {},
-    )
+    tables_3q = _measure(probs_3q, cfg, key, 0, result.counts)
+    tables_ab = _measure(probs_ab, cfg, key, STREAM_AB, {})
+    tables_bc = _measure(probs_bc, cfg, key, STREAM_BC, {})
 
     try:
         for mitigated in (False, True):
             if mitigated:
-                t3 = {l: mitigate_probs(p, f_hats) for l, p in tables_3q.items()}
-                tab = {l: mitigate_probs(p, f_hats[:2]) for l, p in tables_ab.items()}
-                tbc = {l: mitigate_probs(p, f_hats[1:]) for l, p in tables_bc.items()}
+                m3, mab, mbc = (mitigation_matrix(fs) for fs in (f_hats, f_hats[:2], f_hats[1:]))
+                t3 = {l: m3 @ p for l, p in tables_3q.items()}
+                tab = {l: mab @ p for l, p in tables_ab.items()}
+                tbc = {l: mbc @ p for l, p in tables_bc.items()}
             else:
                 t3, tab, tbc = tables_3q, tables_ab, tables_bc
 
@@ -235,12 +247,7 @@ def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) 
                 json.dump(obj, f, indent=1, sort_keys=True)
                 f.write("\n")
         if r.calibration:
-            with open(tdir / "calibration.json", "w") as f:
-                json.dump(
-                    {q: mat.tolist() for q, mat in zip(("qA", "qB", "qC"), r.calibration)},
-                    f, indent=1, sort_keys=True,
-                )
-                f.write("\n")
+            save_calibration(r.calibration, ["qA", "qB", "qC"], tdir / "calibration.json")
 
 
 def exact_noiseless_config(**overrides) -> ExperimentConfig:

@@ -169,13 +169,8 @@ def purify_structures(pair: MarginalPair) -> OverlapTensors:
     vec_bc = np.column_stack([_fix_vector_gauge(vec_bc[:, i]) for i in range(2)])
     vec_ab = np.column_stack([_fix_vector_gauge(vec_ab[:, i]) for i in range(2)])
 
-    a_tensor = np.zeros((2, 2, 2), dtype=complex)
-    c_tensor = np.zeros((2, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                a_tensor[i, j, k] = np.vdot(kron(vec_b[:, j], vec_c[:, k]), vec_bc[:, i])
-                c_tensor[k, i, j] = np.vdot(kron(vec_a[:, i], vec_b[:, j]), vec_ab[:, k])
+    a_tensor = np.einsum("bj,ck,bci->ijk", vec_b.conj(), vec_c.conj(), vec_bc.reshape(2, 2, 2))
+    c_tensor = np.einsum("ai,bj,abk->kij", vec_a.conj(), vec_b.conj(), vec_ab.reshape(2, 2, 2))
     return OverlapTensors(
         a_tensor=a_tensor,
         c_tensor=c_tensor,

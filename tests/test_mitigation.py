@@ -7,6 +7,7 @@ from wtomo.mitigation import (
     check_calibration_matrix,
     load_calibration,
     mitigate_probs,
+    mitigation_matrix,
     save_calibration,
     spectral_correct,
 )
@@ -48,6 +49,27 @@ class TestMitigateProbs:
     def test_matrix_count_mismatch(self):
         with pytest.raises(ValueError):
             mitigate_probs(np.full(8, 1 / 8), [np.eye(2)] * 2)
+
+    def test_is_the_mitigation_matrix_product(self, rng):
+        model = ReadoutModel.ibm_osaka()
+        fs = [q.calibration_matrix() for q in model.qubits]
+        for _ in range(5):
+            p = rng.random(8)
+            p /= p.sum()
+            assert np.array_equal(mitigate_probs(p, fs), mitigation_matrix(fs) @ p)
+
+
+class TestMitigationMatrix:
+    @pytest.mark.parametrize("bad, message", [
+        ([[0.9, 0.2], [0.2, 0.9]], "not column-stochastic"),
+        ([[0.5, 0.5], [0.5, 0.5]], "singular"),
+    ], ids=["not-stochastic", "singular"])
+    def test_rejects_bad_calibration(self, bad, message):
+        fs = [np.array([[0.99, 0.02], [0.01, 0.98]]), np.array(bad)]
+        with pytest.raises(ValueError, match=message):
+            mitigation_matrix(fs)
+        with pytest.raises(ValueError, match=message):
+            mitigate_probs(np.full(4, 0.25), fs)
 
 
 class TestCheckCalibrationMatrix:

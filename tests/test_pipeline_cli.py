@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from wtomo.circuits import w_vector
-from wtomo.cli import EXIT_OK, main
+from wtomo import pipeline
+from wtomo.circuits import MeasurementSetting, w_vector
+from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, main
 from wtomo.linalg import outer, partial_trace
+from wtomo.noise import QubitReadout, ReadoutModel
 from wtomo.pipeline import (
     ExperimentConfig,
     exact_noiseless_config,
@@ -13,7 +15,8 @@ from wtomo.pipeline import (
     run_pipeline,
     run_trial,
 )
-from wtomo.tomography import load_density, save_density
+from wtomo.tomography import load_density, save_density, three_qubit_scheme, two_qubit_scheme
+from wtomo.wholeparts import ReconstructionError
 
 
 class TestConfig:
@@ -29,6 +32,8 @@ class TestConfig:
             ExperimentConfig(scheme="everything")
         with pytest.raises(ValueError):
             ExperimentConfig(seed=-1)
+        with pytest.raises(ValueError, match="2 qubits"):
+            ExperimentConfig(noise=ReadoutModel.ibm_osaka().subset([0, 1]))
 
 
 class TestRunTrial:
@@ -77,6 +82,31 @@ class TestRunTrial:
         r = run_trial(ExperimentConfig(shots=1000, trials=1, scheme="parts2q"), 0)
         assert np.isnan(r.reports[True].f_full)
         assert not np.isnan(r.reports[True].f_parts)
+
+    def test_setting_unitaries_are_built_once_per_noise_model(self, monkeypatch):
+        # 17 + 7 + 7 settings, however many trials; the schemes are derived first
+        # so that only the pipeline's own calls are counted
+        three_qubit_scheme(), two_qubit_scheme()
+        labels = []
+        unitary = MeasurementSetting.unitary
+        monkeypatch.setattr(
+            MeasurementSetting, "unitary", lambda s: labels.append(s.label) or unitary(s)
+        )
+        calls = []
+        for trials, p01 in ((1, 0.0123), (10, 0.0321)):
+            model = ReadoutModel((QubitReadout(p01, 0.0456),) * 3)  # not cached yet
+            run_pipeline(ExperimentConfig(shots=200, trials=trials, noise=model))
+            calls.append(len(labels))
+            labels.clear()
+        assert calls == [31, 31]
+
+    def test_cached_probabilities_are_read_only(self):
+        psi_w, *groups = pipeline._noisy_probs(ReadoutModel.ibm_osaka())
+        arrays = [psi_w] + [p for tables in groups for p in tables.values()]
+        assert len(arrays) == 1 + 17 + 7 + 7
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 class TestDeterminism:
@@ -242,3 +272,51 @@ class TestCli:
             main(argv)
         assert str(exc.value.code).startswith(f"cannot read {missing}: ")
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["tomo3q", "tomo2q"])
+    @pytest.mark.parametrize("case", [
+        "empty-table", "counts-not-object", "calib-qubit-count", "calib-singular",
+        "calib-not-object",
+    ])
+    def test_malformed_input_is_reported(self, command, case, tmp_path):
+        n = 3 if command == "tomo3q" else 2
+        good = [[0.99, 0.02], [0.01, 0.98]]
+        counts, calib = tmp_path / "counts.json", tmp_path / "calib.json"
+        counts.write_text(json.dumps({"Z" * n: {"0" * n: 10}}))
+        calib.write_text(json.dumps({f"q{q}": good for q in "ABC"[:n]}))
+        bad, text = {
+            "empty-table": (counts, json.dumps({"Z" * n: {}})),
+            "counts-not-object": (counts, "[1, 2]"),
+            "calib-qubit-count": (calib, json.dumps({f"q{q}": good for q in "ABC"[: n - 1]})),
+            "calib-singular": (
+                calib, json.dumps({f"q{q}": [[0.5, 0.5], [0.5, 0.5]] for q in "ABC"[:n]})
+            ),
+            "calib-not-object": (calib, "[[0.5, 0.5], [0.5, 0.5]]"),
+        }[case]
+        bad.write_text(text)
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(counts), "--calib", str(calib), "--out", str(out)])
+        assert str(exc.value.code).startswith(f"cannot read {bad}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failing, code", [(1, EXIT_PARTIAL), (2, EXIT_RECONSTRUCTION)])
+    def test_failed_trials_set_the_exit_code(self, failing, code, tmp_path, monkeypatch, capsys):
+        # the first `failing` Diosi calls raise: trial 0 fails on its first call,
+        # then trial 1 on its first
+        calls = []
+        diosi = pipeline.diosi_reconstruct
+
+        def flaky(pair):
+            calls.append(pair)
+            if len(calls) <= failing:
+                raise ReconstructionError("injected")
+            return diosi(pair)
+
+        monkeypatch.setattr(pipeline, "diosi_reconstruct", flaky)
+        out = tmp_path / "run"
+        rc = main(["pipeline", "--shots", "500", "--trials", "2", "--out", str(out)])
+        assert rc == code
+        assert "trial 0: FAILED (ReconstructionError: injected)" in capsys.readouterr().out
+        errors = json.loads((out / "run_metadata.json").read_text())["errors"]
+        assert sorted(errors) == [str(t) for t in range(failing)]

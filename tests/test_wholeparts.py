@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from wtomo.wholeparts import (
     InconsistentMarginalsError,
     MarginalPair,
     TooMixedError,
+    _fix_vector_gauge,
     diosi_reconstruct,
     purify_structures,
     reconstruct_relabeled,
@@ -68,6 +71,21 @@ class TestPurifyStructures:
         t = purify_structures(marginal_pair_of(random_gapped_pure(rng)))
         for i in range(2):
             assert abs(np.abs(t.a_tensor[i]) ** 2 * 1.0).sum() <= 1.0 + 1e-10
+
+    def test_overlap_tensors_match_kron_loop(self, rng):
+        # reference: one vdot of a Kronecker product per entry; the einsum sums
+        # 4 products in another order, so entries agree to a few ulps
+        for _ in range(20):
+            pair = marginal_pair_of(random_gapped_pure(rng))
+            a, b, c, ab, bc = (
+                np.column_stack([_fix_vector_gauge(v) for v in eig_hermitian(rho).eigenvectors[:, :2].T])
+                for rho in (*single_party_marginals(pair), pair.rho_ab, pair.rho_bc)
+            )
+            t = purify_structures(pair)
+            assert np.array_equal(t.vectors_a, a) and np.array_equal(t.vectors_bc, bc)
+            for i, j, k in itertools.product(range(2), repeat=3):
+                assert abs(t.a_tensor[i, j, k] - np.vdot(kron(b[:, j], c[:, k]), bc[:, i])) <= 1e-15
+                assert abs(t.c_tensor[k, i, j] - np.vdot(kron(a[:, i], b[:, j]), ab[:, k])) <= 1e-15
 
     def test_too_mixed_rejected(self):
         pair = MarginalPair(np.eye(4, dtype=complex) / 4, np.eye(4, dtype=complex) / 4, 1e-6)
