@@ -50,14 +50,20 @@ def _read(load, path):
         sys.exit(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
+def _load_noise(path) -> ReadoutModel:
+    """A three-qubit readout model from a JSON file."""
+    model = ReadoutModel.from_json_dict(json.loads(Path(path).read_text()))
+    if len(model.qubits) != 3:
+        raise ValueError(f"noise model covers {len(model.qubits)} qubits, not 3")
+    return model
+
+
 def _parse_noise(spec: str) -> ReadoutModel | None:
     if spec == "none":
         return None
     if spec == "table3":
         return ReadoutModel.ibm_osaka()
-    return _read(
-        lambda path: ReadoutModel.from_json_dict(json.loads(Path(path).read_text())), spec
-    )
+    return _read(_load_noise, spec)
 
 
 def _int_at_least(low: int):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,21 +102,50 @@ def apply_readout_noise(p: np.ndarray, model: ReadoutModel) -> np.ndarray:
     return model.confusion_matrix() @ p
 
 
+def outcome_distribution(p: np.ndarray) -> np.ndarray:
+    """The distribution the sampler draws from: p validated, clipped at zero
+    and renormalized (each row of a stack separately)."""
+    p = np.asarray(p, dtype=float)
+    if p.min() < -1e-9 or (np.abs(p.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("invalid outcome distribution")
+    p = np.clip(p, 0.0, None)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
 def sample_shots(p: np.ndarray, shots: int, seed: int | list[int]) -> np.ndarray:
     """Multinomial counts over outcomes; deterministic for a given seed or key."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = np.asarray(p, dtype=float)
-    if p.min() < -1e-9 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("invalid outcome distribution")
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    return np.random.default_rng(seed).multinomial(shots, p)
+    return np.random.default_rng(seed).multinomial(shots, outcome_distribution(p))
+
+
+def sample_circuits(
+    dists: np.ndarray, shots: int, key: tuple[int, ...], first_stream: int
+) -> np.ndarray:
+    """Counts of one circuit per row of dists (from outcome_distribution).
+
+    Row j draws from the stream [*key, first_stream + j].
+    """
+    return np.stack([
+        np.random.default_rng([*key, first_stream + j]).multinomial(shots, p)
+        for j, p in enumerate(dists)
+    ])
 
 
 def counts_to_probs(counts: np.ndarray) -> np.ndarray:
+    """Outcome frequencies of a counts table (each row of a stack separately)."""
     counts = np.asarray(counts, dtype=float)
-    return counts / counts.sum()
+    return counts / counts.sum(axis=-1, keepdims=True)
+
+
+@lru_cache(maxsize=None)
+def _calibration_dists(model: ReadoutModel) -> np.ndarray:
+    """Outcome distributions of the calibration circuits, in stream order."""
+    dists = outcome_distribution(
+        [d for q in model.qubits for d in ([1 - q.p10, q.p10], [q.p01, 1 - q.p01])]
+    )
+    dists.setflags(write=False)
+    return dists
 
 
 def simulate_calibration(
@@ -130,15 +160,9 @@ def simulate_calibration(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    mats = []
-    for qi, q in enumerate(model.qubits):
-        f_hat = np.zeros((2, 2))
-        for prep, dist in ((0, [1 - q.p10, q.p10]), (1, [q.p01, 1 - q.p01])):
-            stream = STREAM_CALIBRATION + 2 * qi + prep
-            counts = sample_shots(np.array(dist), shots, [*key, stream])
-            f_hat[:, prep] = counts / shots
-        mats.append(f_hat)
-    return mats
+    counts = sample_circuits(_calibration_dists(model), shots, key, STREAM_CALIBRATION)
+    # counts[2 qi + prep] is column prep of qubit qi's matrix
+    return list(counts.reshape(-1, 2, 2).transpose(0, 2, 1) / shots)
 
 
 def counts_file_dict(
@@ -175,7 +199,13 @@ def load_counts_file(path) -> tuple[dict[str, np.ndarray], dict]:
     for label, table in obj.items():
         if not isinstance(table, dict) or not table:
             raise ValueError(f"table {label!r} is not a non-empty object of counts")
-        nqubits = len(next(iter(table)))
+        lengths = sorted({len(bits) for bits in table})
+        if len(lengths) > 1:
+            raise ValueError(f"table {label!r} mixes bitstrings of lengths {lengths}")
+        bad = [bits for bits in table if not bits or set(bits) - {"0", "1"}]
+        if bad:
+            raise ValueError(f"table {label!r} has key {bad[0]!r}, not a bitstring of 0s and 1s")
+        nqubits = lengths[0]
         c = np.zeros(2**nqubits, dtype=int)
         for bits, v in table.items():
             c[int(bits, 2)] = v

@@ -6,6 +6,11 @@ three-qubit settings, and 7 two-qubit settings per marginal (14 circuits).
 Each sampled circuit of trial t draws from the stream keyed [seed, t,
 stream] (stream ids in ``noise``), so a fixed configuration reproduces
 byte-identical reports and no two circuits share a stream.
+
+The trials of a run form one batch: after sampling, every stage runs once
+on stacks with a leading trial axis. Each trial's result is bitwise the
+same as ``run_trial`` gives it alone, which is the same code on a batch of
+one.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from .noise import (
     apply_readout_noise,
     counts_to_probs,
     exact_probs,
-    sample_shots,
+    outcome_distribution,
+    sample_circuits,
     simulate_calibration,
 )
 from .tomography import density_to_json_dict, reconstruct_2q, reconstruct_3q
@@ -85,113 +91,151 @@ def _noisy_probs(model: ReadoutModel | None):
     """The W state and the noisy outcome probabilities of every setting on it.
 
     They depend on the noise model only, not on the trial, so every trial
-    shares one read-only copy. Returns (psi_w, 3q tables, AB tables, BC tables).
+    shares one read-only copy. Returns (psi_w, tables, dists): tables holds
+    the exact (L, d) tables of the 3q, AB and BC settings in setting order,
+    dists the same tables as the sampler draws from them
+    (``noise.outcome_distribution``).
     """
     psi_w = prepare_w()
-    psi_w.setflags(write=False)
     rho_w = outer(psi_w)
-    groups = []
-    for qubits in ([0, 1, 2], [0, 1], [1, 2]):
-        settings = three_qubit_settings() if len(qubits) == 3 else two_qubit_settings()
+    tables = []
+    for qubits, settings in (
+        ([0, 1, 2], three_qubit_settings()),
+        ([0, 1], two_qubit_settings()),
+        ([1, 2], two_qubit_settings()),
+    ):
         rho = partial_trace(rho_w, qubits)
         sub = model.subset(qubits) if model is not None else None
-        tables = {}
-        for s in settings:
-            p = exact_probs(rho, s)
-            if sub is not None:
-                p = apply_readout_noise(p, sub)
-            p.setflags(write=False)
-            tables[s.label] = p
-        groups.append(tables)
-    return psi_w, *groups
+        probs = [exact_probs(rho, s) for s in settings]
+        tables.append(np.stack([p if sub is None else apply_readout_noise(p, sub) for p in probs]))
+    dists = [outcome_distribution(t) for t in tables]
+    for a in (psi_w, *tables, *dists):
+        a.setflags(write=False)
+    return psi_w, tuple(tables), tuple(dists)
 
 
-def _measure(probs, cfg, key, first_stream, counts_out):
-    """Probability tables for every setting, sampled unless cfg.exact."""
+_LABELS_3Q = tuple(s.label for s in three_qubit_settings())
+_LABELS_2Q = tuple(s.label for s in two_qubit_settings())
+
+
+def _by_label(labels: tuple[str, ...], p: np.ndarray) -> dict[str, np.ndarray]:
+    """Stacked tables (n, L, d) as {setting label: (n, d) tables}."""
+    return dict(zip(labels, p.swapaxes(0, 1)))
+
+
+def _calibrations(cfg: ExperimentConfig, key) -> list[np.ndarray]:
+    """The calibration matrices a trial mitigates with, one per qubit."""
+    model = cfg.noise
+    if model is not None and not cfg.exact:
+        return simulate_calibration(model, cfg.shots, key)
+    if model is not None:
+        return [q.calibration_matrix() for q in model.qubits]
+    return [np.eye(2) for _ in range(3)]
+
+
+def _fill(cfg, results, mitigated, f_full, f_parts, matrices, recon) -> None:
+    """Store one pass (mitigated or not) of a batch in its trial results."""
+    nan = float("nan")
+    for t, r in enumerate(results):
+        r.reports[mitigated] = FidelityReport(
+            trial_id=r.trial_id,
+            shots=cfg.shots,
+            mitigated=mitigated,
+            f_full=float(f_full[t]),
+            f_parts=float(f_parts[t]),
+            residual_ab=nan if recon is None else float(recon.residual_ab[t]),
+            residual_bc=nan if recon is None else float(recon.residual_bc[t]),
+        )
+        if mitigated != cfg.mitigate:
+            continue
+        r.matrices = {name: m[t] for name, m in matrices.items()}
+        if recon is not None:
+            r.residuals = {
+                "residual_ab": float(recon.residual_ab[t]),
+                "residual_bc": float(recon.residual_bc[t]),
+                "truncated_mass": {k: float(v[t]) for k, v in recon.truncated_mass.items()},
+            }
+
+
+def _sample(cfg: ExperimentConfig, results: list[TrialResult], dists) -> list[np.ndarray]:
+    """Sampled (n, L, d) frequency tables of the 3q, AB and BC settings.
+
+    Each trial's three-qubit counts are stored in its result.
+    """
+    counts = [np.empty((len(results), *d.shape), dtype=np.int64) for d in dists]
+    for t, r in enumerate(results):
+        for c, dist, first in zip(counts, dists, (0, STREAM_AB, STREAM_BC)):
+            c[t] = sample_circuits(dist, cfg.shots, (cfg.seed, r.trial_id), first)
+        r.counts = dict(zip(_LABELS_3Q, counts[0][t]))
+    return [counts_to_probs(c) for c in counts]
+
+
+def _reconstruct(cfg: ExperimentConfig, psi_w, p3, pab, pbc, eps_b: float):
+    """One pass over stacked tables: (f_full, f_parts, matrices, Diosi result)."""
+    nan = np.full(len(p3), np.nan)
+    f_full = f_parts = nan
+    matrices, recon = {}, None
+    if cfg.scheme in ("full3q", "both"):
+        matrices["rho_full"] = spectral_correct(reconstruct_3q(_by_label(_LABELS_3Q, p3)))
+        f_full = fidelity_pure(psi_w, matrices["rho_full"])
+    if cfg.scheme in ("parts2q", "both"):
+        rho_ab = spectral_correct(reconstruct_2q(_by_label(_LABELS_2Q, pab)))
+        rho_bc = spectral_correct(reconstruct_2q(_by_label(_LABELS_2Q, pbc)))
+        recon = diosi_reconstruct(MarginalPair(rho_ab, rho_bc, eps_b))
+        matrices.update(rho_ab=rho_ab, rho_bc=rho_bc, rho_parts=outer(recon.psi))
+        f_parts = fidelity_pure(psi_w, matrices["rho_parts"])
+    return f_full, f_parts, matrices, recon
+
+
+def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
+    """Run the trials of results as one batch, filling each result in place.
+
+    Every circuit of trial t samples from its own stream [seed, t, stream];
+    every later stage runs once on the stack of all the trials. Raises if
+    any trial fails; the results then hold the passes completed before.
+    """
+    psi_w, tables, dists = _noisy_probs(cfg.noise)
     if cfg.exact:
-        return probs
-    tables = {}
-    for idx, (label, p) in enumerate(probs.items()):
-        c = sample_shots(p, cfg.shots, [*key, first_stream + idx])
-        counts_out[label] = c
-        tables[label] = counts_to_probs(c)
-    return tables
+        measured = [np.broadcast_to(tab, (len(results), *tab.shape)) for tab in tables]
+    else:
+        measured = _sample(cfg, results, dists)
+    for r in results:
+        r.calibration = _calibrations(cfg, (cfg.seed, r.trial_id))
+    f_hats = np.array([r.calibration for r in results])  # (n, 3, 2, 2)
+    if cfg.exact and cfg.noise is None:
+        eps_b = 1e-8
+    else:
+        # base experimental tolerance plus a shot-noise allowance
+        eps_b = 0.05 + (0.0 if cfg.exact else 2.0 / np.sqrt(cfg.shots))
+
+    for mitigated in (False, True):
+        if mitigated:  # the last pass, so the unmitigated tables can go
+            measured = [
+                (mitigation_matrix(fs)[:, None] @ p[..., None])[..., 0]
+                for fs, p in zip((f_hats, f_hats[:, :2], f_hats[:, 1:]), measured)
+            ]
+        _fill(cfg, results, mitigated, *_reconstruct(cfg, psi_w, *measured, eps_b))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
+    """One trial: the batch code on a batch of one. A reconstruction or value
+    error is recorded in the result, which keeps what was done before it."""
     result = TrialResult(trial_id=trial_index)
-    key = (cfg.seed, trial_index)
-    model = cfg.noise
-    psi_w, probs_3q, probs_ab, probs_bc = _noisy_probs(model)
-
-    if model is not None and not cfg.exact:
-        f_hats = simulate_calibration(model, cfg.shots, key)
-    elif model is not None:
-        f_hats = [q.calibration_matrix() for q in model.qubits]
-    else:
-        f_hats = [np.eye(2) for _ in range(3)]
-    result.calibration = f_hats
-
-    tables_3q = _measure(probs_3q, cfg, key, 0, result.counts)
-    tables_ab = _measure(probs_ab, cfg, key, STREAM_AB, {})
-    tables_bc = _measure(probs_bc, cfg, key, STREAM_BC, {})
-
     try:
-        for mitigated in (False, True):
-            if mitigated:
-                m3, mab, mbc = (mitigation_matrix(fs) for fs in (f_hats, f_hats[:2], f_hats[1:]))
-                t3 = {l: m3 @ p for l, p in tables_3q.items()}
-                tab = {l: mab @ p for l, p in tables_ab.items()}
-                tbc = {l: mbc @ p for l, p in tables_bc.items()}
-            else:
-                t3, tab, tbc = tables_3q, tables_ab, tables_bc
-
-            f_full = f_parts = float("nan")
-            residual_ab = residual_bc = float("nan")
-            if cfg.scheme in ("full3q", "both"):
-                rho_full = spectral_correct(reconstruct_3q(t3))
-                f_full = fidelity_pure(psi_w, rho_full)
-            if cfg.scheme in ("parts2q", "both"):
-                rho_ab = spectral_correct(reconstruct_2q(tab))
-                rho_bc = spectral_correct(reconstruct_2q(tbc))
-                if cfg.exact and model is None:
-                    eps_b = 1e-8
-                else:
-                    # base experimental tolerance plus a shot-noise allowance
-                    eps_b = 0.05 + (0.0 if cfg.exact else 2.0 / np.sqrt(cfg.shots))
-                recon = diosi_reconstruct(MarginalPair(rho_ab, rho_bc, eps_b))
-                rho_parts = outer(recon.psi)
-                f_parts = fidelity_pure(psi_w, rho_parts)
-                residual_ab, residual_bc = recon.residual_ab, recon.residual_bc
-
-            result.reports[mitigated] = FidelityReport(
-                trial_id=trial_index,
-                shots=cfg.shots,
-                mitigated=mitigated,
-                f_full=f_full,
-                f_parts=f_parts,
-                residual_ab=residual_ab,
-                residual_bc=residual_bc,
-            )
-            if mitigated == cfg.mitigate:
-                if cfg.scheme in ("full3q", "both"):
-                    result.matrices["rho_full"] = rho_full
-                if cfg.scheme in ("parts2q", "both"):
-                    result.matrices["rho_ab"] = rho_ab
-                    result.matrices["rho_bc"] = rho_bc
-                    result.matrices["rho_parts"] = rho_parts
-                    result.residuals = {
-                        "residual_ab": recon.residual_ab,
-                        "residual_bc": recon.residual_bc,
-                        "truncated_mass": recon.truncated_mass,
-                    }
+        _run_batch(cfg, [result])
     except (ReconstructionError, ValueError) as exc:
         result.error = f"{type(exc).__name__}: {exc}"
     return result
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[TrialResult]:
-    results = [run_trial(cfg, t) for t in range(cfg.trials)]
+    """All trials as one batch. If the batch fails, each trial runs on its own,
+    so that only the failing trials fail."""
+    results = [TrialResult(trial_id=t) for t in range(cfg.trials)]
+    try:
+        _run_batch(cfg, results)
+    except (ReconstructionError, ValueError):
+        results = [run_trial(cfg, t) for t in range(cfg.trials)]
     if out_dir is not None:
         write_outputs(cfg, results, Path(out_dir))
     return results

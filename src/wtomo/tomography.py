@@ -134,29 +134,31 @@ def _stacked_tables(scheme: TomographyScheme, tables: dict[str, np.ndarray]) -> 
     for label in scheme.labels:
         if label not in tables:
             raise ValueError(f"missing probability table for setting {label}")
-        if len(tables[label]) != dim:
+        if np.shape(tables[label])[-1:] != (dim,):
             raise ValueError(f"table for {label} has wrong length")
-    return np.concatenate([tables[label] for label in scheme.labels])
+    return np.concatenate([tables[label] for label in scheme.labels], axis=-1)
 
 
 def _assemble(x: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitian matrix from its real parameters."""
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[np.diag_indices(dim)] = x[:dim]
+    """Hermitian matrix (or stack of them) from the real parameters on the last axis."""
+    rho = np.zeros((*x.shape[:-1], dim, dim), dtype=complex)
+    rho[..., range(dim), range(dim)] = x[..., :dim]
     rows, cols = np.triu_indices(dim, 1)
-    upper = x[dim::2] + 1j * x[dim + 1::2]
-    rho[rows, cols] = upper
-    rho[cols, rows] = upper.conj()
+    upper = x[..., dim::2] + 1j * x[..., dim + 1::2]
+    rho[..., rows, cols] = upper
+    rho[..., cols, rows] = upper.conj()
     return rho
 
 
 def reconstruct(scheme: TomographyScheme, tables: dict[str, np.ndarray]) -> np.ndarray:
     """Linear-inversion estimate: Hermitian, unit trace on normalized tables.
 
-    The output may have negative eigenvalues before spectral correction.
+    Each table may be a stack (..., d) of tables; the result is then a stack
+    (..., d, d) of estimates. The output may have negative eigenvalues before
+    spectral correction.
     """
-    p = _stacked_tables(scheme, tables)
-    return _assemble(scheme.reconstruction @ p, 2**scheme.nqubits)
+    x = scheme.reconstruction @ _stacked_tables(scheme, tables)[..., None]
+    return _assemble(x[..., 0], 2**scheme.nqubits)
 
 
 def reconstruct_3q(tables: dict[str, np.ndarray]) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_hermitian, kron, outer, partial_trace
+from .linalg import eig_hermitian, first_true, outer, partial_trace, vector_norm
 
 DEGENERACY_GAP = 1e-6
 PHASE_MAGNITUDE_FLOOR = 1e-8
@@ -53,6 +53,7 @@ class MarginalPair:
 
     eps_b bounds the allowed disagreement between the two estimates of the
     shared qubit B (use ~0.05 for experimental inputs, 1e-10 for exact).
+    rho_ab and rho_bc may be stacks (..., 4, 4) of pairs sharing eps_b.
     """
 
     rho_ab: np.ndarray
@@ -62,10 +63,11 @@ class MarginalPair:
     def normalized(self) -> "MarginalPair":
         out = []
         for name, rho in (("rho_ab", self.rho_ab), ("rho_bc", self.rho_bc)):
-            tr = np.trace(rho).real
-            if abs(tr - 1.0) > 1e-10:
-                warnings.warn(f"{name} has trace {tr:.4f}; renormalizing to 1")
-                rho = rho / tr
+            tr = np.trace(rho, axis1=-2, axis2=-1).real
+            off = np.abs(tr - 1.0) > 1e-10
+            if off.any():
+                warnings.warn(f"{name} has trace {tr[first_true(off)]:.4f}; renormalizing to 1")
+                rho = np.where(off[..., None, None], rho / tr[..., None, None], rho)
             out.append(rho)
         return MarginalPair(out[0], out[1], self.eps_b)
 
@@ -75,7 +77,8 @@ class OverlapTensors:
     """Eigenbasis overlap data for the phase solve.
 
     a_tensor[i, j, k] = <jk | i;BC> and c_tensor[k, i, j] = <ij | k;AB>,
-    with |ij> and |jk> built from the single-party eigenbases.
+    with |ij> and |jk> built from the single-party eigenbases. Every field
+    carries the leading axes of the marginal pair it was built from.
     """
 
     a_tensor: np.ndarray
@@ -89,6 +92,9 @@ class OverlapTensors:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """psi (..., 8); residuals and truncated masses are floats for one pair,
+    arrays (...) for a stack of pairs."""
+
     psi: np.ndarray
     residual_ab: float
     residual_bc: float
@@ -105,12 +111,22 @@ class ReconstructionResult:
         }
 
 
+def _scalar(x: np.ndarray) -> float | np.ndarray:
+    """A float for one pair, the array for a stack of pairs."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _fix_vector_gauge(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its largest-magnitude component is real positive."""
-    k = int(np.argmax(np.abs(v)))
-    if abs(v[k]) == 0:
-        return v
-    return v * (abs(v[k]) / v[k])
+    """Rotate each vector (last axis) so its largest-magnitude component is real positive."""
+    vk = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], -1)
+    mag = np.hypot(vk.real, vk.imag)  # what abs() gives for one complex number
+    zero = mag == 0
+    return np.where(zero, v, v * (mag / np.where(zero, 1, vk)))
+
+
+def _fix_column_gauge(vectors: np.ndarray) -> np.ndarray:
+    """_fix_vector_gauge on each column."""
+    return _fix_vector_gauge(vectors.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def single_party_marginals(
@@ -126,10 +142,12 @@ def single_party_marginals(
     rho_b_from_ab = partial_trace(pair.rho_ab, [1])
     rho_b_from_bc = partial_trace(pair.rho_bc, [0])
     rho_c = partial_trace(pair.rho_bc, [1])
-    gap = np.abs(rho_b_from_ab - rho_b_from_bc).max()
-    if gap > pair.eps_b:
+    gap = np.abs(rho_b_from_ab - rho_b_from_bc).max(axis=(-2, -1))
+    over = gap > pair.eps_b
+    if over.any():
         raise InconsistentMarginalsError(
-            f"shared-qubit marginals disagree by {gap:.4f} (> eps_b = {pair.eps_b})"
+            f"shared-qubit marginals disagree by {gap[first_true(over)]:.4f} "
+            f"(> eps_b = {pair.eps_b})"
         )
     rho_b = (rho_b_from_ab + rho_b_from_bc) / 2
     return rho_a, rho_b, rho_c
@@ -138,14 +156,28 @@ def single_party_marginals(
 def _top2(es, label: str, truncation: dict) -> tuple[np.ndarray, np.ndarray]:
     """Keep the top-2 eigenpairs, renormalize kept mass to 1."""
     w = np.clip(es.eigenvalues, 0.0, None)
-    kept = w[:2].sum()
-    truncation[label] = float(max(0.0, w.sum() - kept))
-    if kept < MIN_KEPT_MASS:
+    kept = w[..., :2].sum(axis=-1)
+    truncation[label] = _scalar(np.maximum(0.0, w.sum(axis=-1) - kept))
+    low = kept < MIN_KEPT_MASS
+    if low.any():
         raise TooMixedError(
-            f"{label}: kept spectral mass {kept:.3f} < {MIN_KEPT_MASS}; "
+            f"{label}: kept spectral mass {kept[first_true(low)]:.3f} < {MIN_KEPT_MASS}; "
             "input too mixed for a pure-state hypothesis"
         )
-    return w[:2] / kept, es.eigenvectors[:, :2]
+    return w[..., :2] / kept[..., None], es.eigenvectors[..., :2]
+
+
+def _overlaps(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """t[i, j, k] = sum_{b,c} conj(u[b, j]) conj(v[c, k]) w[2b + c, i].
+
+    The products come from einsum, which multiplies complex numbers as
+    scalar code does (numpy's vectorised `*` may round differently), in two
+    steps that need smaller buffers than one; the four (b, c) terms are then
+    summed in order, so the rounding is the same for every pair of a stack.
+    """
+    uv = np.einsum("...bj,...ck->...bcjk", u.conj(), v.conj())
+    terms = np.einsum("...bcjk,...bci->...bcijk", uv, w.reshape(*w.shape[:-2], 2, 2, 2))
+    return terms.reshape(*terms.shape[:-5], 4, 2, 2, 2).sum(axis=-4)
 
 
 def purify_structures(pair: MarginalPair) -> OverlapTensors:
@@ -162,18 +194,12 @@ def purify_structures(pair: MarginalPair) -> OverlapTensors:
     _, vec_b = _top2(eig_hermitian(rho_b), "rho_b", truncation)
     _, vec_bc = _top2(eig_hermitian(pair.rho_bc), "rho_bc", truncation)
     _, vec_ab = _top2(eig_hermitian(pair.rho_ab), "rho_ab", truncation)
-
-    vec_a = np.column_stack([_fix_vector_gauge(vec_a[:, i]) for i in range(2)])
-    vec_b = np.column_stack([_fix_vector_gauge(vec_b[:, i]) for i in range(2)])
-    vec_c = np.column_stack([_fix_vector_gauge(vec_c[:, i]) for i in range(2)])
-    vec_bc = np.column_stack([_fix_vector_gauge(vec_bc[:, i]) for i in range(2)])
-    vec_ab = np.column_stack([_fix_vector_gauge(vec_ab[:, i]) for i in range(2)])
-
-    a_tensor = np.einsum("bj,ck,bci->ijk", vec_b.conj(), vec_c.conj(), vec_bc.reshape(2, 2, 2))
-    c_tensor = np.einsum("ai,bj,abk->kij", vec_a.conj(), vec_b.conj(), vec_ab.reshape(2, 2, 2))
+    vec_a, vec_b, vec_c, vec_bc, vec_ab = map(
+        _fix_column_gauge, (vec_a, vec_b, vec_c, vec_bc, vec_ab)
+    )
     return OverlapTensors(
-        a_tensor=a_tensor,
-        c_tensor=c_tensor,
+        a_tensor=_overlaps(vec_b, vec_c, vec_bc),
+        c_tensor=_overlaps(vec_a, vec_b, vec_ab),
         lambda_a=lam_a,
         lambda_c=lam_c,
         vectors_a=vec_a,
@@ -194,28 +220,33 @@ def solve_phases(t: OverlapTensors, gap: float = DEGENERACY_GAP) -> np.ndarray:
     the gamma-weighted overlap sum.
     """
     lam_a = t.lambda_a
-    if abs(lam_a[0] - lam_a[1]) <= gap:
+    degenerate = np.abs(lam_a[..., 0] - lam_a[..., 1]) <= gap
+    if degenerate.any():
         raise DegenerateSpectrumError(
-            f"rho_A spectrum {lam_a} is degenerate within {gap}; "
+            f"rho_A spectrum {lam_a[first_true(degenerate)]} is degenerate within {gap}; "
             "the marginals do not determine the global state"
         )
-    t1 = np.sqrt(lam_a)[:, None, None] * t.a_tensor  # [i, j, k]
-    t2 = np.einsum("k,kij->ijk", np.sqrt(t.lambda_c), t.c_tensor)
-    m = np.einsum("ijk,ijk->ik", t2, t1.conj())  # arg(m[i,k]) = alpha_i - gamma_k
+    t1 = np.sqrt(lam_a)[..., :, None, None] * t.a_tensor  # [i, j, k]
+    t2 = np.einsum("...k,...kij->...ijk", np.sqrt(t.lambda_c), t.c_tensor)
+    # products by einsum as in _overlaps, then the sum over j
+    m = np.einsum("...ijk,...ijk->...ijk", t2, t1.conj()).sum(axis=-2)  # [i, k]
+    # arg(m[i, k]) = alpha_i - gamma_k
 
     live = np.sqrt(lam_a) > 1e-8  # phases of zero-amplitude branches are moot
-    for i in range(2):
-        if live[i] and np.abs(m[i]).max() < PHASE_MAGNITUDE_FLOOR:
-            raise UnderdeterminedPhaseError(
-                f"no usable overlap constraint for branch {i}"
-            )
+    usable = np.abs(m).max(axis=-1) >= PHASE_MAGNITUDE_FLOOR
+    if (live & ~usable).any():
+        raise UnderdeterminedPhaseError(
+            f"no usable overlap constraint for branch {first_true(live & ~usable)[-1]}"
+        )
 
-    gamma = np.zeros(2)
-    alpha = np.where(live, np.angle(m[:, 0]), 0.0)
-    i_best = int(np.argmax(np.abs(m[:, 1])))
-    gamma[1] = alpha[i_best] - np.angle(m[i_best, 1])
-    refined = np.angle(m @ np.exp(1j * gamma))
-    return np.where(live & (np.abs(m).max(axis=1) >= PHASE_MAGNITUDE_FLOOR), refined, 0.0)
+    alpha = np.where(live, np.angle(m[..., :, 0]), 0.0)
+    i_best = np.argmax(np.abs(m[..., :, 1]), axis=-1)[..., None]
+    gamma_1 = np.take_along_axis(alpha, i_best, -1) - np.angle(
+        np.take_along_axis(m[..., :, 1], i_best, -1)
+    )
+    gamma = np.concatenate([np.zeros_like(gamma_1), gamma_1], axis=-1)
+    refined = np.angle((m @ np.exp(1j * gamma)[..., None])[..., 0])
+    return np.where(live & usable, refined, 0.0)
 
 
 def diosi_reconstruct(pair: MarginalPair) -> ReconstructionResult:
@@ -223,27 +254,27 @@ def diosi_reconstruct(pair: MarginalPair) -> ReconstructionResult:
 
     Residuals compare the partial traces of the output against the original
     (untruncated, trace-normalized) inputs; the global phase is fixed by
-    making the largest-magnitude amplitude real positive.
+    making the largest-magnitude amplitude real positive. A stack of pairs
+    gives a stack of states, each bitwise the same as on its own.
     """
     pair = pair.normalized()
     t = purify_structures(pair)
     alpha = solve_phases(t)
-    psi = np.zeros(8, dtype=complex)
-    for i in range(2):
-        psi += (
-            np.exp(1j * alpha[i])
-            * np.sqrt(t.lambda_a[i])
-            * kron(t.vectors_a[:, i], t.vectors_bc[:, i])
-        )
-    psi /= np.linalg.norm(psi)
+    weights = np.exp(1j * alpha) * np.sqrt(t.lambda_a)
+    lead = alpha.shape[:-1]
+    psi = np.zeros((*lead, 8), dtype=complex)
+    for i in range(2):  # the two Schmidt branches |i;A> ⊗ |i;BC>
+        branch = t.vectors_a[..., :, None, i] * t.vectors_bc[..., None, :, i]
+        psi += weights[..., i, None] * branch.reshape(*lead, 8)
+    psi /= vector_norm(psi)[..., None]
     psi = _fix_vector_gauge(psi)
     rho = outer(psi)
-    residual_ab = float(np.abs(partial_trace(rho, [0, 1]) - pair.rho_ab).max())
-    residual_bc = float(np.abs(partial_trace(rho, [1, 2]) - pair.rho_bc).max())
+    residual_ab = np.abs(partial_trace(rho, [0, 1]) - pair.rho_ab).max(axis=(-2, -1))
+    residual_bc = np.abs(partial_trace(rho, [1, 2]) - pair.rho_bc).max(axis=(-2, -1))
     return ReconstructionResult(
         psi=psi,
-        residual_ab=residual_ab,
-        residual_bc=residual_bc,
+        residual_ab=_scalar(residual_ab),
+        residual_bc=_scalar(residual_bc),
         truncated_mass=t.truncated_mass,
     )
 

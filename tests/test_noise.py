@@ -14,6 +14,8 @@ from wtomo.noise import (
     counts_to_probs,
     exact_probs,
     load_counts_file,
+    outcome_distribution,
+    sample_circuits,
     sample_shots,
     simulate_calibration,
 )
@@ -189,3 +191,31 @@ class TestCountsFile:
         obj = counts_file_dict({"ZZZ": np.array([0, 5, 0, 0, 7, 0, 0, 0])}, 12, 0, None, 3)
         assert set(obj["ZZZ"]) == {"001", "100"}
         assert obj["noise"] is None
+
+    @pytest.mark.parametrize("table, message", [
+        ({"000": 5, "1111": 3}, "mixes bitstrings of lengths \\[3, 4\\]"),
+        ({"000": 5, "11": 3}, "mixes bitstrings of lengths \\[2, 3\\]"),
+        ({"000": 5, "012": 3}, "has key '012', not a bitstring"),
+        ({"": 5}, "has key '', not a bitstring"),
+    ], ids=["longer", "shorter", "not-binary", "empty-key"])
+    def test_malformed_bitstrings_name_the_table(self, table, message, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"ZZZ": {"000": 1}, "XZZ": table}))
+        with pytest.raises(ValueError, match=f"table 'XZZ' {message}"):
+            load_counts_file(path)
+
+
+class TestSampleCircuits:
+    def test_rows_draw_from_keyed_streams(self):
+        dists = outcome_distribution(np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]]))
+        counts = sample_circuits(dists, 1000, (7, 3), 31)
+        for j, p in enumerate(dists):
+            assert np.array_equal(counts[j], sample_shots(p, 1000, [7, 3, 31 + j]))
+
+    def test_outcome_distribution_is_what_sample_shots_draws_from(self):
+        p = np.array([[0.25, 0.25, 0.5, 1e-12], [0.1, 0.2, 0.3, 0.4]])
+        for row, dist in zip(p, outcome_distribution(p)):
+            expected = np.clip(row, 0.0, None) / np.clip(row, 0.0, None).sum()
+            assert np.array_equal(dist, expected)
+        with pytest.raises(ValueError, match="invalid outcome distribution"):
+            outcome_distribution(np.array([[0.5, 0.5], [0.6, 0.6]]))

@@ -1,4 +1,7 @@
 import json
+import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,12 +104,76 @@ class TestRunTrial:
         assert calls == [31, 31]
 
     def test_cached_probabilities_are_read_only(self):
-        psi_w, *groups = pipeline._noisy_probs(ReadoutModel.ibm_osaka())
-        arrays = [psi_w] + [p for tables in groups for p in tables.values()]
-        assert len(arrays) == 1 + 17 + 7 + 7
-        for a in arrays:
+        psi_w, tables, dists = pipeline._noisy_probs(ReadoutModel.ibm_osaka())
+        assert [t.shape for t in tables] == [(17, 8), (7, 4), (7, 4)]
+        assert [d.shape for d in dists] == [(17, 8), (7, 4), (7, 4)]
+        for a in (psi_w, *tables, *dists):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
+
+
+class TestBatching:
+    """run_pipeline runs all trials as one stack; run_trial is a batch of one."""
+
+    CFG = ExperimentConfig(shots=2000, trials=6, seed=31)
+
+    def test_pipeline_trials_equal_single_trials_bitwise(self):
+        for r in run_pipeline(self.CFG):
+            one = run_trial(self.CFG, r.trial_id)
+            assert r.error is None and one.error is None
+            assert r.reports == one.reports
+            assert r.residuals == one.residuals
+            assert r.matrices.keys() == one.matrices.keys() == {
+                "rho_full", "rho_ab", "rho_bc", "rho_parts"
+            }
+            for name in r.matrices:
+                assert np.array_equal(r.matrices[name], one.matrices[name]), name
+            assert r.counts.keys() == one.counts.keys()
+            for label in r.counts:
+                assert np.array_equal(r.counts[label], one.counts[label]), label
+            assert all(np.array_equal(a, b) for a, b in zip(r.calibration, one.calibration))
+
+    def test_exact_trials_equal_single_trials_bitwise(self):
+        cfg = replace(exact_noiseless_config(), noise=ReadoutModel.ibm_osaka(), trials=3)
+        batch = run_pipeline(cfg)
+        for r in batch:
+            one = run_trial(cfg, r.trial_id)
+            assert r.reports == one.reports
+            for name in r.matrices:
+                assert np.array_equal(r.matrices[name], one.matrices[name]), name
+
+    def test_a_failing_trial_fails_alone(self, monkeypatch):
+        # trial 2's mitigated AB marginal is rejected; the batch falls back to
+        # single trials, and the others come out as in a clean run
+        clean = run_pipeline(self.CFG)
+        target = clean[2].matrices["rho_ab"]
+        diosi = pipeline.diosi_reconstruct
+
+        def flaky(pair):
+            if any(np.array_equal(rho, target) for rho in pair.rho_ab.reshape(-1, 4, 4)):
+                raise ReconstructionError("injected")
+            return diosi(pair)
+
+        monkeypatch.setattr(pipeline, "diosi_reconstruct", flaky)
+        results = run_pipeline(self.CFG)
+        assert [r.error for r in results] == [None, None, "ReconstructionError: injected",
+                                              None, None, None]
+        assert report_csv_text(results).splitlines()[3] == "2,error,,,,"
+        # the unmitigated pass of trial 2 ran before the failure and is kept
+        assert results[2].reports[False] == clean[2].reports[False]
+        assert True not in results[2].reports and not results[2].matrices
+        assert np.array_equal(results[2].counts["ZZZ"], clean[2].counts["ZZZ"])
+        for r, c in zip(results, clean):
+            if r.trial_id != 2:
+                assert r.reports == c.reports
+                assert np.array_equal(r.matrices["rho_parts"], c.matrices["rho_parts"])
+
+    def test_golden_report(self):
+        # report.csv of seed 1234, 20 trials, 2000 shots, both schemes, mitigated,
+        # as written before the pipeline was batched
+        golden = Path(__file__).parent / "data" / "report_seed1234_20x2000.csv"
+        cfg = ExperimentConfig(shots=2000, trials=20, seed=1234, scheme="both", mitigate=True)
+        assert report_csv_text(run_pipeline(cfg)) == golden.read_text()
 
 
 class TestDeterminism:
@@ -275,8 +342,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["tomo3q", "tomo2q"])
     @pytest.mark.parametrize("case", [
-        "empty-table", "counts-not-object", "calib-qubit-count", "calib-singular",
-        "calib-not-object",
+        "empty-table", "counts-not-object", "ragged-bitstrings", "short-bitstring",
+        "not-a-bitstring", "calib-qubit-count", "calib-singular", "calib-not-object",
     ])
     def test_malformed_input_is_reported(self, command, case, tmp_path):
         n = 3 if command == "tomo3q" else 2
@@ -287,6 +354,9 @@ class TestCli:
         bad, text = {
             "empty-table": (counts, json.dumps({"Z" * n: {}})),
             "counts-not-object": (counts, "[1, 2]"),
+            "ragged-bitstrings": (counts, json.dumps({"Z" * n: {"0" * n: 5, "1" * (n + 1): 3}})),
+            "short-bitstring": (counts, json.dumps({"Z" * n: {"0" * n: 5, "1" * (n - 1): 3}})),
+            "not-a-bitstring": (counts, json.dumps({"Z" * n: {"0" * n: 5, "2" * n: 3}})),
             "calib-qubit-count": (calib, json.dumps({f"q{q}": good for q in "ABC"[: n - 1]})),
             "calib-singular": (
                 calib, json.dumps({f"q{q}": [[0.5, 0.5], [0.5, 0.5]] for q in "ABC"[:n]})
@@ -302,15 +372,15 @@ class TestCli:
 
     @pytest.mark.parametrize("failing, code", [(1, EXIT_PARTIAL), (2, EXIT_RECONSTRUCTION)])
     def test_failed_trials_set_the_exit_code(self, failing, code, tmp_path, monkeypatch, capsys):
-        # the first `failing` Diosi calls raise: trial 0 fails on its first call,
-        # then trial 1 on its first
-        calls = []
+        # trials 0 .. failing-1 fail: Diosi rejects their mitigated AB marginals
+        cfg = ExperimentConfig(shots=500, trials=2)
+        targets = [run_trial(cfg, t).matrices["rho_ab"] for t in range(failing)]
         diosi = pipeline.diosi_reconstruct
 
         def flaky(pair):
-            calls.append(pair)
-            if len(calls) <= failing:
-                raise ReconstructionError("injected")
+            for rho in pair.rho_ab.reshape(-1, 4, 4):
+                if any(np.array_equal(rho, target) for target in targets):
+                    raise ReconstructionError("injected")
             return diosi(pair)
 
         monkeypatch.setattr(pipeline, "diosi_reconstruct", flaky)
@@ -320,3 +390,30 @@ class TestCli:
         assert "trial 0: FAILED (ReconstructionError: injected)" in capsys.readouterr().out
         errors = json.loads((out / "run_metadata.json").read_text())["errors"]
         assert sorted(errors) == [str(t) for t in range(failing)]
+
+    def test_cli_read_backs_equal_pipeline_files_bitwise(self, tmp_path, capsys):
+        # tomo3q and diosi on one trial's files give bitwise the matrices the
+        # batched pipeline wrote for that trial
+        out, back = tmp_path / "run", tmp_path / "back"
+        eps_b = repr(0.05 + 2.0 / math.sqrt(20000))  # the pipeline's allowance at 20000 shots
+        assert main(["pipeline", "--trials", "4", "--seed", "77", "--out", str(out)]) == EXIT_OK
+        back.mkdir()
+        for t in range(4):
+            tdir = out / f"trial_{t}"
+            full, psi = back / f"full_{t}.json", back / f"parts_{t}.json"
+            assert main(["tomo3q", str(tdir / "counts_3q.json"),
+                         "--calib", str(tdir / "calibration.json"), "--out", str(full)]) == EXIT_OK
+            assert main(["diosi", str(tdir / "rho_ab.json"), str(tdir / "rho_bc.json"),
+                         "--eps-b", eps_b, "--out", str(psi)]) == EXIT_OK
+            assert np.array_equal(load_density(full), load_density(tdir / "rho_full.json"))
+            d = json.loads(psi.read_text())
+            v = np.array(d["re"]) + 1j * np.array(d["im"])
+            assert np.array_equal(np.outer(v, v.conj()), load_density(tdir / "rho_parts.json"))
+
+    def test_noise_model_of_wrong_size_is_reported(self, tmp_path):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps(ReadoutModel.ibm_osaka().subset([0, 1]).to_json_dict()))
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--noise", str(noise), "--out", str(tmp_path / "run")])
+        assert exc.value.code == f"cannot read {noise}: noise model covers 2 qubits, not 3"
+        assert not (tmp_path / "run").exists()
