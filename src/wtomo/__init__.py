@@ -14,15 +14,14 @@ from .circuits import (
     two_qubit_settings,
     w_vector,
 )
-from .linalg import EigenSystem, eig_hermitian, kron, outer, partial_trace
+from .linalg import EigenSystem, eig_hermitian, outer, partial_trace
 from .metrics import FidelityReport, fidelity_pure, trace_distance
-from .mitigation import mitigate_probs, mitigation_matrix, spectral_correct
+from .mitigation import mitigation_matrix, spectral_correct
 from .noise import (
     QubitReadout,
     ReadoutModel,
     apply_readout_noise,
     exact_probs,
-    sample_shots,
     simulate_calibration,
 )
 from .pipeline import ExperimentConfig, run_pipeline, run_trial
@@ -64,9 +63,7 @@ __all__ = [
     "eig_hermitian",
     "exact_probs",
     "fidelity_pure",
-    "kron",
     "lsq_reconstruct",
-    "mitigate_probs",
     "mitigation_matrix",
     "outer",
     "partial_trace",
@@ -76,7 +73,6 @@ __all__ = [
     "reconstruct_3q",
     "run_pipeline",
     "run_trial",
-    "sample_shots",
     "simulate_calibration",
     "single_party_marginals",
     "solve_phases",

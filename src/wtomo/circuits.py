@@ -16,8 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import kron
-
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -46,7 +44,7 @@ def lift(u: np.ndarray, qubit: int, nqubits: int) -> np.ndarray:
         raise ValueError(f"qubit {qubit} out of range for {nqubits} qubits")
     out = np.eye(1, dtype=complex)
     for q in range(nqubits):
-        out = kron(out, u if q == qubit else I2)
+        out = np.kron(out, u if q == qubit else I2)
     return out
 
 
@@ -64,11 +62,11 @@ def cnot_matrix(control: int, target: int, nqubits: int) -> np.ndarray:
         out = np.eye(1, dtype=complex)
         for q in range(nqubits):
             if q == control:
-                out = kron(out, ctrl_op)
+                out = np.kron(out, ctrl_op)
             elif q == target:
-                out = kron(out, tgt_op)
+                out = np.kron(out, tgt_op)
             else:
-                out = kron(out, I2)
+                out = np.kron(out, I2)
         return out
 
     return term(p0, I2) + term(p1, X)
@@ -132,7 +130,7 @@ class MeasurementSetting:
     def unitary(self) -> np.ndarray:
         local = np.eye(1, dtype=complex)
         for c in self.basis:
-            local = kron(local, BASIS_CHANGE[c])
+            local = np.kron(local, BASIS_CHANGE[c])
         if self.cnot is None:
             return local
         return local @ cnot_matrix(*self.cnot, self.nqubits)

@@ -16,24 +16,18 @@ every trial failed), 4 pipeline trials failed in part.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import fixtures
+from . import fixtures, io
 from .circuits import w_vector
 from .metrics import fidelity_pure
-from .mitigation import load_calibration, mitigation_matrix, spectral_correct
-from .noise import ReadoutModel, counts_to_probs, load_counts_file
+from .mitigation import mitigation_matrix, spectral_correct
+from .noise import ReadoutModel, counts_to_probs
 from .pipeline import ExperimentConfig, run_pipeline
-from .tomography import (
-    load_density,
-    reconstruct_2q,
-    reconstruct_3q,
-    save_density,
-)
+from .tomography import reconstruct_2q, reconstruct_3q
 from .wholeparts import MarginalPair, ReconstructionError, diosi_reconstruct
 
 EXIT_OK = 0
@@ -42,20 +36,12 @@ EXIT_RECONSTRUCTION = 3
 EXIT_PARTIAL = 4
 
 
-def _read(load, path):
-    """load(path); a missing or malformed file ends the command with a message."""
+def _read(load, path, *args):
+    """load(path, *args); a missing or malformed file ends the command with a message."""
     try:
-        return load(path)
+        return load(path, *args)
     except (OSError, ValueError, KeyError) as exc:
         sys.exit(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
-
-
-def _load_noise(path) -> ReadoutModel:
-    """A three-qubit readout model from a JSON file."""
-    model = ReadoutModel.from_json_dict(json.loads(Path(path).read_text()))
-    if len(model.qubits) != 3:
-        raise ValueError(f"noise model covers {len(model.qubits)} qubits, not 3")
-    return model
 
 
 def _parse_noise(spec: str) -> ReadoutModel | None:
@@ -63,7 +49,7 @@ def _parse_noise(spec: str) -> ReadoutModel | None:
         return None
     if spec == "table3":
         return ReadoutModel.ibm_osaka()
-    return _read(_load_noise, spec)
+    return _read(io.load_readout_model, spec, 3)
 
 
 def _int_at_least(low: int):
@@ -145,17 +131,17 @@ def _cmd_fixtures(args) -> int:
 
 def _mitigation_map(path, nqubits: int) -> np.ndarray:
     """Mitigation map of a calibration file, which must hold nqubits matrices."""
-    fs = list(load_calibration(path).values())
+    fs = list(io.load_calibration(path).values())
     if len(fs) != nqubits:
         raise ValueError(f"need {nqubits} calibration matrices, found {len(fs)}")
     return mitigation_matrix(fs)
 
 
 def _load_tables(args, nqubits: int):
-    counts, _ = _read(load_counts_file, args.counts)
+    counts, _ = _read(io.load_counts_file, args.counts)
     tables = {label: counts_to_probs(c) for label, c in counts.items()}
     if args.calib:
-        m = _read(lambda path: _mitigation_map(path, nqubits), args.calib)
+        m = _read(_mitigation_map, args.calib, nqubits)
         tables = {label: m @ p for label, p in tables.items()}
     return tables
 
@@ -169,22 +155,21 @@ def _cmd_tomo(args, nqubits: int) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
         return EXIT_RECONSTRUCTION
-    save_density(rho, args.out)
+    io.save_density(rho, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_diosi(args) -> int:
-    rho_ab, rho_bc = _read(load_density, args.rho_ab), _read(load_density, args.rho_bc)
+    rho_ab = _read(io.load_density, args.rho_ab, 2)
+    rho_bc = _read(io.load_density, args.rho_bc, 2)
     pair = MarginalPair(rho_ab, rho_bc, args.eps_b)
     try:
         result = diosi_reconstruct(pair)
     except ReconstructionError as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
         return EXIT_RECONSTRUCTION
-    with open(args.out, "w") as f:
-        json.dump(result.to_json_dict(), f, indent=1, sort_keys=True)
-        f.write("\n")
+    io.save_reconstruction(result, args.out)
     print(
         f"wrote {args.out} (residuals ab {result.residual_ab:.4f}, "
         f"bc {result.residual_bc:.4f})"
@@ -193,7 +178,7 @@ def _cmd_diosi(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    rho = _read(load_density, args.state)
+    rho = _read(io.load_density, args.state, 3)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-6:
         rho = rho / tr

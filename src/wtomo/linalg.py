@@ -33,11 +33,6 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return np.abs(a - dagger(a)).max() <= tol
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor most significant."""
-    return np.kron(a, b)
-
-
 def first_true(mask: np.ndarray) -> tuple:
     """Index of the first True entry of a boolean array (() for a 0-d array)."""
     return np.unravel_index(np.argmax(mask), np.shape(mask))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .linalg import eig_hermitian, first_true
@@ -49,17 +47,6 @@ def mitigation_matrix(fs) -> np.ndarray:
     return out
 
 
-def mitigate_probs(p: np.ndarray, fs: list[np.ndarray]) -> np.ndarray:
-    """Error-mitigated probabilities p' = (F_A ⊗ F_B ⊗ ...)^-1 p.
-
-    Small negative entries are passed through unclipped; positivity is
-    restored later at the density-matrix level.
-    """
-    if 2 ** len(fs) != len(p):
-        raise ValueError("need one calibration matrix per measured qubit")
-    return mitigation_matrix(fs) @ p
-
-
 def spectral_correct(rho: np.ndarray) -> np.ndarray:
     """Clamp negative eigenvalues to zero and renormalize the rest.
 
@@ -75,23 +62,3 @@ def spectral_correct(rho: np.ndarray) -> np.ndarray:
     v = es.eigenvectors
     vw = v * w[..., None, :]
     return vw @ np.conj(v, out=v).swapaxes(-1, -2)  # conjugated in place: one stack less
-
-
-def save_calibration(fs: list[np.ndarray], labels: list[str], path) -> None:
-    """Calibration file: JSON {qubit-label -> [[f00, f01], [f10, f11]]}."""
-    with open(path, "w") as fh:
-        json.dump(
-            {label: f.tolist() for label, f in zip(labels, fs)},
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
-        fh.write("\n")
-
-
-def load_calibration(path) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("a calibration file holds a JSON object of matrices")
-    return {label: np.array(mat, dtype=float) for label, mat in obj.items()}

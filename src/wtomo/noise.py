@@ -9,14 +9,12 @@ no two circuits of any trials share a stream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import MeasurementSetting, QUBIT_NAMES
-from .linalg import kron
+from .circuits import MeasurementSetting
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), stream key [seed, trial, stream]"
 
@@ -56,10 +54,6 @@ class ReadoutModel:
                 raise ValueError(f"confusion probabilities out of range: {q}")
 
     @classmethod
-    def noiseless(cls, nqubits: int) -> "ReadoutModel":
-        return cls(tuple(QubitReadout(0.0, 0.0) for _ in range(nqubits)))
-
-    @classmethod
     def ibm_osaka(cls) -> "ReadoutModel":
         return cls(tuple(QubitReadout(p01, p10) for _, p01, p10 in IBM_OSAKA_READOUT))
 
@@ -70,18 +64,8 @@ class ReadoutModel:
         """Tensor product of per-qubit calibration matrices."""
         f = np.eye(1)
         for q in self.qubits:
-            f = kron(f, q.calibration_matrix())
+            f = np.kron(f, q.calibration_matrix())
         return f
-
-    def to_json_dict(self) -> dict:
-        return {
-            f"q{QUBIT_NAMES[i]}": {"p01": q.p01, "p10": q.p10}
-            for i, q in enumerate(self.qubits)
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ReadoutModel":
-        return cls(tuple(QubitReadout(v["p01"], v["p10"]) for v in d.values()))
 
 
 def exact_probs(rho: np.ndarray, s: MeasurementSetting) -> np.ndarray:
@@ -110,13 +94,6 @@ def outcome_distribution(p: np.ndarray) -> np.ndarray:
         raise ValueError("invalid outcome distribution")
     p = np.clip(p, 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
-
-
-def sample_shots(p: np.ndarray, shots: int, seed: int | list[int]) -> np.ndarray:
-    """Multinomial counts over outcomes; deterministic for a given seed or key."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    return np.random.default_rng(seed).multinomial(shots, outcome_distribution(p))
 
 
 def sample_circuits(
@@ -163,51 +140,3 @@ def simulate_calibration(
     counts = sample_circuits(_calibration_dists(model), shots, key, STREAM_CALIBRATION)
     # counts[2 qi + prep] is column prep of qubit qi's matrix
     return list(counts.reshape(-1, 2, 2).transpose(0, 2, 1) / shots)
-
-
-def counts_file_dict(
-    counts: dict[str, np.ndarray],
-    shots: int,
-    seed: int | list[int],
-    model: ReadoutModel | None,
-    nqubits: int,
-) -> dict:
-    """Counts-file JSON object: {label -> {bitstring -> count}, shots, seed, noise}.
-
-    seed is the seed or key prefix the counts were drawn from; the pipeline
-    writes its trial key [seed, trial].
-    """
-    obj: dict = {}
-    for label, c in counts.items():
-        obj[label] = {
-            format(m, f"0{nqubits}b"): int(c[m]) for m in range(len(c)) if c[m]
-        }
-    obj["shots"] = int(shots)
-    obj["seed"] = np.asarray(seed).tolist()
-    obj["noise"] = model.to_json_dict() if model is not None else None
-    return obj
-
-
-def load_counts_file(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a counts JSON file; returns (label -> counts array, metadata)."""
-    with open(path) as f:
-        obj = json.load(f)
-    if not isinstance(obj, dict):
-        raise ValueError("a counts file holds a JSON object of tables")
-    meta = {k: obj.pop(k, None) for k in ("shots", "seed", "noise")}
-    counts = {}
-    for label, table in obj.items():
-        if not isinstance(table, dict) or not table:
-            raise ValueError(f"table {label!r} is not a non-empty object of counts")
-        lengths = sorted({len(bits) for bits in table})
-        if len(lengths) > 1:
-            raise ValueError(f"table {label!r} mixes bitstrings of lengths {lengths}")
-        bad = [bits for bits in table if not bits or set(bits) - {"0", "1"}]
-        if bad:
-            raise ValueError(f"table {label!r} has key {bad[0]!r}, not a bitstring of 0s and 1s")
-        nqubits = lengths[0]
-        c = np.zeros(2**nqubits, dtype=int)
-        for bits, v in table.items():
-            c[int(bits, 2)] = v
-        counts[label] = c
-    return counts, meta

@@ -15,20 +15,18 @@ one.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from . import noise as noise_mod
+from . import io
 from .circuits import prepare_w, three_qubit_settings, two_qubit_settings
 from .linalg import outer, partial_trace
 from .metrics import FidelityReport, fidelity_pure
-from .mitigation import mitigation_matrix, save_calibration, spectral_correct
+from .mitigation import mitigation_matrix, spectral_correct
 from .noise import (
-    RNG_ALGORITHM,
     STREAM_AB,
     STREAM_BC,
     ReadoutModel,
@@ -39,8 +37,9 @@ from .noise import (
     sample_circuits,
     simulate_calibration,
 )
-from .tomography import density_to_json_dict, reconstruct_2q, reconstruct_3q
+from .tomography import reconstruct_2q, reconstruct_3q
 from .wholeparts import MarginalPair, ReconstructionError, diosi_reconstruct
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -61,18 +60,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.noise is not None and len(self.noise.qubits) != 3:
             raise ValueError(f"noise model covers {len(self.noise.qubits)} qubits, not 3")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "shots": self.shots,
-            "trials": self.trials,
-            "seed": self.seed,
-            "noise": self.noise.to_json_dict() if self.noise else None,
-            "mitigate": self.mitigate,
-            "exact": self.exact,
-            "scheme": self.scheme,
-            "rng": RNG_ALGORITHM,
-        }
 
 
 @dataclass
@@ -182,7 +169,7 @@ def _reconstruct(cfg: ExperimentConfig, psi_w, p3, pab, pbc, eps_b: float):
         rho_ab = spectral_correct(reconstruct_2q(_by_label(_LABELS_2Q, pab)))
         rho_bc = spectral_correct(reconstruct_2q(_by_label(_LABELS_2Q, pbc)))
         recon = diosi_reconstruct(MarginalPair(rho_ab, rho_bc, eps_b))
-        matrices.update(rho_ab=rho_ab, rho_bc=rho_bc, rho_parts=outer(recon.psi))
+        matrices.update(rho_ab=rho_ab, rho_bc=rho_bc, rho_parts=recon.rho)
         f_parts = fidelity_pure(psi_w, matrices["rho_parts"])
     return f_full, f_parts, matrices, recon
 
@@ -237,64 +224,5 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> li
     except (ReconstructionError, ValueError):
         results = [run_trial(cfg, t) for t in range(cfg.trials)]
     if out_dir is not None:
-        write_outputs(cfg, results, Path(out_dir))
+        io.write_outputs(cfg, results, Path(out_dir))
     return results
-
-
-REPORT_HEADER = (
-    "trial,shots,f_full_unmitigated,f_full_mitigated,"
-    "f_parts_unmitigated,f_parts_mitigated"
-)
-
-
-def report_csv_text(results: list[TrialResult]) -> str:
-    lines = [REPORT_HEADER]
-    for r in results:
-        if r.error is not None or not r.reports:
-            lines.append(f"{r.trial_id},error,,,,")
-            continue
-        u, m = r.reports[False], r.reports[True]
-        lines.append(
-            f"{r.trial_id},{u.shots},{u.f_full:.6f},{m.f_full:.6f},"
-            f"{u.f_parts:.6f},{m.f_parts:.6f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(report_csv_text(results))
-    with open(out / "run_metadata.json", "w") as f:
-        json.dump(
-            {
-                "config": cfg.to_json_dict(),
-                "errors": {r.trial_id: r.error for r in results if r.error},
-            },
-            f, indent=1, sort_keys=True,
-        )
-        f.write("\n")
-    for r in results:
-        tdir = out / f"trial_{r.trial_id}"
-        tdir.mkdir(exist_ok=True)
-        for name, rho in r.matrices.items():
-            obj = density_to_json_dict(rho)
-            if name == "rho_parts":
-                obj.update(r.residuals)
-            with open(tdir / f"{name}.json", "w") as f:
-                json.dump(obj, f, indent=1, sort_keys=True)
-                f.write("\n")
-        if r.counts:
-            obj = noise_mod.counts_file_dict(
-                r.counts, cfg.shots, [cfg.seed, r.trial_id], cfg.noise, 3
-            )
-            with open(tdir / "counts_3q.json", "w") as f:
-                json.dump(obj, f, indent=1, sort_keys=True)
-                f.write("\n")
-        if r.calibration:
-            save_calibration(r.calibration, ["qA", "qB", "qC"], tdir / "calibration.json")
-
-
-def exact_noiseless_config(**overrides) -> ExperimentConfig:
-    """Oracle configuration: analytic probabilities, no noise, one trial."""
-    cfg = ExperimentConfig(noise=None, exact=True, trials=1)
-    return replace(cfg, **overrides) if overrides else cfg

@@ -16,7 +16,6 @@ need a pair of settings).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -186,32 +185,3 @@ def lsq_reconstruct(
     p = _stacked_tables(scheme, tables)
     x, *_ = np.linalg.lstsq(scheme.measurement, p, rcond=None)
     return _assemble(x, 2**scheme.nqubits)
-
-
-def density_to_json_dict(rho: np.ndarray) -> dict:
-    """Serialized form {"nqubits": n, "re": [[..]], "im": [[..]]}, row-major."""
-    n = rho.shape[0].bit_length() - 1
-    return {
-        "nqubits": n,
-        "re": np.real(rho).tolist(),
-        "im": np.imag(rho).tolist(),
-    }
-
-
-def density_from_json_dict(d: dict) -> np.ndarray:
-    rho = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
-    dim = 2 ** int(d["nqubits"])
-    if rho.shape != (dim, dim):
-        raise ValueError(f"matrix shape {rho.shape} inconsistent with nqubits")
-    return rho
-
-
-def save_density(rho: np.ndarray, path) -> None:
-    with open(path, "w") as f:
-        json.dump(density_to_json_dict(rho), f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
-def load_density(path) -> np.ndarray:
-    with open(path) as f:
-        return density_from_json_dict(json.load(f))

@@ -92,23 +92,14 @@ class OverlapTensors:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """psi (..., 8); residuals and truncated masses are floats for one pair,
-    arrays (...) for a stack of pairs."""
+    """psi (..., 8) and its projector rho (..., 8, 8); residuals and truncated
+    masses are floats for one pair, arrays (...) for a stack of pairs."""
 
     psi: np.ndarray
+    rho: np.ndarray
     residual_ab: float
     residual_bc: float
     truncated_mass: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nqubits": 3,
-            "re": np.real(self.psi).tolist(),
-            "im": np.imag(self.psi).tolist(),
-            "residual_ab": self.residual_ab,
-            "residual_bc": self.residual_bc,
-            "truncated_mass": self.truncated_mass,
-        }
 
 
 def _scalar(x: np.ndarray) -> float | np.ndarray:
@@ -137,7 +128,11 @@ def single_party_marginals(
     rho_B is the average of its two estimates; their max-norm discrepancy
     must stay within pair.eps_b.
     """
-    pair = pair.normalized()
+    return _single_party_marginals(pair.normalized())
+
+
+def _single_party_marginals(pair: MarginalPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """single_party_marginals of a trace-normalized pair."""
     rho_a = partial_trace(pair.rho_ab, [0])
     rho_b_from_ab = partial_trace(pair.rho_ab, [1])
     rho_b_from_bc = partial_trace(pair.rho_bc, [0])
@@ -186,8 +181,12 @@ def purify_structures(pair: MarginalPair) -> OverlapTensors:
     Spectra are paired in descending order: lambda_A^i with the i-th
     eigenvector of rho_BC, lambda_C^k with the k-th of rho_AB.
     """
-    pair = pair.normalized()
-    rho_a, rho_b, rho_c = single_party_marginals(pair)
+    return _purify_structures(pair.normalized())
+
+
+def _purify_structures(pair: MarginalPair) -> OverlapTensors:
+    """purify_structures of a trace-normalized pair."""
+    rho_a, rho_b, rho_c = _single_party_marginals(pair)
     truncation: dict = {}
     lam_a, vec_a = _top2(eig_hermitian(rho_a), "rho_a", truncation)
     lam_c, vec_c = _top2(eig_hermitian(rho_c), "rho_c", truncation)
@@ -258,7 +257,7 @@ def diosi_reconstruct(pair: MarginalPair) -> ReconstructionResult:
     gives a stack of states, each bitwise the same as on its own.
     """
     pair = pair.normalized()
-    t = purify_structures(pair)
+    t = _purify_structures(pair)
     alpha = solve_phases(t)
     weights = np.exp(1j * alpha) * np.sqrt(t.lambda_a)
     lead = alpha.shape[:-1]
@@ -273,29 +272,8 @@ def diosi_reconstruct(pair: MarginalPair) -> ReconstructionResult:
     residual_bc = np.abs(partial_trace(rho, [1, 2]) - pair.rho_bc).max(axis=(-2, -1))
     return ReconstructionResult(
         psi=psi,
+        rho=rho,
         residual_ab=_scalar(residual_ab),
         residual_bc=_scalar(residual_bc),
         truncated_mass=t.truncated_mass,
-    )
-
-
-def reconstruct_relabeled(
-    rho_xy: np.ndarray, rho_yz: np.ndarray, order: str = "ABC", eps_b: float = 0.05
-) -> ReconstructionResult:
-    """Adapter for marginal pairs other than (AB, BC) via qubit relabeling.
-
-    order names the physical qubits playing the (first, shared, last) roles:
-    order="ACB" reconstructs from (rho_AC, rho_CB) and returns the state with
-    amplitudes permuted back to physical A, B, C order.
-    """
-    if sorted(order) != ["A", "B", "C"]:
-        raise ValueError(f"order must be a permutation of ABC, got {order!r}")
-    res = diosi_reconstruct(MarginalPair(rho_xy, rho_yz, eps_b))
-    perm = [order.index(q) for q in "ABC"]
-    psi = res.psi.reshape(2, 2, 2).transpose(perm).reshape(8)
-    return ReconstructionResult(
-        psi=psi,
-        residual_ab=res.residual_ab,
-        residual_bc=res.residual_bc,
-        truncated_mass=res.truncated_mass,
     )

@@ -17,9 +17,9 @@ from wtomo.circuits import (
 )
 from wtomo.linalg import outer, partial_trace
 from wtomo.metrics import fidelity_pure
-from wtomo.mitigation import mitigate_probs, spectral_correct
+from wtomo.mitigation import mitigation_matrix, spectral_correct
 from wtomo.noise import ReadoutModel, apply_readout_noise, exact_probs
-from wtomo.pipeline import ExperimentConfig, exact_noiseless_config, run_pipeline, run_trial
+from wtomo.pipeline import ExperimentConfig, run_pipeline, run_trial
 from wtomo.tomography import reconstruct_2q, reconstruct_3q
 from wtomo.wholeparts import DegenerateSpectrumError, MarginalPair, diosi_reconstruct
 from wtomo import fixtures
@@ -103,7 +103,7 @@ def test_criterion_4_mitigation_identity_and_improvement():
     for _ in range(20):
         p = rng.random(8)
         p /= p.sum()
-        worst = max(worst, np.abs(mitigate_probs(apply_readout_noise(p, model), fs) - p).max())
+        worst = max(worst, np.abs(mitigation_matrix(fs) @ apply_readout_noise(p, model) - p).max())
 
     cfg = ExperimentConfig(shots=20000, trials=5, seed=1234)
     results = run_pipeline(cfg)
@@ -138,7 +138,7 @@ def test_criterion_5_parts_beat_full_tomography():
 
 
 def test_criterion_6_noiseless_end_to_end():
-    r = run_trial(exact_noiseless_config(), 0)
+    r = run_trial(ExperimentConfig(noise=None, exact=True, trials=1), 0)
     ok = (
         r.error is None
         and abs(r.reports[True].f_full - 1.0) <= 1e-8

@@ -16,7 +16,6 @@ from wtomo.circuits import (
     two_qubit_settings,
     w_vector,
 )
-from wtomo.linalg import kron
 
 
 def is_unitary(u, tol=1e-12):
@@ -65,13 +64,13 @@ class TestSettings:
 
     def test_local_hadamard_block(self):
         s = MeasurementSetting.from_label("XZZ", 3)
-        assert np.allclose(s.unitary(), kron(H, np.eye(4)))
+        assert np.allclose(s.unitary(), np.kron(H, np.eye(4)))
 
     def test_cnot_setting_structure(self):
         # CXZZ_AB = (H x I x I) . CNOT with control on the rotated qubit A
         s = MeasurementSetting.from_label("CXZZ_AB", 3)
         assert s.cnot == (0, 1)
-        expected = kron(H, np.eye(4)) @ cnot_matrix(0, 1, 3)
+        expected = np.kron(H, np.eye(4)) @ cnot_matrix(0, 1, 3)
         assert np.allclose(s.unitary(), expected)
 
     def test_ac_setting_control_on_gate_qubit(self):

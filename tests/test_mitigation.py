@@ -3,24 +3,19 @@ import pytest
 
 from wtomo.linalg import outer
 from wtomo.circuits import w_vector
-from wtomo.mitigation import (
-    check_calibration_matrix,
-    load_calibration,
-    mitigate_probs,
-    mitigation_matrix,
-    save_calibration,
-    spectral_correct,
-)
+from wtomo.io import load_calibration, save_calibration
+from wtomo.mitigation import check_calibration_matrix, mitigation_matrix, spectral_correct
 from wtomo.noise import ReadoutModel, apply_readout_noise
 
 from conftest import random_density, random_pure
 
 
 class TestMitigateProbs:
+    # mitigated probabilities are mitigation_matrix(fs) @ p
     def test_identity_calibration_is_noop(self, rng):
         p = rng.random(8)
         p /= p.sum()
-        got = mitigate_probs(p, [np.eye(2)] * 3)
+        got = mitigation_matrix([np.eye(2)] * 3) @ p
         assert np.abs(got - p).max() <= 1e-10
 
     def test_exactly_inverts_forward_noise(self, rng):
@@ -29,34 +24,28 @@ class TestMitigateProbs:
         p /= p.sum()
         noisy = apply_readout_noise(p, model)
         fs = [q.calibration_matrix() for q in model.qubits]
-        assert np.abs(mitigate_probs(noisy, fs) - p).max() <= 1e-10
+        assert np.abs(mitigation_matrix(fs) @ noisy - p).max() <= 1e-10
 
     def test_preserves_total_probability(self, rng):
         model = ReadoutModel.ibm_osaka()
         fs = [q.calibration_matrix() for q in model.qubits]
         p = rng.random(8)
         p /= p.sum()
-        assert abs(mitigate_probs(p, fs).sum() - 1.0) <= 1e-10
+        assert abs((mitigation_matrix(fs) @ p).sum() - 1.0) <= 1e-10
 
     def test_negative_entries_pass_through(self):
         # inversion may produce small negatives; they must not be clipped
         f = np.array([[0.9, 0.1], [0.1, 0.9]])
         p = np.array([0.05, 0.95])
-        got = mitigate_probs(p, [f])
+        got = mitigation_matrix([f]) @ p
         assert got[0] < 0
         assert abs(got.sum() - 1.0) <= 1e-10
 
-    def test_matrix_count_mismatch(self):
-        with pytest.raises(ValueError):
-            mitigate_probs(np.full(8, 1 / 8), [np.eye(2)] * 2)
-
-    def test_is_the_mitigation_matrix_product(self, rng):
-        model = ReadoutModel.ibm_osaka()
-        fs = [q.calibration_matrix() for q in model.qubits]
-        for _ in range(5):
-            p = rng.random(8)
-            p /= p.sum()
-            assert np.array_equal(mitigate_probs(p, fs), mitigation_matrix(fs) @ p)
+    def test_is_the_mitigation_matrix_product(self):
+        # the Kronecker product of the inverses, qubit A most significant
+        fs = [q.calibration_matrix() for q in ReadoutModel.ibm_osaka().qubits]
+        inv = [np.linalg.inv(f) for f in fs]
+        assert np.array_equal(mitigation_matrix(fs), np.kron(np.kron(inv[0], inv[1]), inv[2]))
 
 
 class TestMitigationMatrix:
@@ -68,8 +57,6 @@ class TestMitigationMatrix:
         fs = [np.array([[0.99, 0.02], [0.01, 0.98]]), np.array(bad)]
         with pytest.raises(ValueError, match=message):
             mitigation_matrix(fs)
-        with pytest.raises(ValueError, match=message):
-            mitigate_probs(np.full(4, 0.25), fs)
 
 
 class TestCheckCalibrationMatrix:

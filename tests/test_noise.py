@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 
 from wtomo.circuits import MeasurementSetting, three_qubit_settings, w_vector
+from wtomo.io import (
+    counts_file_dict,
+    load_counts_file,
+    readout_model_from_json_dict,
+    readout_model_to_json_dict,
+)
 from wtomo.linalg import outer
 from wtomo.noise import (
     IBM_OSAKA_READOUT,
     QubitReadout,
     ReadoutModel,
     apply_readout_noise,
-    counts_file_dict,
     counts_to_probs,
     exact_probs,
-    load_counts_file,
     outcome_distribution,
     sample_circuits,
-    sample_shots,
     simulate_calibration,
 )
+from wtomo.pipeline import ExperimentConfig
 
 
 def sample_shots_per_flip(
@@ -83,7 +87,8 @@ class TestReadoutModel:
         assert [name for name, _, _ in IBM_OSAKA_READOUT] == ["q97", "q98", "q99"]
 
     def test_noiseless_is_identity(self):
-        assert np.allclose(ReadoutModel.noiseless(3).confusion_matrix(), np.eye(8))
+        model = ReadoutModel((QubitReadout(0.0, 0.0),) * 3)
+        assert np.allclose(model.confusion_matrix(), np.eye(8))
 
     def test_confusion_preserves_normalization(self):
         model = ReadoutModel.ibm_osaka()
@@ -105,7 +110,7 @@ class TestReadoutModel:
 
     def test_json_roundtrip(self):
         model = ReadoutModel.ibm_osaka()
-        again = ReadoutModel.from_json_dict(model.to_json_dict())
+        again = readout_model_from_json_dict(readout_model_to_json_dict(model))
         assert again == model
 
     def test_rejects_bad_probabilities(self):
@@ -114,31 +119,32 @@ class TestReadoutModel:
 
     def test_model_size_mismatch(self):
         with pytest.raises(ValueError):
-            apply_readout_noise(np.full(8, 1 / 8), ReadoutModel.noiseless(2))
+            apply_readout_noise(np.full(8, 1 / 8), ReadoutModel((QubitReadout(0.0, 0.0),) * 2))
 
 
 class TestSampling:
     def test_deterministic_for_seed(self):
-        p = np.full(8, 1 / 8)
-        a = sample_shots(p, 5000, 42)
-        b = sample_shots(p, 5000, 42)
+        dists = outcome_distribution(np.full((1, 8), 1 / 8))
+        a = sample_circuits(dists, 5000, (42, 0), 0)
+        b = sample_circuits(dists, 5000, (42, 0), 0)
         assert np.array_equal(a, b)
         assert a.sum() == 5000
 
     def test_different_seeds_differ(self):
-        p = np.full(8, 1 / 8)
-        assert not np.array_equal(sample_shots(p, 5000, 1), sample_shots(p, 5000, 2))
+        dists = outcome_distribution(np.full((1, 8), 1 / 8))
+        a = sample_circuits(dists, 5000, (1, 0), 0)
+        assert not np.array_equal(a, sample_circuits(dists, 5000, (2, 0), 0))
 
     def test_law_of_large_numbers(self):
         p = np.array([0.5, 0.3, 0.2, 0.0])
-        freq = counts_to_probs(sample_shots(p, 200_000, 7))
-        assert np.abs(freq - p).max() <= 0.01
+        freq = counts_to_probs(sample_circuits(outcome_distribution(p[None]), 200_000, (7, 0), 0))
+        assert np.abs(freq[0] - p).max() <= 0.01
 
     def test_invalid_distribution(self):
         with pytest.raises(ValueError):
-            sample_shots(np.array([0.6, 0.6]), 100, 0)
+            outcome_distribution(np.array([0.6, 0.6]))
         with pytest.raises(ValueError):
-            sample_shots(np.array([1.0]), 0, 0)
+            ExperimentConfig(shots=0)
 
     def test_per_flip_sampler_matches_matrix_model(self):
         # the bit-flip sampler and the confusion-matrix distribution agree
@@ -183,7 +189,7 @@ class TestCountsFile:
         path.write_text(json.dumps(obj))
         loaded, meta = load_counts_file(path)
         assert meta["shots"] == 600 and meta["seed"] == 1234
-        assert meta["noise"] == model.to_json_dict()
+        assert meta["noise"] == readout_model_to_json_dict(model)
         for label in counts:
             assert np.array_equal(loaded[label], counts[label])
 
@@ -210,7 +216,8 @@ class TestSampleCircuits:
         dists = outcome_distribution(np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]]))
         counts = sample_circuits(dists, 1000, (7, 3), 31)
         for j, p in enumerate(dists):
-            assert np.array_equal(counts[j], sample_shots(p, 1000, [7, 3, 31 + j]))
+            expected = np.random.default_rng([7, 3, 31 + j]).multinomial(1000, p)
+            assert np.array_equal(counts[j], expected)
 
     def test_outcome_distribution_is_what_sample_shots_draws_from(self):
         p = np.array([[0.25, 0.25, 0.5, 1e-12], [0.1, 0.2, 0.3, 0.4]])

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +8,11 @@ import pytest
 from wtomo import pipeline
 from wtomo.circuits import MeasurementSetting, w_vector
 from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, main
+from wtomo.io import load_density, readout_model_to_json_dict, report_csv_text, save_density
 from wtomo.linalg import outer, partial_trace
 from wtomo.noise import QubitReadout, ReadoutModel
-from wtomo.pipeline import (
-    ExperimentConfig,
-    exact_noiseless_config,
-    report_csv_text,
-    run_pipeline,
-    run_trial,
-)
-from wtomo.tomography import load_density, save_density, three_qubit_scheme, two_qubit_scheme
+from wtomo.pipeline import ExperimentConfig, run_pipeline, run_trial
+from wtomo.tomography import three_qubit_scheme, two_qubit_scheme
 from wtomo.wholeparts import ReconstructionError
 
 
@@ -41,7 +35,7 @@ class TestConfig:
 
 class TestRunTrial:
     def test_exact_noiseless_is_perfect(self):
-        r = run_trial(exact_noiseless_config(), 0)
+        r = run_trial(ExperimentConfig(noise=None, exact=True, trials=1), 0)
         assert r.error is None
         for rep in r.reports.values():
             assert abs(rep.f_full - 1.0) <= 1e-8
@@ -50,12 +44,7 @@ class TestRunTrial:
     def test_exact_noisy_unmitigated_vs_mitigated(self):
         # analytic probabilities through the confusion model: mitigation with
         # the true matrices recovers the state exactly
-        cfg = exact_noiseless_config()
-        from wtomo.noise import ReadoutModel
-        from dataclasses import replace
-
-        cfg = replace(cfg, noise=ReadoutModel.ibm_osaka())
-        r = run_trial(cfg, 0)
+        r = run_trial(ExperimentConfig(exact=True, trials=1), 0)
         assert r.error is None
         assert abs(r.reports[True].f_full - 1.0) <= 1e-8
         assert r.reports[False].f_full < r.reports[True].f_full
@@ -134,7 +123,7 @@ class TestBatching:
             assert all(np.array_equal(a, b) for a, b in zip(r.calibration, one.calibration))
 
     def test_exact_trials_equal_single_trials_bitwise(self):
-        cfg = replace(exact_noiseless_config(), noise=ReadoutModel.ibm_osaka(), trials=3)
+        cfg = ExperimentConfig(exact=True, trials=3)
         batch = run_pipeline(cfg)
         for r in batch:
             one = run_trial(cfg, r.trial_id)
@@ -241,8 +230,8 @@ class TestOutputs:
     def test_saved_marginals_consistent_with_parts(self, tmp_path):
         out = tmp_path / "run"
         run_pipeline(ExperimentConfig(shots=20000, trials=1, seed=11), out)
-        rho_parts = load_density(out / "trial_0" / "rho_parts.json")
-        rho_ab = load_density(out / "trial_0" / "rho_ab.json")
+        rho_parts = load_density(out / "trial_0" / "rho_parts.json", 3)
+        rho_ab = load_density(out / "trial_0" / "rho_ab.json", 2)
         assert np.abs(partial_trace(rho_parts, [0, 1]) - rho_ab).max() <= 0.1
 
 
@@ -284,8 +273,8 @@ class TestCli:
             "--out", str(rho_file),
         ])
         assert rc == EXIT_OK
-        rho = load_density(rho_file)
-        saved = load_density(run_out / "trial_0" / "rho_full.json")
+        rho = load_density(rho_file, 3)
+        saved = load_density(run_out / "trial_0" / "rho_full.json", 3)
         assert np.abs(rho - saved).max() <= 1e-9
 
     def test_diosi_and_fidelity_commands(self, tmp_path, capsys):
@@ -370,6 +359,21 @@ class TestCli:
         assert str(exc.value.code).startswith(f"cannot read {bad}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, rho, message", [
+        (["fidelity", "{f}"], np.eye(4) / 4, "density matrix is for 2 qubits, not 3"),
+        (["diosi", "{f}", "{f}", "--out", "{out}"], np.eye(8) / 8,
+         "density matrix is for 3 qubits, not 2"),
+        (["fidelity", "{f}"], np.diag([1.0, -1, 0, 0, 0, 0, 0, 0]),
+         "density matrix has trace 0, not positive"),
+    ], ids=["fidelity-two-qubit", "diosi-three-qubit", "fidelity-zero-trace"])
+    def test_malformed_density_file_is_reported(self, command, rho, message, tmp_path):
+        f, out = tmp_path / "rho.json", tmp_path / "out.json"
+        save_density(rho, f)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(f=f, out=out) for a in command])
+        assert exc.value.code == f"cannot read {f}: {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("failing, code", [(1, EXIT_PARTIAL), (2, EXIT_RECONSTRUCTION)])
     def test_failed_trials_set_the_exit_code(self, failing, code, tmp_path, monkeypatch, capsys):
         # trials 0 .. failing-1 fail: Diosi rejects their mitigated AB marginals
@@ -405,14 +409,15 @@ class TestCli:
                          "--calib", str(tdir / "calibration.json"), "--out", str(full)]) == EXIT_OK
             assert main(["diosi", str(tdir / "rho_ab.json"), str(tdir / "rho_bc.json"),
                          "--eps-b", eps_b, "--out", str(psi)]) == EXIT_OK
-            assert np.array_equal(load_density(full), load_density(tdir / "rho_full.json"))
+            assert np.array_equal(load_density(full, 3), load_density(tdir / "rho_full.json", 3))
             d = json.loads(psi.read_text())
             v = np.array(d["re"]) + 1j * np.array(d["im"])
-            assert np.array_equal(np.outer(v, v.conj()), load_density(tdir / "rho_parts.json"))
+            assert np.array_equal(np.outer(v, v.conj()), load_density(tdir / "rho_parts.json", 3))
 
     def test_noise_model_of_wrong_size_is_reported(self, tmp_path):
         noise = tmp_path / "noise.json"
-        noise.write_text(json.dumps(ReadoutModel.ibm_osaka().subset([0, 1]).to_json_dict()))
+        model = ReadoutModel.ibm_osaka().subset([0, 1])
+        noise.write_text(json.dumps(readout_model_to_json_dict(model)))
         with pytest.raises(SystemExit) as exc:
             main(["pipeline", "--noise", str(noise), "--out", str(tmp_path / "run")])
         assert exc.value.code == f"cannot read {noise}: noise model covers 2 qubits, not 3"

@@ -2,20 +2,17 @@ import numpy as np
 import pytest
 
 from wtomo.circuits import three_qubit_settings, two_qubit_settings, w_vector
+from wtomo.io import density_from_json_dict, density_to_json_dict, load_density, save_density
 from wtomo.linalg import outer, partial_trace
 from wtomo.noise import exact_probs
 from wtomo.tomography import (
     _ASSIGN_2Q,
     _ASSIGN_3Q,
-    density_from_json_dict,
-    density_to_json_dict,
     derive_scheme,
-    load_density,
     lsq_reconstruct,
     real_parameters,
     reconstruct_2q,
     reconstruct_3q,
-    save_density,
     three_qubit_scheme,
     two_qubit_scheme,
 )
@@ -185,7 +182,7 @@ class TestSerialization:
         rho = random_density(8, rng)
         path = tmp_path / "rho.json"
         save_density(rho, path)
-        assert np.abs(load_density(path) - rho).max() <= 1e-15
+        assert np.abs(load_density(path, 3) - rho).max() <= 1e-15
 
     def test_dict_roundtrip(self, rng):
         rho = random_density(4, rng)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wtomo.circuits import w_vector
-from wtomo.linalg import eig_hermitian, kron, outer, partial_trace
+from wtomo.io import reconstruction_to_json_dict
+from wtomo.linalg import eig_hermitian, outer, partial_trace
 from wtomo.wholeparts import (
     DegenerateSpectrumError,
     InconsistentMarginalsError,
@@ -13,7 +14,6 @@ from wtomo.wholeparts import (
     _fix_vector_gauge,
     diosi_reconstruct,
     purify_structures,
-    reconstruct_relabeled,
     single_party_marginals,
     solve_phases,
 )
@@ -84,8 +84,10 @@ class TestPurifyStructures:
             t = purify_structures(pair)
             assert np.array_equal(t.vectors_a, a) and np.array_equal(t.vectors_bc, bc)
             for i, j, k in itertools.product(range(2), repeat=3):
-                assert abs(t.a_tensor[i, j, k] - np.vdot(kron(b[:, j], c[:, k]), bc[:, i])) <= 1e-15
-                assert abs(t.c_tensor[k, i, j] - np.vdot(kron(a[:, i], b[:, j]), ab[:, k])) <= 1e-15
+                a_ref = np.vdot(np.kron(b[:, j], c[:, k]), bc[:, i])
+                c_ref = np.vdot(np.kron(a[:, i], b[:, j]), ab[:, k])
+                assert abs(t.a_tensor[i, j, k] - a_ref) <= 1e-15
+                assert abs(t.c_tensor[k, i, j] - c_ref) <= 1e-15
 
     def test_too_mixed_rejected(self):
         pair = MarginalPair(np.eye(4, dtype=complex) / 4, np.eye(4, dtype=complex) / 4, 1e-6)
@@ -144,14 +146,15 @@ class TestDiosiReconstruct:
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             q, _ = np.linalg.qr(m)
             us.append(q)
-        u = kron(kron(us[0], us[1]), us[2])
+        u = np.kron(np.kron(us[0], us[1]), us[2])
         res = diosi_reconstruct(marginal_pair_of(u @ psi))
         assert abs(abs(np.vdot(u @ psi, res.psi)) - 1.0) <= 1e-8
 
     def test_product_state(self):
         # |0> x |+> x |1>: rho_A is pure (spectrum 1, 0 - gap fine)
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        psi = kron(kron(np.array([1, 0], dtype=complex), plus), np.array([0, 1], dtype=complex))
+        zero, one = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+        psi = np.kron(np.kron(zero, plus), one)
         res = diosi_reconstruct(marginal_pair_of(psi))
         assert abs(abs(np.vdot(psi, res.psi)) - 1.0) <= 1e-10
 
@@ -162,39 +165,7 @@ class TestDiosiReconstruct:
 
     def test_json_dict(self, rng):
         res = diosi_reconstruct(marginal_pair_of(w_vector()))
-        d = res.to_json_dict()
+        d = reconstruction_to_json_dict(res)
         psi = np.array(d["re"]) + 1j * np.array(d["im"])
         assert np.allclose(psi, res.psi)
         assert d["nqubits"] == 3
-
-
-class TestReconstructRelabeled:
-    def test_identity_order_matches(self, rng):
-        psi = random_gapped_pure(rng)
-        pair = marginal_pair_of(psi)
-        res = reconstruct_relabeled(pair.rho_ab, pair.rho_bc, "ABC", eps_b=1e-10)
-        assert abs(abs(np.vdot(psi, res.psi)) - 1.0) <= 1e-8
-
-    def test_permuted_roles(self, rng):
-        # reconstruct from (rho_AC, rho_CB): qubit C plays the shared role
-        for _ in range(5):
-            psi = random_pure(8, rng)
-            rho = outer(psi)
-            w = np.linalg.eigvalsh(partial_trace(rho, [0]))
-            if abs(w[1] - w[0]) <= 0.05:
-                continue
-            # move qubits to (A, C, B) order so the pair becomes (AC, CB)
-            psi_acb = psi.reshape(2, 2, 2).transpose(0, 2, 1).reshape(8)
-            rho_acb = outer(psi_acb)
-            res = reconstruct_relabeled(
-                partial_trace(rho_acb, [0, 1]),
-                partial_trace(rho_acb, [1, 2]),
-                order="ACB",
-                eps_b=1e-10,
-            )
-            assert abs(abs(np.vdot(psi, res.psi)) - 1.0) <= 1e-8
-
-    def test_bad_order_rejected(self):
-        pair = marginal_pair_of(w_vector())
-        with pytest.raises(ValueError):
-            reconstruct_relabeled(pair.rho_ab, pair.rho_bc, "AAB")
