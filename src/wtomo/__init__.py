@@ -15,7 +15,7 @@ from .circuits import (
     w_vector,
 )
 from .linalg import EigenSystem, eig_hermitian, outer, partial_trace
-from .metrics import FidelityReport, fidelity_pure, trace_distance
+from .metrics import fidelity_pure
 from .mitigation import mitigation_matrix, spectral_correct
 from .noise import (
     QubitReadout,
@@ -27,7 +27,6 @@ from .noise import (
 from .pipeline import ExperimentConfig, run_pipeline, run_trial
 from .tomography import (
     TomographyScheme,
-    lsq_reconstruct,
     reconstruct_2q,
     reconstruct_3q,
     three_qubit_scheme,
@@ -39,8 +38,6 @@ from .wholeparts import (
     ReconstructionError,
     ReconstructionResult,
     diosi_reconstruct,
-    purify_structures,
-    single_party_marginals,
     solve_phases,
 )
 
@@ -50,7 +47,6 @@ __all__ = [
     "EigenSystem",
     "ExperimentConfig",
     "DegenerateSpectrumError",
-    "FidelityReport",
     "MarginalPair",
     "MeasurementSetting",
     "QubitReadout",
@@ -63,23 +59,19 @@ __all__ = [
     "eig_hermitian",
     "exact_probs",
     "fidelity_pure",
-    "lsq_reconstruct",
     "mitigation_matrix",
     "outer",
     "partial_trace",
     "prepare_w",
-    "purify_structures",
     "reconstruct_2q",
     "reconstruct_3q",
     "run_pipeline",
     "run_trial",
     "simulate_calibration",
-    "single_party_marginals",
     "solve_phases",
     "spectral_correct",
     "three_qubit_scheme",
     "three_qubit_settings",
-    "trace_distance",
     "two_qubit_scheme",
     "two_qubit_settings",
     "w_vector",

@@ -106,13 +106,12 @@ def _cmd_fixtures(args) -> int:
     except ReconstructionError as exc:
         print(f"reconstruction failed: {exc}")
         return EXIT_RECONSTRUCTION
-    rho_parts = np.outer(result.psi, result.psi.conj())
     check(
         "whole-from-parts vs published matrix (entrywise)",
-        float(np.abs(rho_parts - fixtures.REF_RHO_PARTS).max()),
+        float(np.abs(result.rho - fixtures.REF_RHO_PARTS).max()),
         fixtures.ENTRYWISE_TOL,
     )
-    f_parts = fidelity_pure(w_vector(), rho_parts)
+    f_parts = fidelity_pure(w_vector(), result.rho)
     check(
         f"fidelity vs W (expected {fixtures.FIDELITY_PARTS_EXPECTED} "
         f"± {fixtures.FIDELITY_PARTS_TOL})",
@@ -177,12 +176,20 @@ def _cmd_diosi(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fidelity(args) -> int:
-    rho = _read(io.load_density, args.state, 3)
+def _fidelity_of_file(path) -> float:
+    """Fidelity against W of a 3-qubit density file, normalized to unit trace.
+
+    A file whose <W|rho|W> falls outside [0, 1] is no state: ValueError.
+    """
+    rho = io.load_density(path, 3)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-6:
         rho = rho / tr
-    print(f"{fidelity_pure(w_vector(), rho):.6f}")
+    return fidelity_pure(w_vector(), rho)
+
+
+def _cmd_fidelity(args) -> int:
+    print(f"{_read(_fidelity_of_file, args.state):.6f}")
     return EXIT_OK
 
 

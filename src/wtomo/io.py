@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .circuits import QUBIT_NAMES
+from .linalg import HERMITICITY_TOL, is_hermitian
 from .noise import RNG_ALGORITHM, QubitReadout, ReadoutModel
 
 if TYPE_CHECKING:
@@ -68,7 +69,7 @@ def save_density(rho: np.ndarray, path) -> None:
 
 
 def load_density(path, nqubits: int) -> np.ndarray:
-    """An nqubits density matrix with positive trace from a density file."""
+    """An nqubits Hermitian density matrix with positive trace from a density file."""
     rho = density_from_json_dict(_read_object(path, "a density file holds a JSON object"))
     n = rho.shape[0].bit_length() - 1
     if n != nqubits:
@@ -76,6 +77,8 @@ def load_density(path, nqubits: int) -> np.ndarray:
     tr = np.trace(rho).real
     if not tr > 0:
         raise ValueError(f"density matrix has trace {tr:.6g}, not positive")
+    if not is_hermitian(rho):
+        raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
     return rho
 
 
@@ -149,7 +152,15 @@ def readout_model_to_json_dict(model: ReadoutModel) -> dict:
 
 
 def readout_model_from_json_dict(d: dict) -> ReadoutModel:
-    return ReadoutModel(tuple(QubitReadout(v["p01"], v["p10"]) for v in d.values()))
+    qubits = []
+    for label, v in d.items():
+        if not isinstance(v, dict):
+            raise ValueError(f"qubit {label!r} is not an object of p01 and p10")
+        p01, p10 = v["p01"], v["p10"]
+        if not all(isinstance(p, (int, float)) for p in (p01, p10)):
+            raise ValueError(f"qubit {label!r}: p01 {p01!r}, p10 {p10!r} are not numbers")
+        qubits.append(QubitReadout(p01, p10))
+    return ReadoutModel(tuple(qubits))
 
 
 def load_readout_model(path, nqubits: int) -> ReadoutModel:
@@ -196,7 +207,7 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def report_csv_text(results: list[TrialResult]) -> str:
+def report_csv_text(cfg: ExperimentConfig, results: list[TrialResult]) -> str:
     """report.csv: one row per trial, fidelities to 6 decimals."""
     lines = [REPORT_HEADER]
     for r in results:
@@ -205,7 +216,7 @@ def report_csv_text(results: list[TrialResult]) -> str:
             continue
         u, m = r.reports[False], r.reports[True]
         lines.append(
-            f"{r.trial_id},{u.shots},{u.f_full:.6f},{m.f_full:.6f},"
+            f"{r.trial_id},{cfg.shots},{u.f_full:.6f},{m.f_full:.6f},"
             f"{u.f_parts:.6f},{m.f_parts:.6f}"
         )
     return "\n".join(lines) + "\n"
@@ -214,7 +225,7 @@ def report_csv_text(results: list[TrialResult]) -> str:
 def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) -> None:
     """Write a run directory (see the module docstring)."""
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(report_csv_text(results))
+    (out / "report.csv").write_text(report_csv_text(cfg, results))
     _write_json(out / "run_metadata.json", {
         "config": config_to_json_dict(cfg),
         "errors": {r.trial_id: r.error for r in results if r.error},

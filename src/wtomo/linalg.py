@@ -68,9 +68,6 @@ class EigenSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues[..., None, :]) @ dagger(self.eigenvectors)
-
 
 def eig_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenSystem:
     """Eigendecomposition of a (nearly) Hermitian matrix, descending order.

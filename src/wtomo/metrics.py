@@ -1,12 +1,10 @@
-"""Fidelity and distance measures, plus per-trial fidelity report rows."""
+"""Fidelity of an estimated state against a pure target state."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import eig_hermitian, first_true, hermitian_part
+from .linalg import first_true
 
 
 def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
@@ -28,28 +26,3 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
     f = np.sqrt(np.clip(val, 0.0, 1.0))
     return float(f) if f.ndim == 0 else f
 
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) sum |eigenvalues(a - b)| for Hermitian a, b."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    w = eig_hermitian(hermitian_part(a - b)).eigenvalues
-    return float(np.abs(w).sum() / 2)
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """One trial's fidelities: full tomography vs whole-from-parts."""
-
-    trial_id: int
-    shots: int
-    mitigated: bool
-    f_full: float
-    f_parts: float
-    residual_ab: float = float("nan")
-    residual_bc: float = float("nan")
-
-    def __post_init__(self):
-        for f in (self.f_full, self.f_parts):
-            if not np.isnan(f) and not (0.0 <= f <= 1.0 + 1e-12):
-                raise ValueError(f"fidelity {f} outside [0, 1]")

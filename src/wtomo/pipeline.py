@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import io
 from .circuits import prepare_w, three_qubit_settings, two_qubit_settings
 from .linalg import outer, partial_trace
-from .metrics import FidelityReport, fidelity_pure
+from .metrics import fidelity_pure
 from .mitigation import mitigation_matrix, spectral_correct
 from .noise import (
     STREAM_AB,
@@ -62,10 +63,17 @@ class ExperimentConfig:
             raise ValueError(f"noise model covers {len(self.noise.qubits)} qubits, not 3")
 
 
+class Fidelities(NamedTuple):
+    """One pass's fidelities against W; NaN for a scheme the run skips."""
+
+    f_full: float
+    f_parts: float
+
+
 @dataclass
 class TrialResult:
     trial_id: int
-    reports: dict[bool, FidelityReport] = field(default_factory=dict)
+    reports: dict[bool, Fidelities] = field(default_factory=dict)  # key: mitigated
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
     counts: dict[str, np.ndarray] = field(default_factory=dict)
     calibration: list[np.ndarray] = field(default_factory=list)
@@ -122,17 +130,8 @@ def _calibrations(cfg: ExperimentConfig, key) -> list[np.ndarray]:
 
 def _fill(cfg, results, mitigated, f_full, f_parts, matrices, recon) -> None:
     """Store one pass (mitigated or not) of a batch in its trial results."""
-    nan = float("nan")
     for t, r in enumerate(results):
-        r.reports[mitigated] = FidelityReport(
-            trial_id=r.trial_id,
-            shots=cfg.shots,
-            mitigated=mitigated,
-            f_full=float(f_full[t]),
-            f_parts=float(f_parts[t]),
-            residual_ab=nan if recon is None else float(recon.residual_ab[t]),
-            residual_bc=nan if recon is None else float(recon.residual_bc[t]),
-        )
+        r.reports[mitigated] = Fidelities(float(f_full[t]), float(f_parts[t]))
         if mitigated != cfg.mitigate:
             continue
         r.matrices = {name: m[t] for name, m in matrices.items()}

@@ -169,19 +169,3 @@ def reconstruct_2q(tables: dict[str, np.ndarray]) -> np.ndarray:
     """Two-qubit reconstruction from the 7-setting tables."""
     return reconstruct(two_qubit_scheme(), tables)
 
-
-def lsq_reconstruct(
-    scheme: TomographyScheme, tables: dict[str, np.ndarray]
-) -> np.ndarray:
-    """Least-squares fit of a Hermitian matrix to all tables.
-
-    Minimizes the summed squared deviation between the tables and the
-    predicted outcome probabilities over every setting of the scheme. Agrees
-    with the closed-form reconstruction on exact data; on noisy data it
-    spreads the residual across all settings instead. On normalized tables
-    the fit has unit trace without a constraint, because each setting's
-    outcome operators sum to the identity.
-    """
-    p = _stacked_tables(scheme, tables)
-    x, *_ = np.linalg.lstsq(scheme.measurement, p, rcond=None)
-    return _assemble(x, 2**scheme.nqubits)

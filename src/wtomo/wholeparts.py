@@ -120,19 +120,12 @@ def _fix_column_gauge(vectors: np.ndarray) -> np.ndarray:
     return _fix_vector_gauge(vectors.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def single_party_marginals(
-    pair: MarginalPair,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three 2x2 marginals (rho_A, rho_B, rho_C).
+def _single_party_marginals(pair: MarginalPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three 2x2 marginals (rho_A, rho_B, rho_C) of a trace-normalized pair.
 
     rho_B is the average of its two estimates; their max-norm discrepancy
     must stay within pair.eps_b.
     """
-    return _single_party_marginals(pair.normalized())
-
-
-def _single_party_marginals(pair: MarginalPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """single_party_marginals of a trace-normalized pair."""
     rho_a = partial_trace(pair.rho_ab, [0])
     rho_b_from_ab = partial_trace(pair.rho_ab, [1])
     rho_b_from_bc = partial_trace(pair.rho_bc, [0])
@@ -175,17 +168,13 @@ def _overlaps(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return terms.reshape(*terms.shape[:-5], 4, 2, 2, 2).sum(axis=-4)
 
 
-def purify_structures(pair: MarginalPair) -> OverlapTensors:
-    """Matched spectral data of all marginals, truncated to Schmidt rank 2.
+def _purify_structures(pair: MarginalPair) -> OverlapTensors:
+    """Matched spectral data of all marginals of a trace-normalized pair,
+    truncated to Schmidt rank 2.
 
     Spectra are paired in descending order: lambda_A^i with the i-th
     eigenvector of rho_BC, lambda_C^k with the k-th of rho_AB.
     """
-    return _purify_structures(pair.normalized())
-
-
-def _purify_structures(pair: MarginalPair) -> OverlapTensors:
-    """purify_structures of a trace-normalized pair."""
     rho_a, rho_b, rho_c = _single_party_marginals(pair)
     truncation: dict = {}
     lam_a, vec_a = _top2(eig_hermitian(rho_a), "rho_a", truncation)

@@ -13,8 +13,8 @@ from wtomo.tomography import reconstruct_3q, three_qubit_scheme
 from wtomo.wholeparts import (
     InconsistentMarginalsError,
     MarginalPair,
+    _purify_structures,
     diosi_reconstruct,
-    purify_structures,
     solve_phases,
 )
 
@@ -88,7 +88,7 @@ def test_reconstruct_stack(n, rng):
 def test_diosi_stack(n, rng):
     states = noisy_pure_states(rng, n)
     stacked = diosi_reconstruct(pairs_of(states))
-    t = purify_structures(pairs_of(states))
+    t = _purify_structures(pairs_of(states).normalized())
     alpha = solve_phases(t)
     for k, rho in enumerate(states):
         pair = pairs_of(rho)
@@ -97,7 +97,7 @@ def test_diosi_stack(n, rng):
         assert stacked.residual_ab[k] == one.residual_ab
         assert stacked.residual_bc[k] == one.residual_bc
         assert {key: v[k] for key, v in stacked.truncated_mass.items()} == one.truncated_mass
-        t1 = purify_structures(pair)
+        t1 = _purify_structures(pair.normalized())
         assert np.array_equal(t.a_tensor[k], t1.a_tensor)
         assert np.array_equal(t.c_tensor[k], t1.c_tensor)
         assert np.array_equal(alpha[k], solve_phases(t1))

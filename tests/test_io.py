@@ -9,9 +9,8 @@ import json
 import numpy as np
 
 from wtomo import io
-from wtomo.metrics import FidelityReport
 from wtomo.noise import QubitReadout, ReadoutModel
-from wtomo.pipeline import ExperimentConfig, TrialResult
+from wtomo.pipeline import ExperimentConfig, Fidelities, TrialResult
 from wtomo.wholeparts import ReconstructionResult
 
 MODEL = ReadoutModel((QubitReadout(0.25, 0.5),) * 3)
@@ -235,7 +234,7 @@ def test_run_directory(tmp_path):
     residuals = {"residual_ab": 0.125, "residual_bc": 0.0625, "truncated_mass": {"rho_a": 0.5}}
     good = TrialResult(
         trial_id=0,
-        reports={m: FidelityReport(0, 10, m, 0.5, 0.75 + m / 8) for m in (False, True)},
+        reports={m: Fidelities(0.5, 0.75 + m / 8) for m in (False, True)},
         matrices={"rho_parts": np.diag([1.0, 0.0])},
         counts={"ZZZ": np.array([0, 3, 0, 0, 7, 0, 0, 0])},
         residuals=residuals,

@@ -103,7 +103,8 @@ class TestEigHermitian:
             h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             h = (h + h.conj().T) / 2
             es = eig_hermitian(h)
-            assert np.abs(es.reconstruct() - h).max() <= 1e-9
+            v, w = es.eigenvectors, es.eigenvalues
+            assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-9
             gram = es.eigenvectors.conj().T @ es.eigenvectors
             assert np.abs(gram - np.eye(dim)).max() <= 1e-10
 

@@ -3,7 +3,7 @@ import pytest
 
 from wtomo.circuits import w_vector
 from wtomo.linalg import outer
-from wtomo.metrics import FidelityReport, fidelity_pure, trace_distance
+from wtomo.metrics import fidelity_pure
 
 from conftest import random_density, random_pure
 
@@ -41,32 +41,17 @@ class TestFidelityPure:
         with pytest.raises(ValueError):
             fidelity_pure(np.ones(8), np.eye(8) / 8)
 
+    def test_rejects_value_outside_unit_interval(self):
+        # <e0|rho|e0> of -0.5 or 1.5 is no roundoff: it is rejected, not clamped,
+        # for one matrix and for a member of a stack
+        e0 = np.eye(8, dtype=complex)[0]
+        for overlap in (-0.5, 1.5):
+            rho = np.diag([overlap, 1 - overlap, 0, 0, 0, 0, 0, 0]).astype(complex)
+            for arg in (rho, np.stack([np.eye(8) / 8, rho])):
+                with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                    fidelity_pure(e0, arg)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity_pure(w_vector(), np.eye(4) / 4)
 
-
-class TestTraceDistance:
-    def test_identical_states(self, rng):
-        rho = random_density(8, rng)
-        assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_orthogonal_pure_states(self):
-        a = np.diag([1.0, 0]).astype(complex)
-        b = np.diag([0, 1.0]).astype(complex)
-        assert trace_distance(a, b) == pytest.approx(1.0)
-
-    def test_symmetry_and_triangle(self, rng):
-        a, b, c = (random_density(4, rng) for _ in range(3))
-        assert trace_distance(a, b) == pytest.approx(trace_distance(b, a))
-        assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
-
-
-class TestFidelityReport:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            FidelityReport(0, 100, False, f_full=1.2, f_parts=0.5)
-
-    def test_nan_allowed_for_skipped_scheme(self):
-        r = FidelityReport(0, 100, False, f_full=float("nan"), f_parts=0.5)
-        assert np.isnan(r.f_full)

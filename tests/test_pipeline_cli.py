@@ -147,7 +147,7 @@ class TestBatching:
         results = run_pipeline(self.CFG)
         assert [r.error for r in results] == [None, None, "ReconstructionError: injected",
                                               None, None, None]
-        assert report_csv_text(results).splitlines()[3] == "2,error,,,,"
+        assert report_csv_text(self.CFG, results).splitlines()[3] == "2,error,,,,"
         # the unmitigated pass of trial 2 ran before the failure and is kept
         assert results[2].reports[False] == clean[2].reports[False]
         assert True not in results[2].reports and not results[2].matrices
@@ -162,7 +162,7 @@ class TestBatching:
         # as written before the pipeline was batched
         golden = Path(__file__).parent / "data" / "report_seed1234_20x2000.csv"
         cfg = ExperimentConfig(shots=2000, trials=20, seed=1234, scheme="both", mitigate=True)
-        assert report_csv_text(run_pipeline(cfg)) == golden.read_text()
+        assert report_csv_text(cfg, run_pipeline(cfg)) == golden.read_text()
 
 
 class TestDeterminism:
@@ -179,7 +179,7 @@ class TestDeterminism:
         other = ExperimentConfig(shots=3000, trials=1, seed=100)
         ra = run_pipeline(base)
         rb = run_pipeline(other)
-        assert report_csv_text(ra) != report_csv_text(rb)
+        assert report_csv_text(base, ra) != report_csv_text(other, rb)
 
     def test_stream_keys_are_distinct(self, monkeypatch):
         # every sampled circuit of every trial draws from its own stream:
@@ -365,7 +365,13 @@ class TestCli:
          "density matrix is for 3 qubits, not 2"),
         (["fidelity", "{f}"], np.diag([1.0, -1, 0, 0, 0, 0, 0, 0]),
          "density matrix has trace 0, not positive"),
-    ], ids=["fidelity-two-qubit", "diosi-three-qubit", "fidelity-zero-trace"])
+        (["fidelity", "{f}"], np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]),
+         "<psi|rho|psi> = -0.1666666666666667 outside [0, 1]"),
+        (["diosi", "{f}", "{f}", "--out", "{out}"],
+         partial_trace(outer(w_vector()), [0, 1]) + np.diag([1e-3, 0, 0], 1),
+         "density matrix is not Hermitian within 1e-08"),
+    ], ids=["fidelity-two-qubit", "diosi-three-qubit", "fidelity-zero-trace",
+            "fidelity-negative-overlap", "diosi-not-hermitian"])
     def test_malformed_density_file_is_reported(self, command, rho, message, tmp_path):
         f, out = tmp_path / "rho.json", tmp_path / "out.json"
         save_density(rho, f)
@@ -413,6 +419,18 @@ class TestCli:
             d = json.loads(psi.read_text())
             v = np.array(d["re"]) + 1j * np.array(d["im"])
             assert np.array_equal(np.outer(v, v.conj()), load_density(tdir / "rho_parts.json", 3))
+
+    @pytest.mark.parametrize("qubit, message", [
+        (5, "qubit 'qA' is not an object of p01 and p10"),
+        ({"p01": "x", "p10": 0.008}, "qubit 'qA': p01 'x', p10 0.008 are not numbers"),
+    ], ids=["qubit-not-object", "p01-not-a-number"])
+    def test_malformed_noise_file_is_reported(self, qubit, message, tmp_path):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({"qA": qubit, "qB": 1, "qC": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--noise", str(noise), "--out", str(tmp_path / "run")])
+        assert exc.value.code == f"cannot read {noise}: {message}"
+        assert not (tmp_path / "run").exists()
 
     def test_noise_model_of_wrong_size_is_reported(self, tmp_path):
         noise = tmp_path / "noise.json"

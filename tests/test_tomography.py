@@ -8,8 +8,8 @@ from wtomo.noise import exact_probs
 from wtomo.tomography import (
     _ASSIGN_2Q,
     _ASSIGN_3Q,
+    _assemble,
     derive_scheme,
-    lsq_reconstruct,
     real_parameters,
     reconstruct_2q,
     reconstruct_3q,
@@ -154,25 +154,36 @@ class TestRoundTrip:
             reconstruct_3q(tables)
 
 
+def lsq_fit(scheme, tables):
+    """Least-squares fit of a Hermitian matrix to every table of the scheme."""
+    p = np.concatenate([tables[label] for label in scheme.labels])
+    x, *_ = np.linalg.lstsq(scheme.measurement, p, rcond=None)
+    return _assemble(x, 2**scheme.nqubits)
+
+
 class TestLsqReconstruct:
+    """The measurement map is exact and complete: least squares over all
+    settings recovers exact data, and keeps unit trace on normalized tables
+    because each setting's outcome operators sum to the identity."""
+
     def test_agrees_with_closed_form_on_exact_data(self, rng):
         scheme = two_qubit_scheme()
         rho = random_density(4, rng)
         tables = tables_for(rho, two_qubit_settings())
-        assert np.abs(lsq_reconstruct(scheme, tables) - rho).max() <= 1e-9
+        assert np.abs(lsq_fit(scheme, tables) - rho).max() <= 1e-9
 
     def test_three_qubit_exact(self, rng):
         scheme = three_qubit_scheme()
         rho = random_density(8, rng)
         tables = tables_for(rho, three_qubit_settings())
-        assert np.abs(lsq_reconstruct(scheme, tables) - rho).max() <= 1e-8
+        assert np.abs(lsq_fit(scheme, tables) - rho).max() <= 1e-8
 
     def test_output_constraints_on_noisy_data(self, rng):
         scheme = two_qubit_scheme()
         tables = tables_for(random_density(4, rng), two_qubit_settings())
         noisy = {l: np.clip(p + rng.normal(0, 0.02, 4), 0, None) for l, p in tables.items()}
         noisy = {l: p / p.sum() for l, p in noisy.items()}
-        rho = lsq_reconstruct(scheme, noisy)
+        rho = lsq_fit(scheme, noisy)
         assert np.abs(rho - rho.conj().T).max() <= 1e-10
         assert abs(np.trace(rho) - 1.0) <= 1e-10
 

@@ -12,9 +12,9 @@ from wtomo.wholeparts import (
     MarginalPair,
     TooMixedError,
     _fix_vector_gauge,
+    _purify_structures,
+    _single_party_marginals,
     diosi_reconstruct,
-    purify_structures,
-    single_party_marginals,
     solve_phases,
 )
 
@@ -41,7 +41,7 @@ def random_gapped_pure(rng, gap=0.05):
 
 class TestSinglePartyMarginals:
     def test_w_state(self):
-        rho_a, rho_b, rho_c = single_party_marginals(marginal_pair_of(w_vector()))
+        rho_a, rho_b, rho_c = _single_party_marginals(marginal_pair_of(w_vector()).normalized())
         for rho in (rho_a, rho_b, rho_c):
             assert np.abs(rho - np.diag([2 / 3, 1 / 3])).max() <= 1e-12
 
@@ -49,26 +49,26 @@ class TestSinglePartyMarginals:
         pair = MarginalPair(np.diag([1.0, 0, 0, 0]).astype(complex),
                             np.diag([0, 0, 0, 1.0]).astype(complex), eps_b=0.05)
         with pytest.raises(InconsistentMarginalsError):
-            single_party_marginals(pair)
+            _single_party_marginals(pair.normalized())
 
     def test_unnormalized_inputs_warn_and_renormalize(self):
         pair = marginal_pair_of(w_vector())
         scaled = MarginalPair(0.98 * pair.rho_ab, 0.98 * pair.rho_bc, 1e-6)
         with pytest.warns(UserWarning):
-            rho_a, _, _ = single_party_marginals(scaled)
+            rho_a, _, _ = _single_party_marginals(scaled.normalized())
         assert abs(np.trace(rho_a) - 1.0) <= 1e-12
 
 
 class TestPurifyStructures:
     def test_w_state_spectra(self):
-        t = purify_structures(marginal_pair_of(w_vector()))
+        t = _purify_structures(marginal_pair_of(w_vector()).normalized())
         assert np.allclose(t.lambda_a, [2 / 3, 1 / 3], atol=1e-12)
         assert np.allclose(t.lambda_c, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_overlap_tensor_unitarity(self, rng):
         # columns of the bipartite eigenvectors expanded in the product
         # eigenbasis keep unit norm
-        t = purify_structures(marginal_pair_of(random_gapped_pure(rng)))
+        t = _purify_structures(marginal_pair_of(random_gapped_pure(rng)).normalized())
         for i in range(2):
             assert abs(np.abs(t.a_tensor[i]) ** 2 * 1.0).sum() <= 1.0 + 1e-10
 
@@ -76,12 +76,12 @@ class TestPurifyStructures:
         # reference: one vdot of a Kronecker product per entry; the einsum sums
         # 4 products in another order, so entries agree to a few ulps
         for _ in range(20):
-            pair = marginal_pair_of(random_gapped_pure(rng))
+            pair = marginal_pair_of(random_gapped_pure(rng)).normalized()
             a, b, c, ab, bc = (
                 np.column_stack([_fix_vector_gauge(v) for v in eig_hermitian(rho).eigenvectors[:, :2].T])
-                for rho in (*single_party_marginals(pair), pair.rho_ab, pair.rho_bc)
+                for rho in (*_single_party_marginals(pair), pair.rho_ab, pair.rho_bc)
             )
-            t = purify_structures(pair)
+            t = _purify_structures(pair)
             assert np.array_equal(t.vectors_a, a) and np.array_equal(t.vectors_bc, bc)
             for i, j, k in itertools.product(range(2), repeat=3):
                 a_ref = np.vdot(np.kron(b[:, j], c[:, k]), bc[:, i])
@@ -92,7 +92,7 @@ class TestPurifyStructures:
     def test_too_mixed_rejected(self):
         pair = MarginalPair(np.eye(4, dtype=complex) / 4, np.eye(4, dtype=complex) / 4, 1e-6)
         with pytest.raises(TooMixedError):
-            purify_structures(pair)
+            _purify_structures(pair.normalized())
 
 
 class TestSolvePhases:
@@ -100,7 +100,7 @@ class TestSolvePhases:
         ghz = np.zeros(8, dtype=complex)
         ghz[0] = ghz[7] = 1 / np.sqrt(2)
         with pytest.raises(DegenerateSpectrumError):
-            solve_phases(purify_structures(marginal_pair_of(ghz)))
+            solve_phases(_purify_structures(marginal_pair_of(ghz).normalized()))
 
     def test_real_nonnegative_state_gives_sign_factors(self, rng):
         # for a real, entrywise non-negative global state the solved branch
@@ -111,7 +111,7 @@ class TestSolvePhases:
             psi /= np.linalg.norm(psi)
             if spectral_gap(psi) <= 0.05:
                 continue
-            alpha = solve_phases(purify_structures(marginal_pair_of(psi)))
+            alpha = solve_phases(_purify_structures(marginal_pair_of(psi).normalized()))
             factors = np.exp(1j * alpha)
             assert np.abs(factors.imag).max() <= 1e-6
             res = diosi_reconstruct(marginal_pair_of(psi))
