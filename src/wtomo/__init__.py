@@ -24,7 +24,7 @@ from .noise import (
     exact_probs,
     simulate_calibration,
 )
-from .pipeline import ExperimentConfig, run_pipeline, run_trial
+from .pipeline import ExperimentConfig, run_pipeline
 from .tomography import (
     TomographyScheme,
     reconstruct_2q,
@@ -38,7 +38,6 @@ from .wholeparts import (
     ReconstructionError,
     ReconstructionResult,
     diosi_reconstruct,
-    solve_phases,
 )
 
 __version__ = "0.1.0"
@@ -66,9 +65,7 @@ __all__ = [
     "reconstruct_2q",
     "reconstruct_3q",
     "run_pipeline",
-    "run_trial",
     "simulate_calibration",
-    "solve_phases",
     "spectral_correct",
     "three_qubit_scheme",
     "three_qubit_settings",

@@ -8,9 +8,10 @@ Subcommands:
   diosi      whole-from-parts reconstruction from two density-matrix files
   fidelity   square-root fidelity of a density-matrix file against the W state
 
-Exit codes: 0 success, 1 unreadable or malformed input file, 2 invalid
-arguments or fixture tolerance failure, 3 reconstruction error (for pipeline:
-every trial failed), 4 pipeline trials failed in part.
+Exit codes: 0 success, 1 unreadable or malformed input file (for fidelity
+also a matrix that is not a state), 2 invalid arguments or fixture tolerance
+failure, 3 reconstruction error (for pipeline: every trial failed), 4
+pipeline trials failed in part.
 """
 
 from __future__ import annotations
@@ -176,20 +177,16 @@ def _cmd_diosi(args) -> int:
     return EXIT_OK
 
 
-def _fidelity_of_file(path) -> float:
-    """Fidelity against W of a 3-qubit density file, normalized to unit trace.
-
-    A file whose <W|rho|W> falls outside [0, 1] is no state: ValueError.
-    """
-    rho = io.load_density(path, 3)
+def _cmd_fidelity(args) -> int:
+    rho = _read(io.load_density, args.state, 3)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-6:
         rho = rho / tr
-    return fidelity_pure(w_vector(), rho)
-
-
-def _cmd_fidelity(args) -> int:
-    print(f"{_read(_fidelity_of_file, args.state):.6f}")
+    try:
+        f = fidelity_pure(w_vector(), rho)
+    except ValueError as exc:  # <W|rho|W> outside [0, 1]
+        sys.exit(f"{args.state} is not a state: {exc}")
+    print(f"{f:.6f}")
     return EXIT_OK
 
 

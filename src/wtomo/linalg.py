@@ -38,6 +38,15 @@ def first_true(mask: np.ndarray) -> tuple:
     return np.unravel_index(np.argmax(mask), np.shape(mask))
 
 
+def flag(errors: dict | None, mask: np.ndarray, error) -> None:
+    """Record error(k) under the index k of each stack member where mask holds,
+    unless k has an error already; with errors None, raise it for the first k."""
+    for k in map(tuple, np.argwhere(mask).tolist()):
+        if errors is None:
+            raise error(k)
+        errors.setdefault(k, error(k))
+
+
 def vector_norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, bitwise equal to np.linalg.norm of each vector."""
     v = np.asarray(v, dtype=complex)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import eig_hermitian, first_true
+from .linalg import eig_hermitian, first_true, flag
 
 
 def check_calibration_matrix(f: np.ndarray) -> None:
@@ -15,16 +15,22 @@ def check_calibration_matrix(f: np.ndarray) -> None:
     f = np.asarray(f, dtype=float)
     if f.shape[-2:] != (2, 2):
         raise ValueError(f"calibration matrix must be 2x2, got {f.shape}")
+    _flag_calibrations(f[..., None, :, :], None)
+
+
+def _flag_calibrations(fs: np.ndarray, errors: dict | None) -> np.ndarray:
+    """Flag (``linalg.flag``) and return the mask (...) of each member of a stack
+    (..., n, 2, 2) of per-qubit calibration matrices with an unusable one."""
     not_stochastic = (
-        (np.abs(f.sum(axis=-2) - 1.0).max(axis=-1) > 1e-9)
-        | (f.min(axis=(-2, -1)) < -1e-12)
-        | (f.max(axis=(-2, -1)) > 1 + 1e-12)
+        (np.abs(fs.sum(axis=-2) - 1.0).max(axis=-1) > 1e-9)
+        | (fs.min(axis=(-2, -1)) < -1e-12)
+        | (fs.max(axis=(-2, -1)) > 1 + 1e-12)
     )
-    bad = not_stochastic | (np.abs(np.linalg.det(f)) <= 1e-6)
-    if bad.any():
-        if not_stochastic[first_true(bad)]:
-            raise ValueError("calibration matrix is not column-stochastic")
-        raise ValueError("calibration matrix is numerically singular")
+    bad = not_stochastic | (np.abs(np.linalg.det(fs)) <= 1e-6)
+    flag(errors, bad.any(axis=-1), lambda k: ValueError("calibration matrix is " + (
+        "not column-stochastic" if not_stochastic[k][first_true(bad[k])]  # its first bad one
+        else "numerically singular")))
+    return bad.any(axis=-1)
 
 
 def mitigation_matrix(fs) -> np.ndarray:
@@ -38,7 +44,14 @@ def mitigation_matrix(fs) -> np.ndarray:
             check_calibration_matrix(f)
         fs = np.array(fs, dtype=float)
     check_calibration_matrix(fs)
-    inv = np.linalg.inv(fs)
+    return _mitigation_matrix(fs, None)
+
+
+def _mitigation_matrix(fs: np.ndarray, errors: dict | None) -> np.ndarray:
+    """mitigation_matrix of a stack (..., n, 2, 2) that flags each member with an
+    unusable calibration matrix in errors; such a member gets the identity map."""
+    bad = _flag_calibrations(fs, errors)
+    inv = np.linalg.inv(np.where(bad[..., None, None, None], np.eye(2), fs))
     out = inv[..., 0, :, :]
     for k in range(1, fs.shape[-3]):
         d = 2 * out.shape[-1]

@@ -8,9 +8,10 @@ stream] (stream ids in ``noise``), so a fixed configuration reproduces
 byte-identical reports and no two circuits share a stream.
 
 The trials of a run form one batch: after sampling, every stage runs once
-on stacks with a leading trial axis. Each trial's result is bitwise the
-same as ``run_trial`` gives it alone, which is the same code on a batch of
-one.
+on stacks with a leading trial axis; a trial's result is bitwise the same in
+a batch of any size. A trial that fails the calibration check or a Diosi
+check (a ``ReconstructionError``) gets its first error and keeps the passes
+it completed before; any other error propagates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import io
 from .circuits import prepare_w, three_qubit_settings, two_qubit_settings
 from .linalg import outer, partial_trace
 from .metrics import fidelity_pure
-from .mitigation import mitigation_matrix, spectral_correct
+from .mitigation import _mitigation_matrix, spectral_correct
 from .noise import (
     STREAM_AB,
     STREAM_BC,
@@ -39,7 +40,7 @@ from .noise import (
     simulate_calibration,
 )
 from .tomography import reconstruct_2q, reconstruct_3q
-from .wholeparts import MarginalPair, ReconstructionError, diosi_reconstruct
+from .wholeparts import MarginalPair, _diosi_reconstruct
 
 
 @dataclass(frozen=True)
@@ -128,9 +129,11 @@ def _calibrations(cfg: ExperimentConfig, key) -> list[np.ndarray]:
     return [np.eye(2) for _ in range(3)]
 
 
-def _fill(cfg, results, mitigated, f_full, f_parts, matrices, recon) -> None:
-    """Store one pass (mitigated or not) of a batch in its trial results."""
+def _fill(cfg, results, errors, mitigated, f_full, f_parts, matrices, recon) -> None:
+    """Store one pass (mitigated or not) of a batch in its trials without an error."""
     for t, r in enumerate(results):
+        if (t,) in errors:
+            continue
         r.reports[mitigated] = Fidelities(float(f_full[t]), float(f_parts[t]))
         if mitigated != cfg.mitigate:
             continue
@@ -156,7 +159,7 @@ def _sample(cfg: ExperimentConfig, results: list[TrialResult], dists) -> list[np
     return [counts_to_probs(c) for c in counts]
 
 
-def _reconstruct(cfg: ExperimentConfig, psi_w, p3, pab, pbc, eps_b: float):
+def _reconstruct(cfg: ExperimentConfig, errors: dict, psi_w, p3, pab, pbc, eps_b: float):
     """One pass over stacked tables: (f_full, f_parts, matrices, Diosi result)."""
     nan = np.full(len(p3), np.nan)
     f_full = f_parts = nan
@@ -167,7 +170,7 @@ def _reconstruct(cfg: ExperimentConfig, psi_w, p3, pab, pbc, eps_b: float):
     if cfg.scheme in ("parts2q", "both"):
         rho_ab = spectral_correct(reconstruct_2q(_by_label(_LABELS_2Q, pab)))
         rho_bc = spectral_correct(reconstruct_2q(_by_label(_LABELS_2Q, pbc)))
-        recon = diosi_reconstruct(MarginalPair(rho_ab, rho_bc, eps_b))
+        recon = _diosi_reconstruct(MarginalPair(rho_ab, rho_bc, eps_b), errors)
         matrices.update(rho_ab=rho_ab, rho_bc=rho_bc, rho_parts=recon.rho)
         f_parts = fidelity_pure(psi_w, matrices["rho_parts"])
     return f_full, f_parts, matrices, recon
@@ -177,8 +180,8 @@ def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     """Run the trials of results as one batch, filling each result in place.
 
     Every circuit of trial t samples from its own stream [seed, t, stream];
-    every later stage runs once on the stack of all the trials. Raises if
-    any trial fails; the results then hold the passes completed before.
+    every later stage runs once on the stack of all the trials. A failing
+    trial gets its first error (see the module docstring).
     """
     psi_w, tables, dists = _noisy_probs(cfg.noise)
     if cfg.exact:
@@ -194,34 +197,22 @@ def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
         # base experimental tolerance plus a shot-noise allowance
         eps_b = 0.05 + (0.0 if cfg.exact else 2.0 / np.sqrt(cfg.shots))
 
+    errors: dict = {}  # (t,): the first error of trial t
     for mitigated in (False, True):
         if mitigated:  # the last pass, so the unmitigated tables can go
             measured = [
-                (mitigation_matrix(fs)[:, None] @ p[..., None])[..., 0]
+                (_mitigation_matrix(fs, errors)[:, None] @ p[..., None])[..., 0]
                 for fs, p in zip((f_hats, f_hats[:, :2], f_hats[:, 1:]), measured)
             ]
-        _fill(cfg, results, mitigated, *_reconstruct(cfg, psi_w, *measured, eps_b))
-
-
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
-    """One trial: the batch code on a batch of one. A reconstruction or value
-    error is recorded in the result, which keeps what was done before it."""
-    result = TrialResult(trial_id=trial_index)
-    try:
-        _run_batch(cfg, [result])
-    except (ReconstructionError, ValueError) as exc:
-        result.error = f"{type(exc).__name__}: {exc}"
-    return result
+        _fill(cfg, results, errors, mitigated, *_reconstruct(cfg, errors, psi_w, *measured, eps_b))
+    for (t,), exc in errors.items():
+        results[t].error = f"{type(exc).__name__}: {exc}"
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[TrialResult]:
-    """All trials as one batch. If the batch fails, each trial runs on its own,
-    so that only the failing trials fail."""
+    """All trials as one batch (see the module docstring)."""
     results = [TrialResult(trial_id=t) for t in range(cfg.trials)]
-    try:
-        _run_batch(cfg, results)
-    except (ReconstructionError, ValueError):
-        results = [run_trial(cfg, t) for t in range(cfg.trials)]
+    _run_batch(cfg, results)
     if out_dir is not None:
         io.write_outputs(cfg, results, Path(out_dir))
     return results

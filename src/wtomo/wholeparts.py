@@ -10,6 +10,9 @@ with the branch phases alpha_i fixed by consistency with the equivalent
 (rho_C, rho_AB) decomposition. States whose single-party spectra are
 degenerate (GHZ-like) are not determined by their marginals and are
 rejected rather than guessed.
+
+Each check flags (``linalg.flag``) the failing pairs of a stack in a dict of
+errors, and the other pairs come out as alone; with None, the first raises.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eig_hermitian, first_true, outer, partial_trace, vector_norm
+from .linalg import eig_hermitian, first_true, flag, outer, partial_trace, vector_norm
 
 DEGENERACY_GAP = 1e-6
 PHASE_MAGNITUDE_FLOOR = 1e-8
@@ -120,7 +123,7 @@ def _fix_column_gauge(vectors: np.ndarray) -> np.ndarray:
     return _fix_vector_gauge(vectors.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _single_party_marginals(pair: MarginalPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _single_party_marginals(pair: MarginalPair, errors) -> tuple[np.ndarray, ...]:
     """The three 2x2 marginals (rho_A, rho_B, rho_C) of a trace-normalized pair.
 
     rho_B is the average of its two estimates; their max-norm discrepancy
@@ -131,27 +134,22 @@ def _single_party_marginals(pair: MarginalPair) -> tuple[np.ndarray, np.ndarray,
     rho_b_from_bc = partial_trace(pair.rho_bc, [0])
     rho_c = partial_trace(pair.rho_bc, [1])
     gap = np.abs(rho_b_from_ab - rho_b_from_bc).max(axis=(-2, -1))
-    over = gap > pair.eps_b
-    if over.any():
-        raise InconsistentMarginalsError(
-            f"shared-qubit marginals disagree by {gap[first_true(over)]:.4f} "
-            f"(> eps_b = {pair.eps_b})"
-        )
+    flag(errors, gap > pair.eps_b, lambda k: InconsistentMarginalsError(
+        f"shared-qubit marginals disagree by {gap[k]:.4f} (> eps_b = {pair.eps_b})"
+    ))
     rho_b = (rho_b_from_ab + rho_b_from_bc) / 2
     return rho_a, rho_b, rho_c
 
 
-def _top2(es, label: str, truncation: dict) -> tuple[np.ndarray, np.ndarray]:
+def _top2(es, label: str, truncation: dict, errors) -> tuple[np.ndarray, np.ndarray]:
     """Keep the top-2 eigenpairs, renormalize kept mass to 1."""
     w = np.clip(es.eigenvalues, 0.0, None)
     kept = w[..., :2].sum(axis=-1)
     truncation[label] = _scalar(np.maximum(0.0, w.sum(axis=-1) - kept))
-    low = kept < MIN_KEPT_MASS
-    if low.any():
-        raise TooMixedError(
-            f"{label}: kept spectral mass {kept[first_true(low)]:.3f} < {MIN_KEPT_MASS}; "
-            "input too mixed for a pure-state hypothesis"
-        )
+    flag(errors, kept < MIN_KEPT_MASS, lambda k: TooMixedError(
+        f"{label}: kept spectral mass {kept[k]:.3f} < {MIN_KEPT_MASS}; "
+        "input too mixed for a pure-state hypothesis"
+    ))
     return w[..., :2] / kept[..., None], es.eigenvectors[..., :2]
 
 
@@ -168,20 +166,20 @@ def _overlaps(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return terms.reshape(*terms.shape[:-5], 4, 2, 2, 2).sum(axis=-4)
 
 
-def _purify_structures(pair: MarginalPair) -> OverlapTensors:
+def _purify_structures(pair: MarginalPair, errors) -> OverlapTensors:
     """Matched spectral data of all marginals of a trace-normalized pair,
     truncated to Schmidt rank 2.
 
     Spectra are paired in descending order: lambda_A^i with the i-th
     eigenvector of rho_BC, lambda_C^k with the k-th of rho_AB.
     """
-    rho_a, rho_b, rho_c = _single_party_marginals(pair)
+    rho_a, rho_b, rho_c = _single_party_marginals(pair, errors)
     truncation: dict = {}
-    lam_a, vec_a = _top2(eig_hermitian(rho_a), "rho_a", truncation)
-    lam_c, vec_c = _top2(eig_hermitian(rho_c), "rho_c", truncation)
-    _, vec_b = _top2(eig_hermitian(rho_b), "rho_b", truncation)
-    _, vec_bc = _top2(eig_hermitian(pair.rho_bc), "rho_bc", truncation)
-    _, vec_ab = _top2(eig_hermitian(pair.rho_ab), "rho_ab", truncation)
+    lam_a, vec_a = _top2(eig_hermitian(rho_a), "rho_a", truncation, errors)
+    lam_c, vec_c = _top2(eig_hermitian(rho_c), "rho_c", truncation, errors)
+    _, vec_b = _top2(eig_hermitian(rho_b), "rho_b", truncation, errors)
+    _, vec_bc = _top2(eig_hermitian(pair.rho_bc), "rho_bc", truncation, errors)
+    _, vec_ab = _top2(eig_hermitian(pair.rho_ab), "rho_ab", truncation, errors)
     vec_a, vec_b, vec_c, vec_bc, vec_ab = map(
         _fix_column_gauge, (vec_a, vec_b, vec_c, vec_bc, vec_ab)
     )
@@ -196,7 +194,7 @@ def _purify_structures(pair: MarginalPair) -> OverlapTensors:
     )
 
 
-def solve_phases(t: OverlapTensors, gap: float = DEGENERACY_GAP) -> np.ndarray:
+def _solve_phases(t: OverlapTensors, errors) -> np.ndarray:
     """Branch phases alpha_i making the two pure-state decompositions agree.
 
     The consistency constraint
@@ -208,12 +206,11 @@ def solve_phases(t: OverlapTensors, gap: float = DEGENERACY_GAP) -> np.ndarray:
     the gamma-weighted overlap sum.
     """
     lam_a = t.lambda_a
-    degenerate = np.abs(lam_a[..., 0] - lam_a[..., 1]) <= gap
-    if degenerate.any():
-        raise DegenerateSpectrumError(
-            f"rho_A spectrum {lam_a[first_true(degenerate)]} is degenerate within {gap}; "
-            "the marginals do not determine the global state"
-        )
+    degenerate = np.abs(lam_a[..., 0] - lam_a[..., 1]) <= DEGENERACY_GAP
+    flag(errors, degenerate, lambda k: DegenerateSpectrumError(
+        f"rho_A spectrum {lam_a[k]} is degenerate within {DEGENERACY_GAP}; "
+        "the marginals do not determine the global state"
+    ))
     t1 = np.sqrt(lam_a)[..., :, None, None] * t.a_tensor  # [i, j, k]
     t2 = np.einsum("...k,...kij->...ijk", np.sqrt(t.lambda_c), t.c_tensor)
     # products by einsum as in _overlaps, then the sum over j
@@ -222,10 +219,10 @@ def solve_phases(t: OverlapTensors, gap: float = DEGENERACY_GAP) -> np.ndarray:
 
     live = np.sqrt(lam_a) > 1e-8  # phases of zero-amplitude branches are moot
     usable = np.abs(m).max(axis=-1) >= PHASE_MAGNITUDE_FLOOR
-    if (live & ~usable).any():
-        raise UnderdeterminedPhaseError(
-            f"no usable overlap constraint for branch {first_true(live & ~usable)[-1]}"
-        )
+    stuck = live & ~usable
+    flag(errors, stuck.any(axis=-1), lambda k: UnderdeterminedPhaseError(
+        f"no usable overlap constraint for branch {first_true(stuck[k])[-1]}"
+    ))
 
     alpha = np.where(live, np.angle(m[..., :, 0]), 0.0)
     i_best = np.argmax(np.abs(m[..., :, 1]), axis=-1)[..., None]
@@ -243,11 +240,17 @@ def diosi_reconstruct(pair: MarginalPair) -> ReconstructionResult:
     Residuals compare the partial traces of the output against the original
     (untruncated, trace-normalized) inputs; the global phase is fixed by
     making the largest-magnitude amplitude real positive. A stack of pairs
-    gives a stack of states, each bitwise the same as on its own.
+    gives a stack of states, each bitwise the same as on its own; the first
+    check that fails raises its ReconstructionError for its first failing pair.
     """
+    return _diosi_reconstruct(pair, None)
+
+
+def _diosi_reconstruct(pair: MarginalPair, errors: dict | None) -> ReconstructionResult:
+    """diosi_reconstruct whose checks flag failing pairs in errors (see the module docstring)."""
     pair = pair.normalized()
-    t = _purify_structures(pair)
-    alpha = solve_phases(t)
+    t = _purify_structures(pair, errors)
+    alpha = _solve_phases(t, errors)
     weights = np.exp(1j * alpha) * np.sqrt(t.lambda_a)
     lead = alpha.shape[:-1]
     psi = np.zeros((*lead, 8), dtype=complex)

@@ -19,7 +19,7 @@ from wtomo.linalg import outer, partial_trace
 from wtomo.metrics import fidelity_pure
 from wtomo.mitigation import mitigation_matrix, spectral_correct
 from wtomo.noise import ReadoutModel, apply_readout_noise, exact_probs
-from wtomo.pipeline import ExperimentConfig, run_pipeline, run_trial
+from wtomo.pipeline import ExperimentConfig, run_pipeline
 from wtomo.tomography import reconstruct_2q, reconstruct_3q
 from wtomo.wholeparts import DegenerateSpectrumError, MarginalPair, diosi_reconstruct
 from wtomo import fixtures
@@ -138,7 +138,7 @@ def test_criterion_5_parts_beat_full_tomography():
 
 
 def test_criterion_6_noiseless_end_to_end():
-    r = run_trial(ExperimentConfig(noise=None, exact=True, trials=1), 0)
+    r = run_pipeline(ExperimentConfig(noise=None, exact=True, trials=1))[0]
     ok = (
         r.error is None
         and abs(r.reports[True].f_full - 1.0) <= 1e-8

@@ -1,6 +1,7 @@
 """Stacked inputs: every batched function gives, for each matrix of a stack,
-bitwise the result it gives for that matrix alone, and a failing member of a
-stack raises the message it raises alone."""
+bitwise the result it gives for that matrix alone. A failing member of a
+stack raises the message it raises alone, and the non-raising cores record
+that message for that member only."""
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ import pytest
 from wtomo.circuits import w_vector
 from wtomo.linalg import eig_hermitian, is_hermitian, outer, partial_trace
 from wtomo.metrics import fidelity_pure
-from wtomo.mitigation import mitigation_matrix, spectral_correct
+from wtomo.mitigation import _mitigation_matrix, mitigation_matrix, spectral_correct
 from wtomo.tomography import reconstruct_3q, three_qubit_scheme
 from wtomo.wholeparts import (
     InconsistentMarginalsError,
     MarginalPair,
+    _diosi_reconstruct,
     _purify_structures,
+    _solve_phases,
     diosi_reconstruct,
-    solve_phases,
 )
 
 from conftest import random_density, random_pure
@@ -74,6 +76,18 @@ def test_mitigation_stack_reports_first_bad_matrix():
         mitigation_matrix(np.array([[good, good], [good, singular]]))
 
 
+def test_mitigation_stack_flags_only_the_bad_member():
+    good, other = [[0.9, 0.1], [0.1, 0.9]], [[0.95, 0.2], [0.05, 0.8]]
+    fs = np.array([[good, other], [good, [[0.9, 0.2], [0.2, 0.9]]], [other, good]])
+    errors = {}
+    maps = _mitigation_matrix(fs, errors)
+    assert list(errors) == [(1,)]
+    assert str(errors[(1,)]) == "calibration matrix is not column-stochastic"
+    assert np.array_equal(maps[1], np.eye(4))
+    for k in (0, 2):
+        assert np.array_equal(maps[k], mitigation_matrix(list(fs[k])))
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_reconstruct_stack(n, rng):
     scheme = three_qubit_scheme()
@@ -88,8 +102,8 @@ def test_reconstruct_stack(n, rng):
 def test_diosi_stack(n, rng):
     states = noisy_pure_states(rng, n)
     stacked = diosi_reconstruct(pairs_of(states))
-    t = _purify_structures(pairs_of(states).normalized())
-    alpha = solve_phases(t)
+    t = _purify_structures(pairs_of(states).normalized(), None)
+    alpha = _solve_phases(t, None)
     for k, rho in enumerate(states):
         pair = pairs_of(rho)
         one = diosi_reconstruct(pair)
@@ -97,10 +111,10 @@ def test_diosi_stack(n, rng):
         assert stacked.residual_ab[k] == one.residual_ab
         assert stacked.residual_bc[k] == one.residual_bc
         assert {key: v[k] for key, v in stacked.truncated_mass.items()} == one.truncated_mass
-        t1 = _purify_structures(pair.normalized())
+        t1 = _purify_structures(pair.normalized(), None)
         assert np.array_equal(t.a_tensor[k], t1.a_tensor)
         assert np.array_equal(t.c_tensor[k], t1.c_tensor)
-        assert np.array_equal(alpha[k], solve_phases(t1))
+        assert np.array_equal(alpha[k], _solve_phases(t1, None))
 
 
 def test_diosi_stack_reports_first_failing_pair(rng):
@@ -113,3 +127,23 @@ def test_diosi_stack_reports_first_failing_pair(rng):
     with pytest.raises(InconsistentMarginalsError) as stacked:
         diosi_reconstruct(MarginalPair(bad_ab, pair.rho_bc, 0.05))
     assert str(stacked.value) == str(alone.value)
+
+
+def test_diosi_stack_flags_only_the_failing_pair(rng):
+    states = noisy_pure_states(rng, 5)
+    pair = pairs_of(states)
+    bad_ab = pair.rho_ab.copy()
+    bad_ab[3] = np.diag([0, 0, 0, 1.0])
+    with pytest.raises(InconsistentMarginalsError) as alone:
+        diosi_reconstruct(MarginalPair(bad_ab[3], pair.rho_bc[3], 0.05))
+    errors = {}
+    stacked = _diosi_reconstruct(MarginalPair(bad_ab, pair.rho_bc, 0.05), errors)
+    assert list(errors) == [(3,)]
+    assert type(errors[(3,)]) is InconsistentMarginalsError
+    assert str(errors[(3,)]) == str(alone.value)
+    for k in (0, 1, 2, 4):
+        one = diosi_reconstruct(MarginalPair(bad_ab[k], pair.rho_bc[k], 0.05))
+        assert np.array_equal(stacked.psi[k], one.psi)
+        assert np.array_equal(stacked.rho[k], one.rho)
+        assert stacked.residual_ab[k] == one.residual_ab
+        assert stacked.residual_bc[k] == one.residual_bc

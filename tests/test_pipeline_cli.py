@@ -9,9 +9,9 @@ from wtomo import pipeline
 from wtomo.circuits import MeasurementSetting, w_vector
 from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, main
 from wtomo.io import load_density, readout_model_to_json_dict, report_csv_text, save_density
-from wtomo.linalg import outer, partial_trace
+from wtomo.linalg import flag, outer, partial_trace
 from wtomo.noise import QubitReadout, ReadoutModel
-from wtomo.pipeline import ExperimentConfig, run_pipeline, run_trial
+from wtomo.pipeline import ExperimentConfig, run_pipeline
 from wtomo.tomography import three_qubit_scheme, two_qubit_scheme
 from wtomo.wholeparts import ReconstructionError
 
@@ -35,7 +35,7 @@ class TestConfig:
 
 class TestRunTrial:
     def test_exact_noiseless_is_perfect(self):
-        r = run_trial(ExperimentConfig(noise=None, exact=True, trials=1), 0)
+        r = run_pipeline(ExperimentConfig(noise=None, exact=True, trials=1))[0]
         assert r.error is None
         for rep in r.reports.values():
             assert abs(rep.f_full - 1.0) <= 1e-8
@@ -44,14 +44,14 @@ class TestRunTrial:
     def test_exact_noisy_unmitigated_vs_mitigated(self):
         # analytic probabilities through the confusion model: mitigation with
         # the true matrices recovers the state exactly
-        r = run_trial(ExperimentConfig(exact=True, trials=1), 0)
+        r = run_pipeline(ExperimentConfig(exact=True, trials=1))[0]
         assert r.error is None
         assert abs(r.reports[True].f_full - 1.0) <= 1e-8
         assert r.reports[False].f_full < r.reports[True].f_full
 
     def test_sampled_trial_structure(self):
         cfg = ExperimentConfig(shots=2000, trials=1, seed=7)
-        r = run_trial(cfg, 0)
+        r = run_pipeline(cfg)[0]
         assert r.error is None
         assert set(r.matrices) == {"rho_full", "rho_ab", "rho_bc", "rho_parts"}
         assert len(r.counts) == 17
@@ -61,17 +61,17 @@ class TestRunTrial:
             assert np.allclose(f_hat.sum(axis=0), 1.0)
 
     def test_matrices_are_physical(self):
-        r = run_trial(ExperimentConfig(shots=2000, trials=1, seed=7), 0)
+        r = run_pipeline(ExperimentConfig(shots=2000, trials=1, seed=7))[0]
         for name in ("rho_full", "rho_ab", "rho_bc", "rho_parts"):
             rho = r.matrices[name]
             assert abs(np.trace(rho) - 1.0) <= 1e-9
             assert np.linalg.eigvalsh(rho).min() >= -1e-9
 
     def test_scheme_restriction(self):
-        r = run_trial(ExperimentConfig(shots=1000, trials=1, scheme="full3q"), 0)
+        r = run_pipeline(ExperimentConfig(shots=1000, trials=1, scheme="full3q"))[0]
         assert not np.isnan(r.reports[True].f_full)
         assert np.isnan(r.reports[True].f_parts)
-        r = run_trial(ExperimentConfig(shots=1000, trials=1, scheme="parts2q"), 0)
+        r = run_pipeline(ExperimentConfig(shots=1000, trials=1, scheme="parts2q"))[0]
         assert np.isnan(r.reports[True].f_full)
         assert not np.isnan(r.reports[True].f_parts)
 
@@ -101,14 +101,28 @@ class TestRunTrial:
                 a[0] = 0
 
 
+def injecting(targets):
+    """The pipeline's Diosi core, flagging each pair whose rho_ab is one of targets."""
+    diosi = pipeline._diosi_reconstruct
+
+    def flaky(pair, errors):
+        hit = np.array([any(np.array_equal(rho, t) for t in targets) for rho in pair.rho_ab])
+        flag(errors, hit, lambda k: ReconstructionError("injected"))
+        return diosi(pair, errors)
+
+    return flaky
+
+
 class TestBatching:
-    """run_pipeline runs all trials as one stack; run_trial is a batch of one."""
+    """run_pipeline runs all trials as one stack; a trial's result does not
+    depend on how many trials run with it."""
 
     CFG = ExperimentConfig(shots=2000, trials=6, seed=31)
 
-    def test_pipeline_trials_equal_single_trials_bitwise(self):
-        for r in run_pipeline(self.CFG):
-            one = run_trial(self.CFG, r.trial_id)
+    def test_pipeline_trials_equal_a_shorter_run_bitwise(self):
+        short = run_pipeline(ExperimentConfig(shots=2000, trials=3, seed=31))
+        for r, one in zip(run_pipeline(self.CFG)[:3], short):
+            assert r.trial_id == one.trial_id
             assert r.error is None and one.error is None
             assert r.reports == one.reports
             assert r.residuals == one.residuals
@@ -122,28 +136,20 @@ class TestBatching:
                 assert np.array_equal(r.counts[label], one.counts[label]), label
             assert all(np.array_equal(a, b) for a, b in zip(r.calibration, one.calibration))
 
-    def test_exact_trials_equal_single_trials_bitwise(self):
-        cfg = ExperimentConfig(exact=True, trials=3)
-        batch = run_pipeline(cfg)
-        for r in batch:
-            one = run_trial(cfg, r.trial_id)
+    def test_exact_trials_equal_a_shorter_run_bitwise(self):
+        short = run_pipeline(ExperimentConfig(exact=True, trials=3))
+        for r, one in zip(run_pipeline(ExperimentConfig(exact=True, trials=6))[:3], short):
+            assert r.trial_id == one.trial_id
             assert r.reports == one.reports
             for name in r.matrices:
                 assert np.array_equal(r.matrices[name], one.matrices[name]), name
 
     def test_a_failing_trial_fails_alone(self, monkeypatch):
-        # trial 2's mitigated AB marginal is rejected; the batch falls back to
-        # single trials, and the others come out as in a clean run
+        # Diosi flags trial 2's mitigated AB marginal; the others come out as
+        # in a clean run
         clean = run_pipeline(self.CFG)
         target = clean[2].matrices["rho_ab"]
-        diosi = pipeline.diosi_reconstruct
-
-        def flaky(pair):
-            if any(np.array_equal(rho, target) for rho in pair.rho_ab.reshape(-1, 4, 4)):
-                raise ReconstructionError("injected")
-            return diosi(pair)
-
-        monkeypatch.setattr(pipeline, "diosi_reconstruct", flaky)
+        monkeypatch.setattr(pipeline, "_diosi_reconstruct", injecting([target]))
         results = run_pipeline(self.CFG)
         assert [r.error for r in results] == [None, None, "ReconstructionError: injected",
                                               None, None, None]
@@ -156,6 +162,37 @@ class TestBatching:
             if r.trial_id != 2:
                 assert r.reports == c.reports
                 assert np.array_equal(r.matrices["rho_parts"], c.matrices["rho_parts"])
+
+    def test_a_programming_error_propagates(self, monkeypatch):
+        # only calibration and reconstruction checks make a trial fail
+        def broken(rho):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(pipeline, "spectral_correct", broken)
+        with pytest.raises(ValueError, match="bug"):
+            run_pipeline(self.CFG)
+
+    FAILING_RUNS = {
+        "shots1_trials40_parts2q_nomitigate":
+            ExperimentConfig(shots=1, trials=40, scheme="parts2q", mitigate=False),
+        "shots3_trials100": ExperimentConfig(shots=3, trials=100),
+    }
+
+    @pytest.mark.parametrize("name", FAILING_RUNS)
+    def test_golden_failing_run(self, name, tmp_path):
+        # singular calibration (a trial that fails only in the mitigated pass
+        # keeps its unmitigated matrices under --no-mitigate) and TooMixedError,
+        # as written before failing trials were flagged inside the batch
+        golden = Path(__file__).parent / "data" / "failing_runs" / name
+        out = tmp_path / "run"
+        run_pipeline(self.FAILING_RUNS[name], out)
+        for f in ("report.csv", "run_metadata.json"):
+            assert (out / f).read_text() == (golden / f).read_text(), f
+        files = json.loads((golden / "failed_trial_files.json").read_text())
+        errors = json.loads((out / "run_metadata.json").read_text())["errors"]
+        assert sorted(files) == sorted(f"trial_{t}" for t in errors)
+        for tdir, names in files.items():
+            assert sorted(p.name for p in (out / tdir).iterdir()) == names, tdir
 
     def test_golden_report(self):
         # report.csv of seed 1234, 20 trials, 2000 shots, both schemes, mitigated,
@@ -360,40 +397,35 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, rho, message", [
-        (["fidelity", "{f}"], np.eye(4) / 4, "density matrix is for 2 qubits, not 3"),
+        (["fidelity", "{f}"], np.eye(4) / 4,
+         "cannot read {f}: density matrix is for 2 qubits, not 3"),
         (["diosi", "{f}", "{f}", "--out", "{out}"], np.eye(8) / 8,
-         "density matrix is for 3 qubits, not 2"),
+         "cannot read {f}: density matrix is for 3 qubits, not 2"),
         (["fidelity", "{f}"], np.diag([1.0, -1, 0, 0, 0, 0, 0, 0]),
-         "density matrix has trace 0, not positive"),
+         "cannot read {f}: density matrix has trace 0, not positive"),
         (["fidelity", "{f}"], np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]),
-         "<psi|rho|psi> = -0.1666666666666667 outside [0, 1]"),
+         "{f} is not a state: <psi|rho|psi> = -0.1666666666666667 outside [0, 1]"),
+        (["fidelity", "{f}"], outer(w_vector()) + np.diag([-0.03, 0.03, 0, 0, 0, 0, 0, 0]),
+         "{f} is not a state: <psi|rho|psi> = 1.0100000000000007 outside [0, 1]"),
         (["diosi", "{f}", "{f}", "--out", "{out}"],
          partial_trace(outer(w_vector()), [0, 1]) + np.diag([1e-3, 0, 0], 1),
-         "density matrix is not Hermitian within 1e-08"),
+         "cannot read {f}: density matrix is not Hermitian within 1e-08"),
     ], ids=["fidelity-two-qubit", "diosi-three-qubit", "fidelity-zero-trace",
-            "fidelity-negative-overlap", "diosi-not-hermitian"])
+            "fidelity-negative-overlap", "fidelity-overlap-above-one", "diosi-not-hermitian"])
     def test_malformed_density_file_is_reported(self, command, rho, message, tmp_path):
         f, out = tmp_path / "rho.json", tmp_path / "out.json"
         save_density(rho, f)
         with pytest.raises(SystemExit) as exc:
             main([a.format(f=f, out=out) for a in command])
-        assert exc.value.code == f"cannot read {f}: {message}"
+        assert exc.value.code == message.format(f=f)
         assert not out.exists()
 
     @pytest.mark.parametrize("failing, code", [(1, EXIT_PARTIAL), (2, EXIT_RECONSTRUCTION)])
     def test_failed_trials_set_the_exit_code(self, failing, code, tmp_path, monkeypatch, capsys):
         # trials 0 .. failing-1 fail: Diosi rejects their mitigated AB marginals
-        cfg = ExperimentConfig(shots=500, trials=2)
-        targets = [run_trial(cfg, t).matrices["rho_ab"] for t in range(failing)]
-        diosi = pipeline.diosi_reconstruct
-
-        def flaky(pair):
-            for rho in pair.rho_ab.reshape(-1, 4, 4):
-                if any(np.array_equal(rho, target) for target in targets):
-                    raise ReconstructionError("injected")
-            return diosi(pair)
-
-        monkeypatch.setattr(pipeline, "diosi_reconstruct", flaky)
+        clean = run_pipeline(ExperimentConfig(shots=500, trials=2))
+        targets = [r.matrices["rho_ab"] for r in clean[:failing]]
+        monkeypatch.setattr(pipeline, "_diosi_reconstruct", injecting(targets))
         out = tmp_path / "run"
         rc = main(["pipeline", "--shots", "500", "--trials", "2", "--out", str(out)])
         assert rc == code

@@ -14,8 +14,8 @@ from wtomo.wholeparts import (
     _fix_vector_gauge,
     _purify_structures,
     _single_party_marginals,
+    _solve_phases,
     diosi_reconstruct,
-    solve_phases,
 )
 
 from conftest import random_pure
@@ -41,7 +41,8 @@ def random_gapped_pure(rng, gap=0.05):
 
 class TestSinglePartyMarginals:
     def test_w_state(self):
-        rho_a, rho_b, rho_c = _single_party_marginals(marginal_pair_of(w_vector()).normalized())
+        pair = marginal_pair_of(w_vector()).normalized()
+        rho_a, rho_b, rho_c = _single_party_marginals(pair, None)
         for rho in (rho_a, rho_b, rho_c):
             assert np.abs(rho - np.diag([2 / 3, 1 / 3])).max() <= 1e-12
 
@@ -49,26 +50,26 @@ class TestSinglePartyMarginals:
         pair = MarginalPair(np.diag([1.0, 0, 0, 0]).astype(complex),
                             np.diag([0, 0, 0, 1.0]).astype(complex), eps_b=0.05)
         with pytest.raises(InconsistentMarginalsError):
-            _single_party_marginals(pair.normalized())
+            _single_party_marginals(pair.normalized(), None)
 
     def test_unnormalized_inputs_warn_and_renormalize(self):
         pair = marginal_pair_of(w_vector())
         scaled = MarginalPair(0.98 * pair.rho_ab, 0.98 * pair.rho_bc, 1e-6)
         with pytest.warns(UserWarning):
-            rho_a, _, _ = _single_party_marginals(scaled.normalized())
+            rho_a, _, _ = _single_party_marginals(scaled.normalized(), None)
         assert abs(np.trace(rho_a) - 1.0) <= 1e-12
 
 
 class TestPurifyStructures:
     def test_w_state_spectra(self):
-        t = _purify_structures(marginal_pair_of(w_vector()).normalized())
+        t = _purify_structures(marginal_pair_of(w_vector()).normalized(), None)
         assert np.allclose(t.lambda_a, [2 / 3, 1 / 3], atol=1e-12)
         assert np.allclose(t.lambda_c, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_overlap_tensor_unitarity(self, rng):
         # columns of the bipartite eigenvectors expanded in the product
         # eigenbasis keep unit norm
-        t = _purify_structures(marginal_pair_of(random_gapped_pure(rng)).normalized())
+        t = _purify_structures(marginal_pair_of(random_gapped_pure(rng)).normalized(), None)
         for i in range(2):
             assert abs(np.abs(t.a_tensor[i]) ** 2 * 1.0).sum() <= 1.0 + 1e-10
 
@@ -79,9 +80,9 @@ class TestPurifyStructures:
             pair = marginal_pair_of(random_gapped_pure(rng)).normalized()
             a, b, c, ab, bc = (
                 np.column_stack([_fix_vector_gauge(v) for v in eig_hermitian(rho).eigenvectors[:, :2].T])
-                for rho in (*_single_party_marginals(pair), pair.rho_ab, pair.rho_bc)
+                for rho in (*_single_party_marginals(pair, None), pair.rho_ab, pair.rho_bc)
             )
-            t = _purify_structures(pair)
+            t = _purify_structures(pair, None)
             assert np.array_equal(t.vectors_a, a) and np.array_equal(t.vectors_bc, bc)
             for i, j, k in itertools.product(range(2), repeat=3):
                 a_ref = np.vdot(np.kron(b[:, j], c[:, k]), bc[:, i])
@@ -92,7 +93,7 @@ class TestPurifyStructures:
     def test_too_mixed_rejected(self):
         pair = MarginalPair(np.eye(4, dtype=complex) / 4, np.eye(4, dtype=complex) / 4, 1e-6)
         with pytest.raises(TooMixedError):
-            _purify_structures(pair.normalized())
+            _purify_structures(pair.normalized(), None)
 
 
 class TestSolvePhases:
@@ -100,7 +101,7 @@ class TestSolvePhases:
         ghz = np.zeros(8, dtype=complex)
         ghz[0] = ghz[7] = 1 / np.sqrt(2)
         with pytest.raises(DegenerateSpectrumError):
-            solve_phases(_purify_structures(marginal_pair_of(ghz).normalized()))
+            _solve_phases(_purify_structures(marginal_pair_of(ghz).normalized(), None), None)
 
     def test_real_nonnegative_state_gives_sign_factors(self, rng):
         # for a real, entrywise non-negative global state the solved branch
@@ -111,7 +112,8 @@ class TestSolvePhases:
             psi /= np.linalg.norm(psi)
             if spectral_gap(psi) <= 0.05:
                 continue
-            alpha = solve_phases(_purify_structures(marginal_pair_of(psi).normalized()))
+            t = _purify_structures(marginal_pair_of(psi).normalized(), None)
+            alpha = _solve_phases(t, None)
             factors = np.exp(1j * alpha)
             assert np.abs(factors.imag).max() <= 1e-6
             res = diosi_reconstruct(marginal_pair_of(psi))
