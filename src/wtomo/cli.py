@@ -9,14 +9,16 @@ Subcommands:
   fidelity   square-root fidelity of a density-matrix file against the W state
 
 Exit codes: 0 success, 1 unreadable or malformed input file (for fidelity
-also a matrix that is not a state), 2 invalid arguments or fixture tolerance
-failure, 3 reconstruction error (for pipeline: every trial failed), 4
-pipeline trials failed in part.
+also a matrix that is not a state) or an output that cannot be written, 2
+invalid arguments or fixture tolerance failure, 3 reconstruction error (for
+pipeline: every trial failed), 4 pipeline trials failed in part.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +47,14 @@ def _read(load, path, *args):
         sys.exit(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
+def _write(save, obj, path) -> None:
+    """save(obj, path); a failed write ends the command with a message."""
+    try:
+        save(obj, path)
+    except OSError as exc:
+        sys.exit(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
+
+
 def _parse_noise(spec: str) -> ReadoutModel | None:
     if spec == "none":
         return None
@@ -65,6 +75,17 @@ def _int_at_least(low: int):
     return integer
 
 
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite float no smaller than 0."""
+    try:
+        value = float(text)
+    except ValueError:  # worded as argparse words it for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite float >= 0, got {text!r}")
+    return value
+
+
 def _cmd_pipeline(args) -> int:
     cfg = ExperimentConfig(
         shots=args.shots,
@@ -75,7 +96,8 @@ def _cmd_pipeline(args) -> int:
         exact=args.exact,
         scheme=args.scheme,
     )
-    results = run_pipeline(cfg, args.out)
+    results = run_pipeline(cfg)
+    _write(functools.partial(io.write_outputs, cfg), results, args.out)
     failed = [r for r in results if r.error]
     for r in results:
         if r.error:
@@ -155,7 +177,7 @@ def _cmd_tomo(args, nqubits: int) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
         return EXIT_RECONSTRUCTION
-    io.save_density(rho, args.out)
+    _write(io.save_density, rho, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -169,7 +191,7 @@ def _cmd_diosi(args) -> int:
     except ReconstructionError as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
         return EXIT_RECONSTRUCTION
-    io.save_reconstruction(result, args.out)
+    _write(io.save_reconstruction, result, args.out)
     print(
         f"wrote {args.out} (residuals ab {result.residual_ab:.4f}, "
         f"bc {result.residual_bc:.4f})"
@@ -190,7 +212,10 @@ def _cmd_fidelity(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parse_args returns
+    a fresh Namespace per call and the parser holds only immutable defaults."""
     parser = argparse.ArgumentParser(
         prog="wtomo", description="Simulated W-state tomography pipeline"
     )
@@ -222,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diosi", help="whole-from-parts reconstruction")
     p.add_argument("rho_ab", help="density-matrix JSON for qubits AB")
     p.add_argument("rho_bc", help="density-matrix JSON for qubits BC")
-    p.add_argument("--eps-b", type=float, default=0.05)
+    p.add_argument("--eps-b", type=_non_negative_float, default=0.05)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_diosi)
 

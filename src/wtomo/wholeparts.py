@@ -74,6 +74,11 @@ class MarginalPair:
             out.append(rho)
         return MarginalPair(out[0], out[1], self.eps_b)
 
+    def __post_init__(self):
+        if not (np.isfinite(self.eps_b) and self.eps_b >= 0):
+            # a NaN would pass every shared-qubit consistency check
+            raise ValueError(f"eps_b must be a finite number >= 0, got {self.eps_b}")
+
 
 @dataclass(frozen=True)
 class OverlapTensors:

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from wtomo import pipeline
 from wtomo.circuits import MeasurementSetting, w_vector
-from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, main
+from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, build_parser, main
 from wtomo.io import load_density, readout_model_to_json_dict, report_csv_text, save_density
 from wtomo.linalg import flag, outer, partial_trace
 from wtomo.noise import QubitReadout, ReadoutModel
@@ -177,6 +179,15 @@ class TestBatching:
             ExperimentConfig(shots=1, trials=40, scheme="parts2q", mitigate=False),
         "shots3_trials100": ExperimentConfig(shots=3, trials=100),
     }
+    # the failure each golden run exists to cover, and the files its trial keeps;
+    # regenerated goldens must still hold both
+    FAILING_RUN_COVERS = {
+        "shots1_trials40_parts2q_nomitigate": (
+            "ValueError: calibration matrix is numerically singular",
+            ["calibration.json", "counts_3q.json", "rho_ab.json", "rho_bc.json", "rho_parts.json"],
+        ),
+        "shots3_trials100": ("TooMixedError: ", ["calibration.json", "counts_3q.json"]),
+    }
 
     @pytest.mark.parametrize("name", FAILING_RUNS)
     def test_golden_failing_run(self, name, tmp_path):
@@ -193,6 +204,9 @@ class TestBatching:
         assert sorted(files) == sorted(f"trial_{t}" for t in errors)
         for tdir, names in files.items():
             assert sorted(p.name for p in (out / tdir).iterdir()) == names, tdir
+        error, kept = self.FAILING_RUN_COVERS[name]
+        assert any(e.startswith(error) and files[f"trial_{t}"] == kept
+                   for t, e in errors.items())
 
     def test_golden_report(self):
         # report.csv of seed 1234, 20 trials, 2000 shots, both schemes, mitigated,
@@ -366,6 +380,44 @@ class TestCli:
         assert str(exc.value.code).startswith(f"cannot read {missing}: ")
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("command", ["pipeline", "tomo3q", "tomo2q", "diosi"])
+    def test_failed_write_is_reported(self, command, tmp_path):
+        # pipeline --out names an existing file; the others write into a missing directory
+        rho = outer(w_vector())
+        ab, bc = tmp_path / "ab.json", tmp_path / "bc.json"
+        save_density(partial_trace(rho, [0, 1]), ab)
+        save_density(partial_trace(rho, [1, 2]), bc)
+        scheme = two_qubit_scheme() if command == "tomo2q" else three_qubit_scheme()
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({label: {"0" * scheme.nqubits: 10}
+                                      for label in scheme.labels}))
+        taken, out = tmp_path / "taken", tmp_path / "absent" / "out.json"
+        taken.write_text("kept")
+        argv, path, code = {
+            "pipeline": (["pipeline", "--shots", "100", "--trials", "1", "--out", str(taken)],
+                         taken, errno.EEXIST),
+            "tomo3q": (["tomo3q", str(counts), "--out", str(out)], out, errno.ENOENT),
+            "tomo2q": (["tomo2q", str(counts), "--out", str(out)], out, errno.ENOENT),
+            "diosi": (["diosi", str(ab), str(bc), "--eps-b", "1e-8", "--out", str(out)],
+                      out, errno.ENOENT),
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == f"cannot write {path}: {os.strerror(code)}"
+        assert taken.read_text() == "kept" and not out.parent.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.01", "1e400"])
+    def test_diosi_rejects_eps_b_that_is_not_finite_and_non_negative(self, value, tmp_path,
+                                                                      capsys):
+        # a NaN eps_b would pass the shared-qubit consistency check
+        out = tmp_path / "psi.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["diosi", "ab.json", "bc.json", "--eps-b", value, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --eps-b: expected a finite float >= 0, got '{value}'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["tomo3q", "tomo2q"])
     @pytest.mark.parametrize("case", [
         "empty-table", "counts-not-object", "ragged-bitstrings", "short-bitstring",
@@ -472,3 +524,34 @@ class TestCli:
             main(["pipeline", "--noise", str(noise), "--out", str(tmp_path / "run")])
         assert exc.value.code == f"cannot read {noise}: noise model covers 2 qubits, not 3"
         assert not (tmp_path / "run").exists()
+
+
+class TestOneParser:
+    """main parses every argv with one parser, built on its first call."""
+
+    @pytest.fixture(scope="class")
+    def trial(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("run")
+        run_pipeline(ExperimentConfig(shots=2000, trials=1, seed=8), out)
+        return out / "trial_0"
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_valid_call_after_a_usage_error(self, trial, tmp_path):
+        counts, calib = str(trial / "counts_3q.json"), str(trial / "calibration.json")
+        rho = tmp_path / "rho.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["tomo3q", counts, "--no-correct", "--out", str(rho), "--calib"])
+        assert exc.value.code == 2
+        assert main(["tomo3q", counts, "--calib", calib, "--out", str(rho)]) == EXIT_OK
+        assert rho.read_bytes() == (trial / "rho_full.json").read_bytes()
+
+    def test_options_do_not_leak_between_calls(self, trial, tmp_path):
+        counts, calib = str(trial / "counts_3q.json"), str(trial / "calibration.json")
+        first, other, second = (tmp_path / f"{n}.json" for n in ("first", "other", "second"))
+        assert main(["tomo3q", counts, "--out", str(first)]) == EXIT_OK
+        assert main(["tomo3q", counts, "--calib", calib, "--no-correct",
+                     "--out", str(other)]) == EXIT_OK
+        assert main(["tomo3q", counts, "--out", str(second)]) == EXIT_OK
+        assert second.read_bytes() == first.read_bytes() != other.read_bytes()

@@ -52,6 +52,12 @@ class TestSinglePartyMarginals:
         with pytest.raises(InconsistentMarginalsError):
             _single_party_marginals(pair.normalized(), None)
 
+    @pytest.mark.parametrize("eps_b", [np.nan, np.inf, -0.01])
+    def test_eps_b_must_be_finite_and_non_negative(self, eps_b):
+        rho = np.diag([1.0, 0, 0, 0]).astype(complex)
+        with pytest.raises(ValueError, match="eps_b must be a finite number >= 0"):
+            MarginalPair(rho, rho, eps_b)
+
     def test_unnormalized_inputs_warn_and_renormalize(self):
         pair = marginal_pair_of(w_vector())
         scaled = MarginalPair(0.98 * pair.rho_ab, 0.98 * pair.rho_bc, 1e-6)
