@@ -22,7 +22,6 @@ from .noise import (
     ReadoutModel,
     apply_readout_noise,
     exact_probs,
-    simulate_calibration,
 )
 from .pipeline import ExperimentConfig, run_pipeline
 from .tomography import (
@@ -65,7 +64,6 @@ __all__ = [
     "reconstruct_2q",
     "reconstruct_3q",
     "run_pipeline",
-    "simulate_calibration",
     "spectral_correct",
     "three_qubit_scheme",
     "three_qubit_settings",

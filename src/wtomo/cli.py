@@ -96,6 +96,7 @@ def _cmd_pipeline(args) -> int:
         exact=args.exact,
         scheme=args.scheme,
     )
+    _write(lambda _, out: out.mkdir(parents=True, exist_ok=True), None, args.out)
     results = run_pipeline(cfg)
     _write(functools.partial(io.write_outputs, cfg), results, args.out)
     failed = [r for r in results if r.error]
@@ -151,19 +152,11 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK if ok else EXIT_FIXTURE_MISMATCH
 
 
-def _mitigation_map(path, nqubits: int) -> np.ndarray:
-    """Mitigation map of a calibration file, which must hold nqubits matrices."""
-    fs = list(io.load_calibration(path).values())
-    if len(fs) != nqubits:
-        raise ValueError(f"need {nqubits} calibration matrices, found {len(fs)}")
-    return mitigation_matrix(fs)
-
-
 def _load_tables(args, nqubits: int):
     counts, _ = _read(io.load_counts_file, args.counts)
     tables = {label: counts_to_probs(c) for label, c in counts.items()}
     if args.calib:
-        m = _read(_mitigation_map, args.calib, nqubits)
+        m = _read(lambda path: mitigation_matrix(io.load_calibration(path, nqubits)), args.calib)
         tables = {label: m @ p for label, p in tables.items()}
     return tables
 

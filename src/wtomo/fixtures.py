@@ -78,5 +78,7 @@ FIDELITY_PARTS_TOL = 0.01
 
 
 def experimental_marginals(eps_b: float = 0.05) -> MarginalPair:
-    """The two-qubit fixtures, harmonized to the three-qubit convention."""
-    return MarginalPair(_RHO_AB_PUBLISHED.T.copy(), _RHO_BC_PUBLISHED.T.copy(), eps_b)
+    """The two-qubit fixtures, harmonized to the three-qubit convention and
+    divided by their printed trace (0.98)."""
+    ab, bc = (rho.T / np.trace(rho).real for rho in (_RHO_AB_PUBLISHED, _RHO_BC_PUBLISHED))
+    return MarginalPair(ab, bc, eps_b)

@@ -132,13 +132,21 @@ def load_counts_file(path) -> tuple[dict[str, np.ndarray], dict]:
 # calibration files: {qubit label -> [[f00, f01], [f10, f11]]}
 
 
-def save_calibration(fs: list[np.ndarray], labels: list[str], path) -> None:
+def save_calibration(fs: np.ndarray, labels: list[str], path) -> None:
     _write_json(path, {label: f.tolist() for label, f in zip(labels, fs)})
 
 
-def load_calibration(path) -> dict[str, np.ndarray]:
+def load_calibration(path, nqubits: int) -> np.ndarray:
+    """The nqubits 2x2 matrices of a calibration file, in file order, as an
+    (nqubits, 2, 2) array."""
     obj = _read_object(path, "a calibration file holds a JSON object of matrices")
-    return {label: np.array(mat, dtype=float) for label, mat in obj.items()}
+    fs = [np.array(mat, dtype=float) for mat in obj.values()]
+    if len(fs) != nqubits:
+        raise ValueError(f"need {nqubits} calibration matrices, found {len(fs)}")
+    for f in fs:
+        if f.shape != (2, 2):
+            raise ValueError(f"calibration matrix must be 2x2, got {f.shape}")
+    return np.array(fs)
 
 
 # noise-model files: {"qA": {"p01": .., "p10": ..}, ...}, ordered A, B, C
@@ -208,17 +216,17 @@ def config_to_json_dict(cfg: ExperimentConfig) -> dict:
 
 
 def report_csv_text(cfg: ExperimentConfig, results: list[TrialResult]) -> str:
-    """report.csv: one row per trial, fidelities to 6 decimals."""
+    """report.csv: one row per trial, fidelities to 6 decimals. A failed trial
+    reads "error" for its shots and keeps the fidelities of the passes it
+    completed; the others are empty."""
     lines = [REPORT_HEADER]
     for r in results:
-        if r.error is not None or not r.reports:
-            lines.append(f"{r.trial_id},error,,,,")
-            continue
-        u, m = r.reports[False], r.reports[True]
-        lines.append(
-            f"{r.trial_id},{cfg.shots},{u.f_full:.6f},{m.f_full:.6f},"
-            f"{u.f_parts:.6f},{m.f_parts:.6f}"
+        u, m = (
+            (f"{p.f_full:.6f}", f"{p.f_parts:.6f}") if p is not None else ("", "")
+            for p in (r.reports.get(False), r.reports.get(True))
         )
+        shots = cfg.shots if r.error is None and r.reports else "error"
+        lines.append(f"{r.trial_id},{shots},{u[0]},{m[0]},{u[1]},{m[1]}")
     return "\n".join(lines) + "\n"
 
 
@@ -242,5 +250,5 @@ def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) 
             _write_json(tdir / "counts_3q.json", counts_file_dict(
                 r.counts, cfg.shots, [cfg.seed, r.trial_id], cfg.noise, 3
             ))
-        if r.calibration:
+        if r.calibration is not None:
             save_calibration(r.calibration, ["qA", "qB", "qC"], tdir / "calibration.json")

@@ -1,26 +1,23 @@
 """Readout-noise simulation: exact outcome probabilities, per-qubit
-confusion, finite-shot sampling, and simulated calibration runs.
+confusion and finite-shot sampling.
 
 All sampling uses numpy's PCG64 generator (``np.random.default_rng``); a
 fixed seed gives a bit-for-bit reproducible stream. In a simulated run every
 sampled circuit draws from its own stream, keyed [seed, trial, stream], so
-no two circuits of any trials share a stream.
+no two circuits of any trials share a stream. Stream j of a trial is its
+circuit j, counted across the 17 three-qubit settings, the 7 AB and 7 BC
+settings and the 6 calibration circuits, in that order (``pipeline``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .circuits import MeasurementSetting
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), stream key [seed, trial, stream]"
-
-# Stream ids within a trial: the 17 three-qubit settings are 0-16, the AB
-# and BC two-qubit settings 17-23 and 24-30, the 6 calibration circuits 31-36.
-STREAM_AB, STREAM_BC, STREAM_CALIBRATION = 17, 24, 31
 
 # ibm_osaka readout calibration for the qubit triple (q97, q98, q99) = (A, B, C)
 IBM_OSAKA_READOUT = (
@@ -114,29 +111,3 @@ def counts_to_probs(counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
     return counts / counts.sum(axis=-1, keepdims=True)
 
-
-@lru_cache(maxsize=None)
-def _calibration_dists(model: ReadoutModel) -> np.ndarray:
-    """Outcome distributions of the calibration circuits, in stream order."""
-    dists = outcome_distribution(
-        [d for q in model.qubits for d in ([1 - q.p10, q.p10], [q.p01, 1 - q.p01])]
-    )
-    dists.setflags(write=False)
-    return dists
-
-
-def simulate_calibration(
-    model: ReadoutModel, shots: int, key: tuple[int, ...]
-) -> list[np.ndarray]:
-    """Empirical calibration matrices from simulated |0>/|1> preparation runs.
-
-    Two circuits per qubit (6 for three qubits); columns are exact count
-    fractions, so each estimated matrix is column-stochastic by construction.
-    Circuit j (qubit j // 2 prepared in |j % 2>) draws from the stream
-    [*key, STREAM_CALIBRATION + j].
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    counts = sample_circuits(_calibration_dists(model), shots, key, STREAM_CALIBRATION)
-    # counts[2 qi + prep] is column prep of qubit qi's matrix
-    return list(counts.reshape(-1, 2, 2).transpose(0, 2, 1) / shots)

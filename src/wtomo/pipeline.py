@@ -1,10 +1,10 @@
 """End-to-end simulated experiment: calibration, noisy measurement of every
 setting, optional mitigation, reconstruction, and fidelity reporting.
 
-Each trial mirrors one hardware run: 6 calibration circuits, the 17
-three-qubit settings, and 7 two-qubit settings per marginal (14 circuits).
-Each sampled circuit of trial t draws from the stream keyed [seed, t,
-stream] (stream ids in ``noise``), so a fixed configuration reproduces
+Each trial mirrors one hardware run: the 17 three-qubit settings, 7
+two-qubit settings per marginal (14 circuits) and 6 calibration circuits.
+Circuit j of trial t, counted across those groups in that order, draws from
+the stream keyed [seed, t, j], so a fixed configuration reproduces
 byte-identical reports and no two circuits share a stream.
 
 The trials of a run form one batch: after sampling, every stage runs once
@@ -29,15 +29,12 @@ from .linalg import outer, partial_trace
 from .metrics import fidelity_pure
 from .mitigation import _mitigation_matrix, spectral_correct
 from .noise import (
-    STREAM_AB,
-    STREAM_BC,
     ReadoutModel,
     apply_readout_noise,
     counts_to_probs,
     exact_probs,
     outcome_distribution,
     sample_circuits,
-    simulate_calibration,
 )
 from .tomography import reconstruct_2q, reconstruct_3q
 from .wholeparts import MarginalPair, _diosi_reconstruct
@@ -77,18 +74,20 @@ class TrialResult:
     reports: dict[bool, Fidelities] = field(default_factory=dict)  # key: mitigated
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
     counts: dict[str, np.ndarray] = field(default_factory=dict)
-    calibration: list[np.ndarray] = field(default_factory=list)
+    calibration: np.ndarray | None = None  # (3, 2, 2): one matrix per qubit
     residuals: dict[str, float] = field(default_factory=dict)
     error: str | None = None
 
 
 @lru_cache(maxsize=None)
 def _noisy_probs(model: ReadoutModel | None):
-    """The W state and the noisy outcome probabilities of every setting on it.
+    """The W state and the noisy outcome probabilities of every circuit of a trial.
 
     They depend on the noise model only, not on the trial, so every trial
     shares one read-only copy. Returns (psi_w, tables, dists): tables holds
-    the exact (L, d) tables of the 3q, AB and BC settings in setting order,
+    the exact (L, d) tables of the four circuit groups, the 3q, AB and BC
+    settings in setting order and the calibration circuits (qubit A, B, C,
+    each prepared in |0> then |1>: the columns of its calibration matrix);
     dists the same tables as the sampler draws from them
     (``noise.outcome_distribution``).
     """
@@ -104,6 +103,8 @@ def _noisy_probs(model: ReadoutModel | None):
         sub = model.subset(qubits) if model is not None else None
         probs = [exact_probs(rho, s) for s in settings]
         tables.append(np.stack([p if sub is None else apply_readout_noise(p, sub) for p in probs]))
+    fs = [np.eye(2)] * 3 if model is None else [q.calibration_matrix() for q in model.qubits]
+    tables.append(np.concatenate([f.T for f in fs]))
     dists = [outcome_distribution(t) for t in tables]
     for a in (psi_w, *tables, *dists):
         a.setflags(write=False)
@@ -117,16 +118,6 @@ _LABELS_2Q = tuple(s.label for s in two_qubit_settings())
 def _by_label(labels: tuple[str, ...], p: np.ndarray) -> dict[str, np.ndarray]:
     """Stacked tables (n, L, d) as {setting label: (n, d) tables}."""
     return dict(zip(labels, p.swapaxes(0, 1)))
-
-
-def _calibrations(cfg: ExperimentConfig, key) -> list[np.ndarray]:
-    """The calibration matrices a trial mitigates with, one per qubit."""
-    model = cfg.noise
-    if model is not None and not cfg.exact:
-        return simulate_calibration(model, cfg.shots, key)
-    if model is not None:
-        return [q.calibration_matrix() for q in model.qubits]
-    return [np.eye(2) for _ in range(3)]
 
 
 def _fill(cfg, results, errors, mitigated, f_full, f_parts, matrices, recon) -> None:
@@ -147,16 +138,19 @@ def _fill(cfg, results, errors, mitigated, f_full, f_parts, matrices, recon) -> 
 
 
 def _sample(cfg: ExperimentConfig, results: list[TrialResult], dists) -> list[np.ndarray]:
-    """Sampled (n, L, d) frequency tables of the 3q, AB and BC settings.
+    """Sampled (n, L, d) counts of each circuit group of dists.
 
-    Each trial's three-qubit counts are stored in its result.
+    Circuit j of trial t, counted across the groups, draws from the stream
+    [seed, t, j]. Each trial's three-qubit counts are stored in its result.
     """
     counts = [np.empty((len(results), *d.shape), dtype=np.int64) for d in dists]
     for t, r in enumerate(results):
-        for c, dist, first in zip(counts, dists, (0, STREAM_AB, STREAM_BC)):
+        first = 0
+        for c, dist in zip(counts, dists):
             c[t] = sample_circuits(dist, cfg.shots, (cfg.seed, r.trial_id), first)
+            first += len(dist)
         r.counts = dict(zip(_LABELS_3Q, counts[0][t]))
-    return [counts_to_probs(c) for c in counts]
+    return counts
 
 
 def _reconstruct(cfg: ExperimentConfig, errors: dict, psi_w, p3, pab, pbc, eps_b: float):
@@ -179,7 +173,7 @@ def _reconstruct(cfg: ExperimentConfig, errors: dict, psi_w, p3, pab, pbc, eps_b
 def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     """Run the trials of results as one batch, filling each result in place.
 
-    Every circuit of trial t samples from its own stream [seed, t, stream];
+    Every circuit of trial t samples from its own stream [seed, t, j];
     every later stage runs once on the stack of all the trials. A failing
     trial gets its first error (see the module docstring).
     """
@@ -187,10 +181,12 @@ def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     if cfg.exact:
         measured = [np.broadcast_to(tab, (len(results), *tab.shape)) for tab in tables]
     else:
-        measured = _sample(cfg, results, dists)
-    for r in results:
-        r.calibration = _calibrations(cfg, (cfg.seed, r.trial_id))
-    f_hats = np.array([r.calibration for r in results])  # (n, 3, 2, 2)
+        measured = [counts_to_probs(c) for c in _sample(cfg, results, dists)]
+    *measured, calibration = measured
+    # row 2q + b of the calibration group is column b of qubit q's matrix
+    f_hats = calibration.reshape(len(results), 3, 2, 2).swapaxes(-1, -2)
+    for r, f in zip(results, f_hats):
+        r.calibration = f
     if cfg.exact and cfg.noise is None:
         eps_b = 1e-8
     else:

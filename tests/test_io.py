@@ -7,6 +7,7 @@ Each test writes a small fixed object, compares the file with a literal
 import json
 
 import numpy as np
+import pytest
 
 from wtomo import io
 from wtomo.noise import QubitReadout, ReadoutModel
@@ -207,8 +208,21 @@ def test_calibration_file(tmp_path):
     path = tmp_path / "calibration.json"
     io.save_calibration([f], ["qA"], path)
     assert path.read_text() == CALIBRATION_FILE
-    loaded = io.load_calibration(path)
-    assert list(loaded) == ["qA"] and np.array_equal(loaded["qA"], f)
+    assert np.array_equal(io.load_calibration(path, 1), [f])
+
+
+@pytest.mark.parametrize("matrices, message", [
+    ([[[1, 0], [0, 1]]] * 3, "need 2 calibration matrices, found 3"),
+    ([[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "must be 2x2, got \\(3, 3\\)"),
+    ([[[1, 0], [0, 1]], [1, 0]], "must be 2x2, got \\(2,\\)"),
+    ([[1, 0], [0, 1]] * 3, "need 2 calibration matrices, found 6"),
+], ids=["count", "3x3", "vector", "count-before-shape"])
+def test_calibration_file_is_checked(matrices, message, tmp_path):
+    # the qubit count first, then each matrix's shape
+    path = tmp_path / "calibration.json"
+    path.write_text(json.dumps({f"q{k}": m for k, m in enumerate(matrices)}))
+    with pytest.raises(ValueError, match=message):
+        io.load_calibration(path, 2)
 
 
 def test_noise_model_file(tmp_path):

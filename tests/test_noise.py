@@ -20,9 +20,8 @@ from wtomo.noise import (
     exact_probs,
     outcome_distribution,
     sample_circuits,
-    simulate_calibration,
 )
-from wtomo.pipeline import ExperimentConfig
+from wtomo.pipeline import ExperimentConfig, run_pipeline
 
 
 def sample_shots_per_flip(
@@ -157,24 +156,19 @@ class TestSampling:
 
 
 class TestCalibrationSimulation:
+    # the calibration matrices a sampled run estimates and mitigates with
     def test_column_stochastic_and_close_to_truth(self):
         model = ReadoutModel.ibm_osaka()
-        mats = simulate_calibration(model, 100_000, (2024, 0))
+        cfg = ExperimentConfig(shots=100_000, trials=1, seed=2024, noise=model)
+        mats = run_pipeline(cfg)[0].calibration
         assert len(mats) == 3
         for f_hat, q in zip(mats, model.qubits):
             assert np.allclose(f_hat.sum(axis=0), 1.0)
             assert np.abs(f_hat - q.calibration_matrix()).max() <= 0.01
 
     def test_deterministic(self):
-        model = ReadoutModel.ibm_osaka()
-        a = simulate_calibration(model, 1000, (5, 0))
-        b = simulate_calibration(model, 1000, (5, 0))
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
-    def test_rejects_zero_shots(self):
-        with pytest.raises(ValueError):
-            simulate_calibration(ReadoutModel.ibm_osaka(), 0, (1, 0))
+        cfg = ExperimentConfig(shots=1000, trials=1, seed=5)
+        assert np.array_equal(run_pipeline(cfg)[0].calibration, run_pipeline(cfg)[0].calibration)
 
 
 class TestCountsFile:

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wtomo import pipeline
+from wtomo import cli, pipeline
 from wtomo.circuits import MeasurementSetting, w_vector
 from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, build_parser, main
 from wtomo.io import load_density, readout_model_to_json_dict, report_csv_text, save_density
 from wtomo.linalg import flag, outer, partial_trace
-from wtomo.noise import QubitReadout, ReadoutModel
+from wtomo.noise import QubitReadout, ReadoutModel, outcome_distribution
 from wtomo.pipeline import ExperimentConfig, run_pipeline
 from wtomo.tomography import three_qubit_scheme, two_qubit_scheme
 from wtomo.wholeparts import ReconstructionError
@@ -96,8 +96,8 @@ class TestRunTrial:
 
     def test_cached_probabilities_are_read_only(self):
         psi_w, tables, dists = pipeline._noisy_probs(ReadoutModel.ibm_osaka())
-        assert [t.shape for t in tables] == [(17, 8), (7, 4), (7, 4)]
-        assert [d.shape for d in dists] == [(17, 8), (7, 4), (7, 4)]
+        assert [t.shape for t in tables] == [(17, 8), (7, 4), (7, 4), (6, 2)]
+        assert [d.shape for d in dists] == [(17, 8), (7, 4), (7, 4), (6, 2)]
         for a in (psi_w, *tables, *dists):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
@@ -155,9 +155,12 @@ class TestBatching:
         results = run_pipeline(self.CFG)
         assert [r.error for r in results] == [None, None, "ReconstructionError: injected",
                                               None, None, None]
-        assert report_csv_text(self.CFG, results).splitlines()[3] == "2,error,,,,"
         # the unmitigated pass of trial 2 ran before the failure and is kept
-        assert results[2].reports[False] == clean[2].reports[False]
+        u = clean[2].reports[False]
+        assert report_csv_text(self.CFG, results).splitlines()[3] == (
+            f"2,error,{u.f_full:.6f},,{u.f_parts:.6f},"
+        )
+        assert results[2].reports[False] == u
         assert True not in results[2].reports and not results[2].matrices
         assert np.array_equal(results[2].counts["ZZZ"], clean[2].counts["ZZZ"])
         for r, c in zip(results, clean):
@@ -248,6 +251,18 @@ class TestDeterminism:
         assert sorted(keys) == [(1234, t, s) for t in range(trials) for s in range(37)]
         states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
         assert len(states) == 37 * trials
+
+    def test_calibration_is_drawn_after_the_settings(self):
+        # calibration circuit j (qubit j // 2 prepared in |j % 2>) of trial t
+        # is circuit 31 + j, after the 17 + 7 + 7 settings: stream [seed, t, 31 + j]
+        model = ReadoutModel.ibm_osaka()
+        cfg = ExperimentConfig(shots=500, trials=3, seed=42, noise=model)
+        for t, r in enumerate(run_pipeline(cfg)):
+            for j in range(6):
+                q, prep = divmod(j, 2)
+                dist = outcome_distribution(model.qubits[q].calibration_matrix()[:, prep])
+                draw = np.random.default_rng([cfg.seed, t, 31 + j]).multinomial(cfg.shots, dist)
+                assert np.array_equal(r.calibration[q][:, prep], draw / cfg.shots), (t, j)
 
     def test_trials_are_independent_streams(self):
         results = run_pipeline(ExperimentConfig(shots=1000, trials=2, seed=5))
@@ -406,6 +421,18 @@ class TestCli:
         assert exc.value.code == f"cannot write {path}: {os.strerror(code)}"
         assert taken.read_text() == "kept" and not out.parent.exists()
 
+    def test_pipeline_checks_out_before_simulating(self, tmp_path, monkeypatch):
+        def unreachable(cfg):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(cli, "run_pipeline", unreachable)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--out", str(taken)])
+        assert exc.value.code == f"cannot write {taken}: {os.strerror(errno.EEXIST)}"
+        assert taken.read_text() == "kept"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.01", "1e400"])
     def test_diosi_rejects_eps_b_that_is_not_finite_and_non_negative(self, value, tmp_path,
                                                                       capsys):
@@ -422,6 +449,7 @@ class TestCli:
     @pytest.mark.parametrize("case", [
         "empty-table", "counts-not-object", "ragged-bitstrings", "short-bitstring",
         "not-a-bitstring", "calib-qubit-count", "calib-singular", "calib-not-object",
+        "calib-not-2x2",
     ])
     def test_malformed_input_is_reported(self, command, case, tmp_path):
         n = 3 if command == "tomo3q" else 2
@@ -440,6 +468,7 @@ class TestCli:
                 calib, json.dumps({f"q{q}": [[0.5, 0.5], [0.5, 0.5]] for q in "ABC"[:n]})
             ),
             "calib-not-object": (calib, "[[0.5, 0.5], [0.5, 0.5]]"),
+            "calib-not-2x2": (calib, json.dumps({f"q{q}": np.eye(3).tolist() for q in "ABC"[:n]})),
         }[case]
         bad.write_text(text)
         out = tmp_path / "out.json"
