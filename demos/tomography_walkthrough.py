@@ -34,9 +34,12 @@ rho = outer(psi)
 settings = three_qubit_settings()
 print(f"{len(settings)} measurement settings: {', '.join(s.label for s in settings)}\n")
 
-tables = {s.label: exact_probs(rho, s) for s in settings}
+# The data of the scheme is one (17, 8) array: row i is the outcome table of
+# setting i, in the order listed above (ZZZ first).
+tables = np.array([exact_probs(rho, s) for s in settings])
+print(f"probability tables: shape {tables.shape}, one row per setting")
 print("all-Z outcome distribution (should be 1/3 on 001, 010, 100):")
-print("  " + "  ".join(f"{p:.4f}" for p in tables["ZZZ"]) + "\n")
+print("  " + "  ".join(f"{p:.4f}" for p in tables[0]) + "\n")
 
 # 3. Reconstruct. Every element of rho is a signed linear combination of
 # outcome probabilities; with exact tables the round trip is exact.

@@ -1,4 +1,6 @@
-"""Every file wtomo reads or writes, and its format.
+"""Every file wtomo reads or writes, and its format. Inside the library a
+scheme's tables are one (L, d) array in setting order (``tomography``);
+setting labels, bitstrings and qubit names exist only in these files.
 
 JSON files are written with indent 1, sorted keys and a trailing newline.
 Complex arrays are stored as two real arrays "re" and "im" (row-major). A
@@ -22,6 +24,7 @@ import numpy as np
 from .circuits import QUBIT_NAMES
 from .linalg import HERMITICITY_TOL, is_hermitian
 from .noise import RNG_ALGORITHM, QubitReadout, ReadoutModel
+from .tomography import three_qubit_scheme, two_qubit_scheme
 
 if TYPE_CHECKING:
     from .pipeline import ExperimentConfig, TrialResult
@@ -37,12 +40,8 @@ def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
-def _read_json(path):
-    return json.loads(Path(path).read_text())
-
-
 def _read_object(path, holds: str) -> dict:
-    obj = _read_json(path)
+    obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
         raise ValueError(holds)
     return obj
@@ -86,22 +85,19 @@ def load_density(path, nqubits: int) -> np.ndarray:
 
 
 def counts_file_dict(
-    counts: dict[str, np.ndarray],
-    shots: int,
-    seed: int | list[int],
-    model: ReadoutModel | None,
-    nqubits: int,
+    counts: np.ndarray, shots: int, seed: int | list[int], model: ReadoutModel | None
 ) -> dict:
-    """Counts-file object; zero counts are left out.
+    """Counts-file object of the counts (L, d) of the three- or two-qubit
+    scheme (by d), in setting order; zero counts are left out.
 
     seed is the seed or key prefix the counts were drawn from; the pipeline
     writes its trial key [seed, trial].
     """
+    nqubits = np.shape(counts)[-1].bit_length() - 1
+    scheme = three_qubit_scheme() if nqubits == 3 else two_qubit_scheme()
     obj: dict = {}
-    for label, c in counts.items():
-        obj[label] = {
-            format(m, f"0{nqubits}b"): int(c[m]) for m in range(len(c)) if c[m]
-        }
+    for label, c in zip(scheme.labels, counts, strict=True):
+        obj[label] = {format(m, f"0{nqubits}b"): int(c[m]) for m in range(len(c)) if c[m]}
     obj["shots"] = int(shots)
     obj["seed"] = np.asarray(seed).tolist()
     obj["noise"] = readout_model_to_json_dict(model) if model is not None else None
@@ -129,18 +125,24 @@ def load_counts_file(path) -> tuple[dict[str, np.ndarray], dict]:
     return counts, meta
 
 
-# calibration files: {qubit label -> [[f00, f01], [f10, f11]]}
+# calibration files: {"qA": [[f00, f01], [f10, f11]], ...}, ordered A, B, C
 
 
-def save_calibration(fs: np.ndarray, labels: list[str], path) -> None:
-    _write_json(path, {label: f.tolist() for label, f in zip(labels, fs)})
+def save_calibration(fs: np.ndarray, path) -> None:
+    _write_json(path, {f"q{QUBIT_NAMES[i]}": f for i, f in enumerate(np.asarray(fs).tolist())})
 
 
 def load_calibration(path, nqubits: int) -> np.ndarray:
     """The nqubits 2x2 matrices of a calibration file, in file order, as an
     (nqubits, 2, 2) array."""
     obj = _read_object(path, "a calibration file holds a JSON object of matrices")
-    fs = [np.array(mat, dtype=float) for mat in obj.values()]
+    fs = []
+    for label, mat in obj.items():
+        try:
+            fs.append(np.array(mat, dtype=float))
+        except (TypeError, ValueError):  # ragged, or not numbers
+            raise ValueError(f"calibration matrix {label!r} is not a 2x2 array of numbers "
+                             "[[f00, f01], [f10, f11]]") from None
     if len(fs) != nqubits:
         raise ValueError(f"need {nqubits} calibration matrices, found {len(fs)}")
     for f in fs:
@@ -246,9 +248,9 @@ def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) 
             if name == "rho_parts":
                 obj.update(r.residuals)
             _write_json(tdir / f"{name}.json", obj)
-        if r.counts:
+        if r.counts is not None:
             _write_json(tdir / "counts_3q.json", counts_file_dict(
-                r.counts, cfg.shots, [cfg.seed, r.trial_id], cfg.noise, 3
+                r.counts, cfg.shots, [cfg.seed, r.trial_id], cfg.noise
             ))
         if r.calibration is not None:
-            save_calibration(r.calibration, ["qA", "qB", "qC"], tdir / "calibration.json")
+            save_calibration(r.calibration, tdir / "calibration.json")

@@ -40,6 +40,11 @@ def _mitigation_matrix(fs: np.ndarray, errors: dict | None) -> np.ndarray:
     return out
 
 
+def mitigate(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Tables p (..., L, d) mitigated by the maps m (..., d, d), one per stack member."""
+    return (m[..., None, :, :] @ p[..., None])[..., 0]
+
+
 def spectral_correct(rho: np.ndarray) -> np.ndarray:
     """Clamp negative eigenvalues to zero and renormalize the rest.
 

@@ -27,7 +27,7 @@ from . import io
 from .circuits import prepare_w, three_qubit_settings, two_qubit_settings
 from .linalg import outer, partial_trace
 from .metrics import fidelity_pure
-from .mitigation import _mitigation_matrix, spectral_correct
+from .mitigation import _mitigation_matrix, mitigate, spectral_correct
 from .noise import (
     ReadoutModel,
     apply_readout_noise,
@@ -73,7 +73,7 @@ class TrialResult:
     trial_id: int
     reports: dict[bool, Fidelities] = field(default_factory=dict)  # key: mitigated
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
-    counts: dict[str, np.ndarray] = field(default_factory=dict)
+    counts: np.ndarray | None = None  # (17, 8): the 3q counts in setting order
     calibration: np.ndarray | None = None  # (3, 2, 2): one matrix per qubit
     residuals: dict[str, float] = field(default_factory=dict)
     error: str | None = None
@@ -111,15 +111,6 @@ def _noisy_probs(model: ReadoutModel | None):
     return psi_w, tuple(tables), tuple(dists)
 
 
-_LABELS_3Q = tuple(s.label for s in three_qubit_settings())
-_LABELS_2Q = tuple(s.label for s in two_qubit_settings())
-
-
-def _by_label(labels: tuple[str, ...], p: np.ndarray) -> dict[str, np.ndarray]:
-    """Stacked tables (n, L, d) as {setting label: (n, d) tables}."""
-    return dict(zip(labels, p.swapaxes(0, 1)))
-
-
 def _fill(cfg, results, errors, mitigated, f_full, f_parts, matrices, recon) -> None:
     """Store one pass (mitigated or not) of a batch in its trials without an error."""
     for t, r in enumerate(results):
@@ -149,7 +140,7 @@ def _sample(cfg: ExperimentConfig, results: list[TrialResult], dists) -> list[np
         for c, dist in zip(counts, dists):
             c[t] = sample_circuits(dist, cfg.shots, (cfg.seed, r.trial_id), first)
             first += len(dist)
-        r.counts = dict(zip(_LABELS_3Q, counts[0][t]))
+        r.counts = counts[0][t]
     return counts
 
 
@@ -159,11 +150,11 @@ def _reconstruct(cfg: ExperimentConfig, errors: dict, psi_w, p3, pab, pbc, eps_b
     f_full = f_parts = nan
     matrices, recon = {}, None
     if cfg.scheme in ("full3q", "both"):
-        matrices["rho_full"] = spectral_correct(reconstruct_3q(_by_label(_LABELS_3Q, p3)))
+        matrices["rho_full"] = spectral_correct(reconstruct_3q(p3))
         f_full = fidelity_pure(psi_w, matrices["rho_full"])
     if cfg.scheme in ("parts2q", "both"):
-        rho_ab = spectral_correct(reconstruct_2q(_by_label(_LABELS_2Q, pab)))
-        rho_bc = spectral_correct(reconstruct_2q(_by_label(_LABELS_2Q, pbc)))
+        rho_ab = spectral_correct(reconstruct_2q(pab))
+        rho_bc = spectral_correct(reconstruct_2q(pbc))
         recon = _diosi_reconstruct(MarginalPair(rho_ab, rho_bc, eps_b), errors)
         matrices.update(rho_ab=rho_ab, rho_bc=rho_bc, rho_parts=recon.rho)
         f_parts = fidelity_pure(psi_w, matrices["rho_parts"])
@@ -196,10 +187,8 @@ def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     errors: dict = {}  # (t,): the first error of trial t
     for mitigated in (False, True):
         if mitigated:  # the last pass, so the unmitigated tables can go
-            measured = [
-                (_mitigation_matrix(fs, errors)[:, None] @ p[..., None])[..., 0]
-                for fs, p in zip((f_hats, f_hats[:, :2], f_hats[:, 1:]), measured)
-            ]
+            measured = [mitigate(_mitigation_matrix(fs, errors), p)
+                        for fs, p in zip((f_hats, f_hats[:, :2], f_hats[:, 1:]), measured)]
         _fill(cfg, results, errors, mitigated, *_reconstruct(cfg, errors, psi_w, *measured, eps_b))
     for (t,), exc in errors.items():
         results[t].error = f"{type(exc).__name__}: {exc}"

@@ -1,9 +1,11 @@
 """Density-matrix reconstruction from per-setting probability tables.
 
-Each scheme (L = 17 settings for three qubits, 7 for two) is derived once
-into two real arrays over the d² real parameters x of the density matrix:
-``measurement`` maps x to the L stacked outcome tables p, and
-``reconstruction`` maps p back to x. The reconstruction weights are not
+A scheme's data is one array p (..., L, d) of outcome tables, row i for
+setting i in ``scheme.settings`` order (L = 17 settings of d = 8 outcomes for
+three qubits, 7 of 4 for two); labels name the rows only in files (``io``).
+Each scheme is derived once into two real arrays over the d² real parameters
+x of the density matrix: ``measurement`` maps x to the flattened tables p,
+and ``reconstruction`` maps p back to x. The reconstruction weights are not
 hardcoded: row k is the exact linear inversion of the measurement rows of
 the settings assigned to parameter k. This makes every sign a derivation
 output, pinned by the round-trip property reconstruct(exact_probs(rho)) == rho.
@@ -128,16 +130,6 @@ def two_qubit_scheme() -> TomographyScheme:
     return derive_scheme("TwoQubit7", two_qubit_settings(), _ASSIGN_2Q)
 
 
-def _stacked_tables(scheme: TomographyScheme, tables: dict[str, np.ndarray]) -> np.ndarray:
-    dim = 2**scheme.nqubits
-    for label in scheme.labels:
-        if label not in tables:
-            raise ValueError(f"missing probability table for setting {label}")
-        if np.shape(tables[label])[-1:] != (dim,):
-            raise ValueError(f"table for {label} has wrong length")
-    return np.concatenate([tables[label] for label in scheme.labels], axis=-1)
-
-
 def _assemble(x: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian matrix (or stack of them) from the real parameters on the last axis."""
     rho = np.zeros((*x.shape[:-1], dim, dim), dtype=complex)
@@ -149,23 +141,23 @@ def _assemble(x: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def reconstruct(scheme: TomographyScheme, tables: dict[str, np.ndarray]) -> np.ndarray:
-    """Linear-inversion estimate: Hermitian, unit trace on normalized tables.
-
-    Each table may be a stack (..., d) of tables; the result is then a stack
-    (..., d, d) of estimates. The output may have negative eigenvalues before
-    spectral correction.
-    """
-    x = scheme.reconstruction @ _stacked_tables(scheme, tables)[..., None]
-    return _assemble(x[..., 0], 2**scheme.nqubits)
-
-
-def reconstruct_3q(tables: dict[str, np.ndarray]) -> np.ndarray:
-    """Three-qubit reconstruction from the 17-setting tables."""
-    return reconstruct(three_qubit_scheme(), tables)
+def reconstruct(scheme: TomographyScheme, p: np.ndarray) -> np.ndarray:
+    """Linear-inversion estimate from the tables p (..., L, d) in setting order:
+    Hermitian, unit trace on normalized tables, and possibly with negative
+    eigenvalues before spectral correction; a stack gives a stack (..., d, d)."""
+    dim = 2**scheme.nqubits
+    if np.shape(p)[-2:] != (len(scheme.settings), dim):
+        raise ValueError(f"{scheme.name} takes tables (..., {len(scheme.settings)}, {dim}) "
+                         f"in setting order, got shape {np.shape(p)}")
+    x = scheme.reconstruction @ np.reshape(p, (*np.shape(p)[:-2], -1, 1))
+    return _assemble(x[..., 0], dim)
 
 
-def reconstruct_2q(tables: dict[str, np.ndarray]) -> np.ndarray:
-    """Two-qubit reconstruction from the 7-setting tables."""
-    return reconstruct(two_qubit_scheme(), tables)
+def reconstruct_3q(p: np.ndarray) -> np.ndarray:
+    """Three-qubit reconstruction from the (..., 17, 8) tables."""
+    return reconstruct(three_qubit_scheme(), p)
 
+
+def reconstruct_2q(p: np.ndarray) -> np.ndarray:
+    """Two-qubit reconstruction from the (..., 7, 4) tables."""
+    return reconstruct(two_qubit_scheme(), p)

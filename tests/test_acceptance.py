@@ -39,10 +39,10 @@ def test_criterion_1_roundtrip_tomography():
     worst3 = worst2 = 0.0
     for _ in range(100):
         rho3 = random_density(8, rng)
-        t3 = {s.label: exact_probs(rho3, s) for s in three_qubit_settings()}
+        t3 = np.array([exact_probs(rho3, s) for s in three_qubit_settings()])
         worst3 = max(worst3, np.abs(reconstruct_3q(t3) - rho3).max())
         rho2 = random_density(4, rng)
-        t2 = {s.label: exact_probs(rho2, s) for s in two_qubit_settings()}
+        t2 = np.array([exact_probs(rho2, s) for s in two_qubit_settings()])
         worst2 = max(worst2, np.abs(reconstruct_2q(t2) - rho2).max())
     ok = worst3 <= 1e-10 and worst2 <= 1e-10
     report(

@@ -93,9 +93,9 @@ def test_reconstruct_stack(n, rng):
     scheme = three_qubit_scheme()
     p = rng.random((n, len(scheme.labels), 8))
     p /= p.sum(axis=-1, keepdims=True)
-    stacked = reconstruct_3q(dict(zip(scheme.labels, p.swapaxes(0, 1))))
+    stacked = reconstruct_3q(p)
     for k in range(n):
-        assert np.array_equal(stacked[k], reconstruct_3q(dict(zip(scheme.labels, p[k]))))
+        assert np.array_equal(stacked[k], reconstruct_3q(p[k]))
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from wtomo import io
+from wtomo.circuits import THREE_QUBIT_LABELS
 from wtomo.noise import QubitReadout, ReadoutModel
 from wtomo.pipeline import ExperimentConfig, Fidelities, TrialResult
 from wtomo.wholeparts import ReconstructionResult
@@ -137,12 +138,10 @@ METADATA_FILE = """{
 }
 """
 
-COUNTS_FILE = """{
- "ZZZ": {
-  "001": 3,
-  "100": 7
- },
- "noise": {
+# every setting's table reads {"001": 3, "100": 7}; labels sort before "noise"
+COUNTS_FILE = "{\n" + "".join(
+    f' "{label}": {{\n  "001": 3,\n  "100": 7\n }},\n' for label in sorted(THREE_QUBIT_LABELS)
+) + """ "noise": {
   "qA": {
    "p01": 0.25,
    "p10": 0.5
@@ -206,9 +205,12 @@ def test_density_file(tmp_path):
 def test_calibration_file(tmp_path):
     f = np.array([[0.75, 0.5], [0.25, 0.5]])
     path = tmp_path / "calibration.json"
-    io.save_calibration([f], ["qA"], path)
+    io.save_calibration([f], path)
     assert path.read_text() == CALIBRATION_FILE
     assert np.array_equal(io.load_calibration(path, 1), [f])
+
+
+LAYOUT = r"calibration matrix '{}' is not a 2x2 array of numbers \[\[f00, f01\], \[f10, f11\]\]"
 
 
 @pytest.mark.parametrize("matrices, message", [
@@ -216,9 +218,14 @@ def test_calibration_file(tmp_path):
     ([[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "must be 2x2, got \\(3, 3\\)"),
     ([[[1, 0], [0, 1]], [1, 0]], "must be 2x2, got \\(2,\\)"),
     ([[1, 0], [0, 1]] * 3, "need 2 calibration matrices, found 6"),
-], ids=["count", "3x3", "vector", "count-before-shape"])
+    ([[[1, 0], [0, 1]], [[0.5, 0.5], [0.5]]], LAYOUT.format("q1")),
+    ([[[1, 0], [0, 1]], "x"], LAYOUT.format("q1")),
+    ([{"a": 1}, [[1, 0], [0, 1]]], LAYOUT.format("q0")),
+    ([[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0.5, 0.5], [0.5]]], LAYOUT.format("q2")),
+], ids=["count", "3x3", "vector", "count-before-shape", "ragged", "not-numbers", "object",
+        "unreadable-before-count"])
 def test_calibration_file_is_checked(matrices, message, tmp_path):
-    # the qubit count first, then each matrix's shape
+    # each matrix is read as numbers, then the qubit count, then each matrix's shape
     path = tmp_path / "calibration.json"
     path.write_text(json.dumps({f"q{k}": m for k, m in enumerate(matrices)}))
     with pytest.raises(ValueError, match=message):
@@ -250,7 +257,7 @@ def test_run_directory(tmp_path):
         trial_id=0,
         reports={m: Fidelities(0.5, 0.75 + m / 8) for m in (False, True)},
         matrices={"rho_parts": np.diag([1.0, 0.0])},
-        counts={"ZZZ": np.array([0, 3, 0, 0, 7, 0, 0, 0])},
+        counts=np.tile([0, 3, 0, 0, 7, 0, 0, 0], (17, 1)),
         residuals=residuals,
     )
     failed = TrialResult(trial_id=1, error="ReconstructionError: x")
@@ -265,7 +272,8 @@ def test_run_directory(tmp_path):
     assert (out / "trial_0" / "rho_parts.json").read_text() == RHO_PARTS_FILE
 
     counts, meta = io.load_counts_file(out / "trial_0" / "counts_3q.json")
-    assert list(counts) == ["ZZZ"] and np.array_equal(counts["ZZZ"], good.counts["ZZZ"])
+    assert list(counts) == sorted(THREE_QUBIT_LABELS)
+    assert np.array_equal([counts[label] for label in THREE_QUBIT_LABELS], good.counts)
     assert meta["shots"] == 10 and meta["seed"] == [7, 0]
     assert io.readout_model_from_json_dict(meta["noise"]) == MODEL
     assert np.array_equal(io.load_density(out / "trial_0" / "rho_parts.json", 1), np.diag([1, 0]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,25 @@ class TestOuter:
             outer(np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             outer(np.zeros(2))
+
+    def test_equals_the_broadcast_product_bitwise(self, rng):
+        stack = rng.normal(size=(200, 8)) + 1j * rng.normal(size=(200, 8))
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        for v in (w_vector(), stack[0], stack[:, :2][7] / np.linalg.norm(stack[7, :2]), stack):
+            got = outer(v)
+            assert got.dtype == v.dtype
+            assert got.tobytes() == (v[..., :, None] * v.conj()[..., None, :]).tobytes()
+
+    def test_stack_memory_peak(self, rng):
+        # the result (200 KB) and one conjugate (25 KB); a broadcast product
+        # also allocates about 280 KB of ufunc buffers
+        stack = rng.normal(size=(200, 8)) + 1j * rng.normal(size=(200, 8))
+        stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
+        outer(stack)  # warm up
+        tracemalloc.start()
+        try:
+            outer(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300_000

@@ -133,5 +133,5 @@ class TestCalibrationIO:
         model = ReadoutModel.ibm_osaka()
         fs = [q.calibration_matrix() for q in model.qubits]
         path = tmp_path / "calib.json"
-        save_calibration(fs, ["qA", "qB", "qC"], path)
+        save_calibration(fs, path)
         assert np.array_equal(load_calibration(path, 3), fs)

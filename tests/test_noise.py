@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wtomo.circuits import MeasurementSetting, three_qubit_settings, w_vector
+from wtomo.circuits import TWO_QUBIT_LABELS, MeasurementSetting, three_qubit_settings, w_vector
 from wtomo.io import (
     counts_file_dict,
     load_counts_file,
@@ -173,24 +173,31 @@ class TestCalibrationSimulation:
 
 class TestCountsFile:
     def test_roundtrip(self, tmp_path):
-        counts = {
-            "ZZZ": np.array([0, 100, 200, 0, 300, 0, 0, 0]),
-            "XZZ": np.array([50, 50, 100, 100, 100, 100, 50, 50]),
-        }
+        counts = np.arange(17 * 8).reshape(17, 8) % 7  # a zero in every row, none all zero
         model = ReadoutModel.ibm_osaka()
-        obj = counts_file_dict(counts, 600, 1234, model, 3)
+        obj = counts_file_dict(counts, 600, 1234, model)
         path = tmp_path / "counts.json"
         path.write_text(json.dumps(obj))
         loaded, meta = load_counts_file(path)
         assert meta["shots"] == 600 and meta["seed"] == 1234
         assert meta["noise"] == readout_model_to_json_dict(model)
-        for label in counts:
-            assert np.array_equal(loaded[label], counts[label])
+        assert np.array_equal([loaded[s.label] for s in three_qubit_settings()], counts)
 
     def test_zero_counts_omitted(self):
-        obj = counts_file_dict({"ZZZ": np.array([0, 5, 0, 0, 7, 0, 0, 0])}, 12, 0, None, 3)
+        counts = np.ones((17, 8), dtype=int)
+        counts[0] = [0, 5, 0, 0, 7, 0, 0, 0]
+        obj = counts_file_dict(counts, 12, 0, None)
         assert set(obj["ZZZ"]) == {"001", "100"}
         assert obj["noise"] is None
+
+    def test_table_width_picks_the_scheme(self):
+        # (7, 4) tables are the two-qubit settings in order, with 2-bit strings
+        counts = np.arange(1, 29).reshape(7, 4)
+        obj = counts_file_dict(counts, 4, 0, None)
+        assert list(obj)[:7] == list(TWO_QUBIT_LABELS)
+        assert obj["CYZ_AB"] == {"00": 25, "01": 26, "10": 27, "11": 28}
+        with pytest.raises(ValueError):
+            counts_file_dict(np.ones((16, 8), dtype=int), 4, 0, None)
 
     @pytest.mark.parametrize("table, message", [
         ({"000": 5, "1111": 3}, "mixes bitstrings of lengths \\[3, 4\\]"),

@@ -56,8 +56,8 @@ class TestRunTrial:
         r = run_pipeline(cfg)[0]
         assert r.error is None
         assert set(r.matrices) == {"rho_full", "rho_ab", "rho_bc", "rho_parts"}
-        assert len(r.counts) == 17
-        assert all(c.sum() == 2000 for c in r.counts.values())
+        assert r.counts.shape == (17, 8)
+        assert (r.counts.sum(axis=1) == 2000).all()
         assert len(r.calibration) == 3
         for f_hat in r.calibration:
             assert np.allclose(f_hat.sum(axis=0), 1.0)
@@ -133,9 +133,7 @@ class TestBatching:
             }
             for name in r.matrices:
                 assert np.array_equal(r.matrices[name], one.matrices[name]), name
-            assert r.counts.keys() == one.counts.keys()
-            for label in r.counts:
-                assert np.array_equal(r.counts[label], one.counts[label]), label
+            assert np.array_equal(r.counts, one.counts)
             assert all(np.array_equal(a, b) for a, b in zip(r.calibration, one.calibration))
 
     def test_exact_trials_equal_a_shorter_run_bitwise(self):
@@ -162,7 +160,7 @@ class TestBatching:
         )
         assert results[2].reports[False] == u
         assert True not in results[2].reports and not results[2].matrices
-        assert np.array_equal(results[2].counts["ZZZ"], clean[2].counts["ZZZ"])
+        assert np.array_equal(results[2].counts, clean[2].counts)
         for r, c in zip(results, clean):
             if r.trial_id != 2:
                 assert r.reports == c.reports
@@ -218,6 +216,19 @@ class TestBatching:
         cfg = ExperimentConfig(shots=2000, trials=20, seed=1234, scheme="both", mitigate=True)
         assert report_csv_text(cfg, run_pipeline(cfg)) == golden.read_text()
 
+    def test_golden_run_directory(self, tmp_path):
+        # every file of a small passing run: report, metadata, and per trial the
+        # four density files, the counts file and the calibration file
+        golden = Path(__file__).parent / "data" / "golden_run_seed1234_2x2000"
+        cfg = ExperimentConfig(shots=2000, trials=2, seed=1234, scheme="both", mitigate=True)
+        out = tmp_path / "run"
+        run_pipeline(cfg, out)
+        files = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
+        assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
+        assert len(files) == 2 + 2 * 6
+        for f in files:
+            assert (out / f).read_bytes() == (golden / f).read_bytes(), f
+
 
 class TestDeterminism:
     def test_report_bytes_identical(self, tmp_path):
@@ -266,7 +277,7 @@ class TestDeterminism:
 
     def test_trials_are_independent_streams(self):
         results = run_pipeline(ExperimentConfig(shots=1000, trials=2, seed=5))
-        assert not np.array_equal(results[0].counts["ZZZ"], results[1].counts["ZZZ"])
+        assert not np.array_equal(results[0].counts[0], results[1].counts[0])
 
 
 class TestOutputs:
@@ -449,7 +460,7 @@ class TestCli:
     @pytest.mark.parametrize("case", [
         "empty-table", "counts-not-object", "ragged-bitstrings", "short-bitstring",
         "not-a-bitstring", "calib-qubit-count", "calib-singular", "calib-not-object",
-        "calib-not-2x2",
+        "calib-not-2x2", "calib-ragged", "calib-not-numbers",
     ])
     def test_malformed_input_is_reported(self, command, case, tmp_path):
         n = 3 if command == "tomo3q" else 2
@@ -469,12 +480,45 @@ class TestCli:
             ),
             "calib-not-object": (calib, "[[0.5, 0.5], [0.5, 0.5]]"),
             "calib-not-2x2": (calib, json.dumps({f"q{q}": np.eye(3).tolist() for q in "ABC"[:n]})),
+            "calib-ragged": (calib, json.dumps({"qA": good, "qB": [[0.5, 0.5], [0.5]],
+                                                "qC": good})),
+            "calib-not-numbers": (calib, json.dumps({"qA": good, "qB": "x", "qC": good})),
         }[case]
         bad.write_text(text)
         out = tmp_path / "out.json"
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc:  # a string code: exit status 1
             main([command, str(counts), "--calib", str(calib), "--out", str(out)])
         assert str(exc.value.code).startswith(f"cannot read {bad}: ")
+        if case in ("calib-ragged", "calib-not-numbers"):
+            assert str(exc.value.code).endswith(
+                ": calibration matrix 'qB' is not a 2x2 array of numbers [[f00, f01], [f10, f11]]"
+            )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["raw", "calib"])
+    @pytest.mark.parametrize("command, tables, message", [
+        ("tomo3q", {"drop": "CXXZ_BC"}, "missing probability table for setting CXXZ_BC"),
+        ("tomo3q", {"short": "ZYZ"}, "table for ZYZ has wrong length"),
+        ("tomo3q", {"short": "ZYZ", "drop": "CXXZ_BC"}, "table for ZYZ has wrong length"),
+        ("tomo2q", {"drop": "CYZ_AB"}, "missing probability table for setting CYZ_AB"),
+        ("tomo2q", {"short": "ZZ"}, "table for ZZ has wrong length"),
+    ], ids=["3q-missing", "3q-wrong-length", "3q-first-in-setting-order", "2q-missing",
+            "2q-wrong-length"])
+    def test_counts_file_without_the_scheme_tables(self, command, tables, message, calibrated,
+                                                   tmp_path, capsys):
+        # the settings are checked in setting order, after both files are read
+        scheme = three_qubit_scheme() if command == "tomo3q" else two_qubit_scheme()
+        n = scheme.nqubits
+        obj = {label: {format(m, f"0{n}b"): 10 + m for m in range(2**n)}
+               for label in scheme.labels if label != tables.get("drop")}
+        if "short" in tables:
+            obj[tables["short"]] = {"0" * (n - 1): 5, "1" * (n - 1): 5}
+        counts, calib, out = tmp_path / "counts.json", tmp_path / "calib.json", tmp_path / "o.json"
+        counts.write_text(json.dumps(obj))
+        calib.write_text(json.dumps({f"q{q}": [[0.9, 0.1], [0.1, 0.9]] for q in "ABC"[:n]}))
+        argv = [command, str(counts), "--out", str(out)] + (["--calib", str(calib)] * calibrated)
+        assert main(argv) == EXIT_RECONSTRUCTION
+        assert capsys.readouterr().err == f"reconstruction failed: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, rho, message", [

@@ -21,7 +21,7 @@ from conftest import random_density
 
 
 def tables_for(rho, settings):
-    return {s.label: exact_probs(rho, s) for s in settings}
+    return np.array([exact_probs(rho, s) for s in settings])
 
 
 def row_settings(scheme, k):
@@ -135,29 +135,33 @@ class TestRoundTrip:
 
     def test_output_hermitian_unit_trace_on_noisy_input(self, rng):
         tables = tables_for(outer(w_vector()), three_qubit_settings())
-        noisy = {l: np.clip(p + rng.normal(0, 0.01, size=8), 0, None) for l, p in tables.items()}
-        noisy = {l: p / p.sum() for l, p in noisy.items()}
-        rho = reconstruct_3q(noisy)
+        noisy = np.clip(tables + rng.normal(0, 0.01, size=tables.shape), 0, None)
+        rho = reconstruct_3q(noisy / noisy.sum(axis=-1, keepdims=True))
         assert np.abs(rho - rho.conj().T).max() <= 1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
 
     def test_missing_table_raises(self):
         tables = tables_for(outer(w_vector()), three_qubit_settings())
-        tables.pop("CXXZ_BC")
-        with pytest.raises(ValueError):
-            reconstruct_3q(tables)
+        with pytest.raises(ValueError, match=r"ThreeQubit17 takes tables \(\.\.\., 17, 8\) "
+                           r"in setting order, got shape \(16, 8\)"):
+            reconstruct_3q(tables[:16])
 
     def test_wrong_length_table_raises(self):
+        tables = tables_for(partial_trace(outer(w_vector()), [0, 1]), two_qubit_settings())
+        with pytest.raises(ValueError, match=r"TwoQubit7 takes tables \(\.\.\., 7, 4\) "
+                           r"in setting order, got shape \(3, 7, 2\)"):
+            reconstruct_2q(np.stack([tables[:, :2]] * 3))
+
+    def test_a_dict_of_tables_is_rejected(self):
         tables = tables_for(outer(w_vector()), three_qubit_settings())
-        tables["ZZZ"] = tables["ZZZ"][:4]
-        with pytest.raises(ValueError, match="table for ZZZ has wrong length"):
-            reconstruct_3q(tables)
+        labels = [s.label for s in three_qubit_settings()]
+        with pytest.raises(ValueError, match=r"got shape \(\)"):
+            reconstruct_3q(dict(zip(labels, tables)))
 
 
 def lsq_fit(scheme, tables):
     """Least-squares fit of a Hermitian matrix to every table of the scheme."""
-    p = np.concatenate([tables[label] for label in scheme.labels])
-    x, *_ = np.linalg.lstsq(scheme.measurement, p, rcond=None)
+    x, *_ = np.linalg.lstsq(scheme.measurement, tables.reshape(-1), rcond=None)
     return _assemble(x, 2**scheme.nqubits)
 
 
@@ -181,9 +185,8 @@ class TestLsqReconstruct:
     def test_output_constraints_on_noisy_data(self, rng):
         scheme = two_qubit_scheme()
         tables = tables_for(random_density(4, rng), two_qubit_settings())
-        noisy = {l: np.clip(p + rng.normal(0, 0.02, 4), 0, None) for l, p in tables.items()}
-        noisy = {l: p / p.sum() for l, p in noisy.items()}
-        rho = lsq_fit(scheme, noisy)
+        noisy = np.clip(tables + rng.normal(0, 0.02, tables.shape), 0, None)
+        rho = lsq_fit(scheme, noisy / noisy.sum(axis=-1, keepdims=True))
         assert np.abs(rho - rho.conj().T).max() <= 1e-10
         assert abs(np.trace(rho) - 1.0) <= 1e-10
 
