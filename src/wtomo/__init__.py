@@ -14,7 +14,7 @@ from .circuits import (
     two_qubit_settings,
     w_vector,
 )
-from .linalg import EigenSystem, eig_hermitian, outer, partial_trace
+from .linalg import eig_hermitian, outer, partial_trace
 from .metrics import fidelity_pure
 from .mitigation import mitigation_matrix, spectral_correct
 from .noise import (
@@ -42,7 +42,6 @@ from .wholeparts import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EigenSystem",
     "ExperimentConfig",
     "DegenerateSpectrumError",
     "MarginalPair",

@@ -73,37 +73,6 @@ def cnot_matrix(control: int, target: int, nqubits: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Gate:
-    """One circuit element: a named gate bound to register qubits."""
-
-    name: str  # I, X, H, RX, RY, CNOT
-    qubits: tuple[int, ...]
-    angle: float | None = None
-
-    def matrix(self, nqubits: int) -> np.ndarray:
-        if self.name == "CNOT":
-            return cnot_matrix(self.qubits[0], self.qubits[1], nqubits)
-        local = {
-            "I": I2,
-            "X": X,
-            "H": H,
-            "RX": rx(self.angle) if self.angle is not None else None,
-            "RY": ry(self.angle) if self.angle is not None else None,
-        }[self.name]
-        if local is None:
-            raise ValueError(f"gate {self.name} requires an angle")
-        return lift(local, self.qubits[0], nqubits)
-
-
-def circuit_unitary(gates: list[Gate], nqubits: int) -> np.ndarray:
-    """Compose a gate list in application order (first gate acts first)."""
-    u = np.eye(2**nqubits, dtype=complex)
-    for g in gates:
-        u = g.matrix(nqubits) @ u
-    return u
-
-
-@dataclass(frozen=True)
 class MeasurementSetting:
     """A pre-measurement unitary recipe: optional CNOT, then local rotations."""
 
@@ -165,31 +134,35 @@ def w_vector() -> np.ndarray:
     return v
 
 
-def w_preparation_circuit() -> list[Gate]:
-    """Exact W-state preparation from |000> with {X, RY, CNOT} gates.
+def w_preparation_circuit() -> list[np.ndarray]:
+    """Exact W-state preparation from |000> with {X, RY, CNOT} gates: the
+    nine 8x8 gate unitaries in application order (first gate acts first).
 
     The controlled-RY(pi/2) on B (control A = 0) is realized as
     RY(pi/4)·CNOT·RY(-pi/4)·CNOT inside an X-sandwich on A.
     """
     theta1 = 2 * np.arcsin(1 / np.sqrt(3))
     return [
-        Gate("RY", (0,), theta1),            # sqrt(2/3)|000> + sqrt(1/3)|100>
-        Gate("X", (0,)),
-        Gate("CNOT", (0, 2)),                # A=0 branch -> |001>
-        Gate("CNOT", (0, 1)),                # start anti-controlled RY(pi/2) on B
-        Gate("RY", (1,), -np.pi / 4),
-        Gate("CNOT", (0, 1)),
-        Gate("RY", (1,), np.pi / 4),
-        Gate("X", (0,)),
-        Gate("CNOT", (1, 2)),                # |011> -> |010>
+        lift(ry(theta1), 0, 3),         # sqrt(2/3)|000> + sqrt(1/3)|100>
+        lift(X, 0, 3),
+        cnot_matrix(0, 2, 3),           # A=0 branch -> |001>
+        cnot_matrix(0, 1, 3),           # start anti-controlled RY(pi/2) on B
+        lift(ry(-np.pi / 4), 1, 3),
+        cnot_matrix(0, 1, 3),
+        lift(ry(np.pi / 4), 1, 3),
+        lift(X, 0, 3),
+        cnot_matrix(1, 2, 3),           # |011> -> |010>
     ]
 
 
 def prepare_w() -> np.ndarray:
     """Run the preparation circuit on |000> and validate the closed form."""
+    u = np.eye(8, dtype=complex)
+    for gate in w_preparation_circuit():
+        u = gate @ u
     psi = np.zeros(8, dtype=complex)
     psi[0] = 1
-    psi = circuit_unitary(w_preparation_circuit(), 3) @ psi
+    psi = u @ psi
     overlap = abs(np.vdot(w_vector(), psi))
     if abs(overlap - 1.0) > 1e-12:
         raise RuntimeError(f"W preparation circuit failed validation: |overlap| = {overlap}")

@@ -154,7 +154,7 @@ def _cmd_fixtures(args) -> int:
 
 def _load_tables(args, nqubits: int) -> np.ndarray:
     """The counts file's (L, d) probability tables in setting order, mitigated by --calib."""
-    counts, _ = _read(io.load_counts_file, args.counts)
+    counts = _read(io.load_counts_file, args.counts)
     if args.calib:
         m = _read(lambda path: mitigation_matrix(io.load_calibration(path, nqubits)), args.calib)
     scheme = three_qubit_scheme() if nqubits == 3 else two_qubit_scheme()

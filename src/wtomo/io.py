@@ -104,10 +104,13 @@ def counts_file_dict(
     return obj
 
 
-def load_counts_file(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a counts file; returns (label -> counts array, metadata)."""
+def load_counts_file(path) -> dict[str, np.ndarray]:
+    """The tables of a counts file, label -> counts array; "shots", "seed" and
+    "noise" are not read. Every count is a non-negative JSON integer and every
+    table has a positive total."""
     obj = _read_object(path, "a counts file holds a JSON object of tables")
-    meta = {k: obj.pop(k, None) for k in ("shots", "seed", "noise")}
+    for key in ("shots", "seed", "noise"):
+        obj.pop(key, None)
     counts = {}
     for label, table in obj.items():
         if not isinstance(table, dict) or not table:
@@ -120,9 +123,14 @@ def load_counts_file(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"table {label!r} has key {bad[0]!r}, not a bitstring of 0s and 1s")
         c = np.zeros(2 ** lengths[0], dtype=int)
         for bits, v in table.items():
+            if type(v) is not int or v < 0:  # bool is an int subclass, JSON true is not
+                raise ValueError(
+                    f"table {label!r} has count {v!r} for {bits!r}, not a non-negative integer")
             c[int(bits, 2)] = v
+        if not c.any():
+            raise ValueError(f"table {label!r} has no counts")
         counts[label] = c
-    return counts, meta
+    return counts
 
 
 # calibration files: {"qA": [[f00, f01], [f10, f11]], ...}, ordered A, B, C

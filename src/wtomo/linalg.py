@@ -11,8 +11,6 @@ matrix; the result for a matrix is bitwise the same whatever stack it is in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-8
@@ -28,9 +26,9 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Whether a (every matrix of a stack) is Hermitian within tol."""
-    return np.abs(a - dagger(a)).max() <= tol
+def is_hermitian(a: np.ndarray) -> bool:
+    """Whether a (every matrix of a stack) is Hermitian within HERMITICITY_TOL."""
+    return np.abs(a - dagger(a)).max() <= HERMITICITY_TOL
 
 
 def first_true(mask: np.ndarray) -> tuple:
@@ -70,35 +68,23 @@ def outer(v: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral decomposition of a Hermitian matrix.
+def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (eigenvalues, eigenvectors) of a (nearly) Hermitian
+    matrix, as np.linalg.eigh gives it but in descending order.
 
-    eigenvalues are real and sorted descending; eigenvectors[:, i] is the
-    normalized eigenvector for eigenvalues[i].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> EigenSystem:
-    """Eigendecomposition of a (nearly) Hermitian matrix, descending order.
-
-    The input is symmetrized as (h + h†)/2 before decomposition; inputs
-    further than `tol` from Hermitian are rejected. For a stack (..., d, d)
-    eigenvalues is (..., d) and eigenvectors (..., d, d).
+    The eigenvalues are real; eigenvectors[:, i] is the normalized eigenvector
+    for eigenvalues[i]. The input is symmetrized as (h + h†)/2 before
+    decomposition; inputs further than HERMITICITY_TOL from Hermitian are
+    rejected. For a stack (..., d, d) the eigenvalues are (..., d) and the
+    eigenvectors (..., d, d).
     """
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(hermitian_part(h))
     order = np.argsort(w, axis=-1)[..., ::-1]
-    return EigenSystem(
-        eigenvalues=np.take_along_axis(w, order, -1),
-        eigenvectors=np.take_along_axis(v, order[..., None, :], -1),
-    )
+    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
 
 
 def nqubits_of(rho: np.ndarray) -> int:

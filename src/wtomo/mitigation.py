@@ -51,12 +51,11 @@ def spectral_correct(rho: np.ndarray) -> np.ndarray:
     Returns the physical (Hermitian, PSD, unit-trace) matrix rebuilt from the
     renormalized spectrum, for a matrix or each matrix of a stack. Idempotent.
     """
-    es = eig_hermitian(rho)  # rejects a matrix that is not Hermitian
-    w = np.clip(es.eigenvalues, 0.0, None)
+    w, v = eig_hermitian(rho)  # rejects a matrix that is not Hermitian
+    w = np.clip(w, 0.0, None)
     total = w.sum(axis=-1, keepdims=True)
     if (total <= 0).any():
         raise ValueError("no positive eigenvalues; cannot correct to a state")
     w /= total
-    v = es.eigenvectors
     vw = v * w[..., None, :]
     return vw @ np.conj(v, out=v).swapaxes(-1, -2)  # conjugated in place: one stack less

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from . import io
 from .circuits import prepare_w, three_qubit_settings, two_qubit_settings
 from .linalg import outer, partial_trace
 from .metrics import fidelity_pure
@@ -194,10 +192,9 @@ def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
         results[t].error = f"{type(exc).__name__}: {exc}"
 
 
-def run_pipeline(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[TrialResult]:
-    """All trials as one batch (see the module docstring)."""
+def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
+    """All trials as one batch (see the module docstring); ``io.write_outputs``
+    writes them as a run directory."""
     results = [TrialResult(trial_id=t) for t in range(cfg.trials)]
     _run_batch(cfg, results)
-    if out_dir is not None:
-        io.write_outputs(cfg, results, Path(out_dir))
     return results

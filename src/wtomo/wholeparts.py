@@ -146,16 +146,17 @@ def _single_party_marginals(pair: MarginalPair, errors) -> tuple[np.ndarray, ...
     return rho_a, rho_b, rho_c
 
 
-def _top2(es, label: str, truncation: dict, errors) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the top-2 eigenpairs, renormalize kept mass to 1."""
-    w = np.clip(es.eigenvalues, 0.0, None)
+def _top2(rho: np.ndarray, label: str, truncation: dict, errors) -> tuple[np.ndarray, ...]:
+    """Keep the top-2 eigenpairs of rho, renormalize kept mass to 1."""
+    w, v = eig_hermitian(rho)
+    w = np.clip(w, 0.0, None)
     kept = w[..., :2].sum(axis=-1)
     truncation[label] = _scalar(np.maximum(0.0, w.sum(axis=-1) - kept))
     flag(errors, kept < MIN_KEPT_MASS, lambda k: TooMixedError(
         f"{label}: kept spectral mass {kept[k]:.3f} < {MIN_KEPT_MASS}; "
         "input too mixed for a pure-state hypothesis"
     ))
-    return w[..., :2] / kept[..., None], es.eigenvectors[..., :2]
+    return w[..., :2] / kept[..., None], v[..., :2]
 
 
 def _overlaps(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -180,11 +181,11 @@ def _purify_structures(pair: MarginalPair, errors) -> OverlapTensors:
     """
     rho_a, rho_b, rho_c = _single_party_marginals(pair, errors)
     truncation: dict = {}
-    lam_a, vec_a = _top2(eig_hermitian(rho_a), "rho_a", truncation, errors)
-    lam_c, vec_c = _top2(eig_hermitian(rho_c), "rho_c", truncation, errors)
-    _, vec_b = _top2(eig_hermitian(rho_b), "rho_b", truncation, errors)
-    _, vec_bc = _top2(eig_hermitian(pair.rho_bc), "rho_bc", truncation, errors)
-    _, vec_ab = _top2(eig_hermitian(pair.rho_ab), "rho_ab", truncation, errors)
+    lam_a, vec_a = _top2(rho_a, "rho_a", truncation, errors)
+    lam_c, vec_c = _top2(rho_c, "rho_c", truncation, errors)
+    _, vec_b = _top2(rho_b, "rho_b", truncation, errors)
+    _, vec_bc = _top2(pair.rho_bc, "rho_bc", truncation, errors)
+    _, vec_ab = _top2(pair.rho_ab, "rho_ab", truncation, errors)
     vec_a, vec_b, vec_c, vec_bc, vec_ab = map(
         _fix_column_gauge, (vec_a, vec_b, vec_c, vec_bc, vec_ab)
     )

@@ -15,6 +15,7 @@ from wtomo.circuits import (
     two_qubit_settings,
     w_vector,
 )
+from wtomo.io import write_outputs
 from wtomo.linalg import outer, partial_trace
 from wtomo.metrics import fidelity_pure
 from wtomo.mitigation import mitigation_matrix, spectral_correct
@@ -194,8 +195,8 @@ def test_criterion_8_w_state_preparation():
 
 def test_criterion_9_deterministic_reports(tmp_path):
     cfg = ExperimentConfig(shots=5000, trials=3, seed=777)
-    run_pipeline(cfg, tmp_path / "a")
-    run_pipeline(cfg, tmp_path / "b")
+    write_outputs(cfg, run_pipeline(cfg), tmp_path / "a")
+    write_outputs(cfg, run_pipeline(cfg), tmp_path / "b")
     a = (tmp_path / "a" / "report.csv").read_bytes()
     b = (tmp_path / "b" / "report.csv").read_bytes()
     ok = a == b

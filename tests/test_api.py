@@ -1,18 +1,31 @@
-"""The public API carries no name that only tests use."""
+"""The public API carries no name, and no parameter with a default, that only
+tests use."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import wtomo
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "demos", "perfbench")
+INIT = ROOT / "src" / "wtomo" / "__init__.py"
 
 
-def used_names(path: Path) -> set[str]:
+def caller_trees() -> list[ast.AST]:
+    """The parsed modules of CALLER_DIRS, except the package's __init__."""
+    return [
+        ast.parse(path.read_text(), filename=str(path))
+        for d in CALLER_DIRS
+        for path in sorted((ROOT / d).rglob("*.py"))
+        if path != INIT
+    ]
+
+
+def used_names(tree: ast.AST) -> set[str]:
     """Every identifier a module uses as a name, an attribute or an import."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -22,11 +35,41 @@ def used_names(path: Path) -> set[str]:
     return names
 
 
+def passed_parameters(tree: ast.AST, name: str, params: list[str]) -> set[str]:
+    """The params that some call of name (a bare name or an attribute) in a
+    module passes, by keyword or by position; *args and **kwargs pass every
+    parameter they could reach."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", None) != name and getattr(func, "attr", None) != name:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        passed.update(params if starred else params[:len(node.args)])
+        for kw in node.keywords:
+            passed.update(params if kw.arg is None else {kw.arg})
+    return passed
+
+
 def test_every_public_name_has_a_caller():
-    init = ROOT / "src" / "wtomo" / "__init__.py"
-    used = set()
-    for d in CALLER_DIRS:
-        for path in sorted((ROOT / d).rglob("*.py")):
-            if path != init:
-                used |= used_names(path)
+    used = set().union(*map(used_names, caller_trees()))
     assert sorted(set(wtomo.__all__) - used) == []
+
+
+def test_every_public_default_has_a_caller():
+    trees = caller_trees()
+    unused = []
+    for name in wtomo.__all__:
+        func = getattr(wtomo, name)
+        if not inspect.isfunction(func):
+            continue
+        params = inspect.signature(func).parameters
+        passed = set().union(*(passed_parameters(t, name, list(params)) for t in trees))
+        unused += [
+            f"{name}.{p.name}"
+            for p in params.values()
+            if p.default is not p.empty and p.name not in passed
+        ]
+    assert unused == []

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wtomo.circuits import (
-    Gate,
     H,
     I2,
     MeasurementSetting,
@@ -43,11 +42,6 @@ class TestGates:
             cnot_matrix(0, 0, 2)
         with pytest.raises(ValueError):
             cnot_matrix(0, 3, 2)
-
-    def test_gate_matrix_requires_angle(self):
-        with pytest.raises(ValueError):
-            Gate("RX", (0,)).matrix(1)
-
 
 class TestSettings:
     def test_labels_unique_and_fixed(self):

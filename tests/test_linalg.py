@@ -5,7 +5,6 @@ import pytest
 
 from wtomo.circuits import H, I2, cnot_matrix, w_vector
 from wtomo.linalg import (
-    EigenSystem,
     eig_hermitian,
     outer,
     partial_trace,
@@ -80,15 +79,15 @@ class TestKron:
 
 class TestEigHermitian:
     def test_diagonal(self):
-        es = eig_hermitian(np.diag([2 / 3, 1 / 3]).astype(complex))
-        assert np.allclose(es.eigenvalues, [2 / 3, 1 / 3])
-        assert np.allclose(np.abs(es.eigenvectors), np.eye(2))
+        w, v = eig_hermitian(np.diag([2 / 3, 1 / 3]).astype(complex))
+        assert np.allclose(w, [2 / 3, 1 / 3])
+        assert np.allclose(np.abs(v), np.eye(2))
 
     def test_pauli_x(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        es = eig_hermitian(x)
-        assert np.allclose(es.eigenvalues, [1, -1])
-        for col, lam in zip(es.eigenvectors.T, es.eigenvalues):
+        w, v = eig_hermitian(x)
+        assert np.allclose(w, [1, -1])
+        for col, lam in zip(v.T, w):
             assert np.allclose(x @ col, lam * col)
 
     def test_w_marginal_spectrum(self):
@@ -96,18 +95,17 @@ class TestEigHermitian:
         rho_w = np.outer(w_vector(), w_vector().conj())
         rho_ab = brute_partial_trace(rho_w, [0, 1], 3)
         char_roots = np.sort(np.real(np.roots(np.poly(rho_ab))))[::-1]
-        es = eig_hermitian(rho_ab)
-        assert np.allclose(es.eigenvalues, char_roots, atol=1e-9)
-        assert np.allclose(es.eigenvalues, [2 / 3, 1 / 3, 0, 0], atol=1e-9)
+        w, _ = eig_hermitian(rho_ab)
+        assert np.allclose(w, char_roots, atol=1e-9)
+        assert np.allclose(w, [2 / 3, 1 / 3, 0, 0], atol=1e-9)
 
     def test_reconstruction_and_orthonormality(self, rng):
         for dim in (2, 4, 8):
             h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             h = (h + h.conj().T) / 2
-            es = eig_hermitian(h)
-            v, w = es.eigenvectors, es.eigenvalues
+            w, v = eig_hermitian(h)
             assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-9
-            gram = es.eigenvectors.conj().T @ es.eigenvectors
+            gram = v.conj().T @ v
             assert np.abs(gram - np.eye(dim)).max() <= 1e-10
 
     def test_rejects_non_hermitian(self):

@@ -178,9 +178,10 @@ class TestCountsFile:
         obj = counts_file_dict(counts, 600, 1234, model)
         path = tmp_path / "counts.json"
         path.write_text(json.dumps(obj))
-        loaded, meta = load_counts_file(path)
-        assert meta["shots"] == 600 and meta["seed"] == 1234
-        assert meta["noise"] == readout_model_to_json_dict(model)
+        assert obj["shots"] == 600 and obj["seed"] == 1234
+        assert obj["noise"] == readout_model_to_json_dict(model)
+        loaded = load_counts_file(path)  # the reader skips shots, seed and noise
+        assert set(loaded) == {s.label for s in three_qubit_settings()}
         assert np.array_equal([loaded[s.label] for s in three_qubit_settings()], counts)
 
     def test_zero_counts_omitted(self):
@@ -204,7 +205,16 @@ class TestCountsFile:
         ({"000": 5, "11": 3}, "mixes bitstrings of lengths \\[2, 3\\]"),
         ({"000": 5, "012": 3}, "has key '012', not a bitstring"),
         ({"": 5}, "has key '', not a bitstring"),
-    ], ids=["longer", "shorter", "not-binary", "empty-key"])
+        ({"000": -50, "001": 60}, "has count -50 for '000', not a non-negative integer"),
+        ({"000": 5, "001": 2.7}, "has count 2.7 for '001', not a non-negative integer"),
+        ({"000": 5, "001": 2.0}, "has count 2.0 for '001', not a non-negative integer"),
+        ({"000": True}, "has count True for '000', not a non-negative integer"),
+        ({"000": "5"}, "has count '5' for '000', not a non-negative integer"),
+        ({"000": None}, "has count None for '000', not a non-negative integer"),
+        ({"000": 0, "101": 0}, "has no counts"),
+    ], ids=["longer", "shorter", "not-binary", "empty-key", "negative-count",
+            "fractional-count", "float-count", "bool-count", "string-count", "null-count",
+            "zero-sum"])
     def test_malformed_bitstrings_name_the_table(self, table, message, tmp_path):
         path = tmp_path / "counts.json"
         path.write_text(json.dumps({"ZZZ": {"000": 1}, "XZZ": table}))

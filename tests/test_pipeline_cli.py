@@ -10,7 +10,13 @@ import pytest
 from wtomo import cli, pipeline
 from wtomo.circuits import MeasurementSetting, w_vector
 from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, build_parser, main
-from wtomo.io import load_density, readout_model_to_json_dict, report_csv_text, save_density
+from wtomo.io import (
+    load_density,
+    readout_model_to_json_dict,
+    report_csv_text,
+    save_density,
+    write_outputs,
+)
 from wtomo.linalg import flag, outer, partial_trace
 from wtomo.noise import QubitReadout, ReadoutModel, outcome_distribution
 from wtomo.pipeline import ExperimentConfig, run_pipeline
@@ -197,7 +203,8 @@ class TestBatching:
         # as written before failing trials were flagged inside the batch
         golden = Path(__file__).parent / "data" / "failing_runs" / name
         out = tmp_path / "run"
-        run_pipeline(self.FAILING_RUNS[name], out)
+        cfg = self.FAILING_RUNS[name]
+        write_outputs(cfg, run_pipeline(cfg), out)
         for f in ("report.csv", "run_metadata.json"):
             assert (out / f).read_text() == (golden / f).read_text(), f
         files = json.loads((golden / "failed_trial_files.json").read_text())
@@ -222,7 +229,7 @@ class TestBatching:
         golden = Path(__file__).parent / "data" / "golden_run_seed1234_2x2000"
         cfg = ExperimentConfig(shots=2000, trials=2, seed=1234, scheme="both", mitigate=True)
         out = tmp_path / "run"
-        run_pipeline(cfg, out)
+        write_outputs(cfg, run_pipeline(cfg), out)
         files = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
         assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
         assert len(files) == 2 + 2 * 6
@@ -233,8 +240,8 @@ class TestBatching:
 class TestDeterminism:
     def test_report_bytes_identical(self, tmp_path):
         cfg = ExperimentConfig(shots=3000, trials=2, seed=99)
-        run_pipeline(cfg, tmp_path / "a")
-        run_pipeline(cfg, tmp_path / "b")
+        write_outputs(cfg, run_pipeline(cfg), tmp_path / "a")
+        write_outputs(cfg, run_pipeline(cfg), tmp_path / "b")
         a = (tmp_path / "a" / "report.csv").read_bytes()
         b = (tmp_path / "b" / "report.csv").read_bytes()
         assert a == b
@@ -283,7 +290,8 @@ class TestDeterminism:
 class TestOutputs:
     def test_output_tree(self, tmp_path):
         out = tmp_path / "run"
-        run_pipeline(ExperimentConfig(shots=1500, trials=2, seed=3), out)
+        cfg = ExperimentConfig(shots=1500, trials=2, seed=3)
+        write_outputs(cfg, run_pipeline(cfg), out)
         assert (out / "report.csv").exists()
         meta = json.loads((out / "run_metadata.json").read_text())
         assert meta["config"]["shots"] == 1500
@@ -297,7 +305,8 @@ class TestOutputs:
 
     def test_report_header(self, tmp_path):
         out = tmp_path / "run"
-        run_pipeline(ExperimentConfig(shots=1000, trials=1), out)
+        cfg = ExperimentConfig(shots=1000, trials=1)
+        write_outputs(cfg, run_pipeline(cfg), out)
         first = (out / "report.csv").read_text().splitlines()[0]
         assert first == (
             "trial,shots,f_full_unmitigated,f_full_mitigated,"
@@ -306,7 +315,8 @@ class TestOutputs:
 
     def test_saved_marginals_consistent_with_parts(self, tmp_path):
         out = tmp_path / "run"
-        run_pipeline(ExperimentConfig(shots=20000, trials=1, seed=11), out)
+        cfg = ExperimentConfig(shots=20000, trials=1, seed=11)
+        write_outputs(cfg, run_pipeline(cfg), out)
         rho_parts = load_density(out / "trial_0" / "rho_parts.json", 3)
         rho_ab = load_density(out / "trial_0" / "rho_ab.json", 2)
         assert np.abs(partial_trace(rho_parts, [0, 1]) - rho_ab).max() <= 0.1
@@ -342,7 +352,8 @@ class TestCli:
 
     def test_tomo3q_roundtrip(self, tmp_path, capsys):
         run_out = tmp_path / "run"
-        run_pipeline(ExperimentConfig(shots=20000, trials=1, seed=21), run_out)
+        cfg = ExperimentConfig(shots=20000, trials=1, seed=21)
+        write_outputs(cfg, run_pipeline(cfg), run_out)
         rho_file = tmp_path / "rho.json"
         rc = main([
             "tomo3q", str(run_out / "trial_0" / "counts_3q.json"),
@@ -495,6 +506,23 @@ class TestCli:
             )
         assert not out.exists()
 
+    @pytest.mark.parametrize("table, message", [
+        ({"000": -50, "001": 60}, "has count -50 for '000', not a non-negative integer"),
+        ({"000": 50, "001": 2.7}, "has count 2.7 for '001', not a non-negative integer"),
+        ({"000": 0}, "has no counts"),
+    ], ids=["negative", "fractional", "zero-sum"])
+    def test_counts_that_are_not_a_sample_are_reported(self, table, message, tmp_path):
+        # a complete 17-table file in which one table is no sample of shots;
+        # a zero-sum table once ended in a 0/0 RuntimeWarning and exit 3
+        obj = {label: {"000": 10, "111": 5} for label in three_qubit_scheme().labels}
+        obj["XZZ"] = table
+        counts, out = tmp_path / "counts.json", tmp_path / "out.json"
+        counts.write_text(json.dumps(obj))
+        with pytest.raises(SystemExit) as exc:  # a string code: exit status 1
+            main(["tomo3q", str(counts), "--out", str(out)])
+        assert exc.value.code == f"cannot read {counts}: table 'XZZ' {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("calibrated", [False, True], ids=["raw", "calib"])
     @pytest.mark.parametrize("command, tables, message", [
         ("tomo3q", {"drop": "CXXZ_BC"}, "missing probability table for setting CXXZ_BC"),
@@ -605,7 +633,8 @@ class TestOneParser:
     @pytest.fixture(scope="class")
     def trial(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("run")
-        run_pipeline(ExperimentConfig(shots=2000, trials=1, seed=8), out)
+        cfg = ExperimentConfig(shots=2000, trials=1, seed=8)
+        write_outputs(cfg, run_pipeline(cfg), out)
         return out / "trial_0"
 
     def test_parser_is_built_once(self):

@@ -85,7 +85,7 @@ class TestPurifyStructures:
         for _ in range(20):
             pair = marginal_pair_of(random_gapped_pure(rng)).normalized()
             a, b, c, ab, bc = (
-                np.column_stack([_fix_vector_gauge(v) for v in eig_hermitian(rho).eigenvectors[:, :2].T])
+                np.column_stack([_fix_vector_gauge(v) for v in eig_hermitian(rho)[1][:, :2].T])
                 for rho in (*_single_party_marginals(pair, None), pair.rho_ab, pair.rho_bc)
             )
             t = _purify_structures(pair, None)
