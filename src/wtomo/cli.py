@@ -28,10 +28,10 @@ from . import fixtures, io
 from .circuits import w_vector
 from .metrics import fidelity_pure
 from .mitigation import mitigate, mitigation_matrix, spectral_correct
-from .noise import ReadoutModel, counts_to_probs
+from .noise import MAX_SHOTS, ReadoutModel, counts_to_probs
 from .pipeline import ExperimentConfig, run_pipeline
 from .tomography import reconstruct_2q, reconstruct_3q, three_qubit_scheme, two_qubit_scheme
-from .wholeparts import MarginalPair, ReconstructionError, diosi_reconstruct
+from .wholeparts import TRACE_TOL, MarginalPair, ReconstructionError, diosi_reconstruct
 
 EXIT_OK = 0
 EXIT_FIXTURE_MISMATCH = 2
@@ -63,13 +63,15 @@ def _parse_noise(spec: str) -> ReadoutModel | None:
     return _read(io.load_readout_model, spec, 3)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than low and, given high, no larger."""
 
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
         if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {high}, got {text!r}")
         return value
 
     return integer
@@ -182,9 +184,15 @@ def _cmd_tomo(args, nqubits: int) -> int:
 
 
 def _cmd_diosi(args) -> int:
-    rho_ab = _read(io.load_density, args.rho_ab, 2)
-    rho_bc = _read(io.load_density, args.rho_bc, 2)
-    pair = MarginalPair(rho_ab, rho_bc, args.eps_b)
+    rhos = []
+    for path in (args.rho_ab, args.rho_bc):
+        rho = _read(io.load_density, path, 2)
+        tr = np.trace(rho).real
+        if abs(tr - 1.0) > TRACE_TOL:  # as MarginalPair would, but without its warning
+            print(f"{path} has trace {tr:.4f}; renormalizing to 1", file=sys.stderr)
+            rho = rho / tr
+        rhos.append(rho)
+    pair = MarginalPair(*rhos, args.eps_b)
     try:
         result = diosi_reconstruct(pair)
     except ReconstructionError as exc:
@@ -221,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pipeline", help="run the simulated experiment")
-    p.add_argument("--shots", type=_int_at_least(1), default=20000)
-    p.add_argument("--trials", type=_int_at_least(1), default=5)
-    p.add_argument("--seed", type=_int_at_least(0), default=1234)
+    p.add_argument("--shots", type=_int_in(1, MAX_SHOTS), default=20000)
+    p.add_argument("--trials", type=_int_in(1), default=5)
+    p.add_argument("--seed", type=_int_in(0), default=1234)
     p.add_argument("--noise", default="table3", help='noise file, "table3" or "none"')
     p.add_argument("--mitigate", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--exact", action="store_true", help="analytic probabilities, no sampling")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuits import QUBIT_NAMES
 from .linalg import HERMITICITY_TOL, is_hermitian
-from .noise import RNG_ALGORITHM, QubitReadout, ReadoutModel
+from .noise import MAX_SHOTS, RNG_ALGORITHM, QubitReadout, ReadoutModel
 from .tomography import three_qubit_scheme, two_qubit_scheme
 
 if TYPE_CHECKING:
@@ -106,8 +106,8 @@ def counts_file_dict(
 
 def load_counts_file(path) -> dict[str, np.ndarray]:
     """The tables of a counts file, label -> counts array; "shots", "seed" and
-    "noise" are not read. Every count is a non-negative JSON integer and every
-    table has a positive total."""
+    "noise" are not read. Every count is a non-negative JSON integer of at
+    most ``MAX_SHOTS`` and every table has a positive total."""
     obj = _read_object(path, "a counts file holds a JSON object of tables")
     for key in ("shots", "seed", "noise"):
         obj.pop(key, None)
@@ -126,6 +126,9 @@ def load_counts_file(path) -> dict[str, np.ndarray]:
             if type(v) is not int or v < 0:  # bool is an int subclass, JSON true is not
                 raise ValueError(
                     f"table {label!r} has count {v!r} for {bits!r}, not a non-negative integer")
+            if v > MAX_SHOTS:  # more than an int64 holds
+                raise ValueError(
+                    f"table {label!r} has count {v} for {bits!r}, more than {MAX_SHOTS}")
             c[int(bits, 2)] = v
         if not c.any():
             raise ValueError(f"table {label!r} has no counts")

@@ -2,11 +2,10 @@
 confusion and finite-shot sampling.
 
 All sampling uses numpy's PCG64 generator (``np.random.default_rng``); a
-fixed seed gives a bit-for-bit reproducible stream. In a simulated run every
-sampled circuit draws from its own stream, keyed [seed, trial, stream], so
-no two circuits of any trials share a stream. Stream j of a trial is its
-circuit j, counted across the 17 three-qubit settings, the 7 AB and 7 BC
-settings and the 6 calibration circuits, in that order (``pipeline``).
+fixed seed gives a bit-for-bit reproducible stream. In a simulated run
+circuit j of trial t is row j of the trial's zero-padded (37, 8) table
+(``pipeline.LAYOUT``) and draws from its own stream, keyed [seed, t, j], over
+its own outcomes only (``sample_counts``), so no two circuits share a stream.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import numpy as np
 from .circuits import MeasurementSetting
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng), stream key [seed, trial, stream]"
+MAX_SHOTS = 2**63 - 1  # numpy's multinomial takes shots as an int64
 
 # ibm_osaka readout calibration for the qubit triple (q97, q98, q99) = (A, B, C)
 IBM_OSAKA_READOUT = (
@@ -93,17 +93,17 @@ def outcome_distribution(p: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def sample_circuits(
-    dists: np.ndarray, shots: int, key: tuple[int, ...], first_stream: int
+def sample_counts(
+    dist: np.ndarray, widths: list[int], shots: int, seed: int, trials: list[int]
 ) -> np.ndarray:
-    """Counts of one circuit per row of dists (from outcome_distribution).
-
-    Row j draws from the stream [*key, first_stream + j].
-    """
-    return np.stack([
-        np.random.default_rng([*key, first_stream + j]).multinomial(shots, p)
-        for j, p in enumerate(dists)
-    ])
+    """Counts (T, R, D) of the trials' circuits, one per row of dist (R, D):
+    circuit j of trial t draws shots from the stream [seed, t, j] over the first
+    widths[j] outcomes of dist[j] only, so the zero padding past them stays 0."""
+    counts = np.zeros((len(trials), *dist.shape), dtype=np.int64)
+    for c, t in zip(counts, trials):
+        for j, w in enumerate(widths):
+            c[j, :w] = np.random.default_rng([seed, t, j]).multinomial(shots, dist[j, :w])
+    return counts
 
 
 def counts_to_probs(counts: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 setting, optional mitigation, reconstruction, and fidelity reporting.
 
 Each trial mirrors one hardware run: the 17 three-qubit settings, 7
-two-qubit settings per marginal (14 circuits) and 6 calibration circuits.
-Circuit j of trial t, counted across those groups in that order, draws from
-the stream keyed [seed, t, j], so a fixed configuration reproduces
-byte-identical reports and no two circuits share a stream.
+two-qubit settings per marginal (14 circuits) and 6 calibration circuits,
+the 37 rows of one zero-padded (37, 8) table (``LAYOUT``). Circuit j of
+trial t is row j of that table and draws from the stream keyed [seed, t, j]
+over its own outcomes (``noise.sample_counts``), so a fixed configuration
+reproduces byte-identical reports and no two circuits share a stream.
 
 The trials of a run form one batch: after sampling, every stage runs once
 on stacks with a leading trial axis; a trial's result is bitwise the same in
@@ -27,15 +28,28 @@ from .linalg import outer, partial_trace
 from .metrics import fidelity_pure
 from .mitigation import _mitigation_matrix, mitigate, spectral_correct
 from .noise import (
+    MAX_SHOTS,
     ReadoutModel,
     apply_readout_noise,
     counts_to_probs,
     exact_probs,
     outcome_distribution,
-    sample_circuits,
+    sample_counts,
 )
 from .tomography import reconstruct_2q, reconstruct_3q
 from .wholeparts import MarginalPair, _diosi_reconstruct
+
+
+# A trial's circuit groups in stream order, as (rows of its (37, 8) table,
+# outcomes per circuit, measured qubits): the 3q, AB and BC settings in setting
+# order, then qubit A, B, C each prepared in |0> then |1> and read alone.
+LAYOUT = (
+    (slice(0, 17), 8, (0, 1, 2)),
+    (slice(17, 24), 4, (0, 1)),
+    (slice(24, 31), 4, (1, 2)),
+    (slice(31, 37), 2, (0, 1, 2)),
+)
+WIDTHS = [width for rows, width, _ in LAYOUT for _ in range(rows.start, rows.stop)]
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1 or self.shots < 1:
             raise ValueError("trials and shots must be >= 1")
+        if self.shots > MAX_SHOTS:
+            raise ValueError(f"shots must be <= {MAX_SHOTS} (2**63 - 1)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.scheme not in ("full3q", "parts2q", "both"):
@@ -82,31 +98,30 @@ def _noisy_probs(model: ReadoutModel | None):
     """The W state and the noisy outcome probabilities of every circuit of a trial.
 
     They depend on the noise model only, not on the trial, so every trial
-    shares one read-only copy. Returns (psi_w, tables, dists): tables holds
-    the exact (L, d) tables of the four circuit groups, the 3q, AB and BC
-    settings in setting order and the calibration circuits (qubit A, B, C,
-    each prepared in |0> then |1>: the columns of its calibration matrix);
-    dists the same tables as the sampler draws from them
-    (``noise.outcome_distribution``).
+    shares one read-only copy. Returns (psi_w, table, dist): table holds the
+    exact probabilities of the circuits of ``LAYOUT``, one row each, padded
+    with zeros to (37, 8); dist the same rows as the sampler draws from them
+    (``noise.outcome_distribution`` of each group at its own width).
     """
     psi_w = prepare_w()
     rho_w = outer(psi_w)
-    tables = []
-    for qubits, settings in (
-        ([0, 1, 2], three_qubit_settings()),
-        ([0, 1], two_qubit_settings()),
-        ([1, 2], two_qubit_settings()),
-    ):
-        rho = partial_trace(rho_w, qubits)
-        sub = model.subset(qubits) if model is not None else None
-        probs = [exact_probs(rho, s) for s in settings]
-        tables.append(np.stack([p if sub is None else apply_readout_noise(p, sub) for p in probs]))
-    fs = [np.eye(2)] * 3 if model is None else [q.calibration_matrix() for q in model.qubits]
-    tables.append(np.concatenate([f.T for f in fs]))
-    dists = [outcome_distribution(t) for t in tables]
-    for a in (psi_w, *tables, *dists):
+    table, dist = np.zeros((2, len(WIDTHS), 8))
+    for rows, width, qubits in LAYOUT:
+        if width == 2:  # calibration: the columns of each qubit's matrix
+            table[rows, :width] = np.concatenate([
+                np.eye(2) if model is None else model.qubits[q].calibration_matrix().T
+                for q in qubits])
+        else:
+            rho = partial_trace(rho_w, qubits)
+            settings = three_qubit_settings() if width == 8 else two_qubit_settings()
+            probs = [exact_probs(rho, s) for s in settings]
+            if model is not None:
+                probs = [apply_readout_noise(p, model.subset(qubits)) for p in probs]
+            table[rows, :width] = probs
+        dist[rows, :width] = outcome_distribution(table[rows, :width])
+    for a in (psi_w, table, dist):
         a.setflags(write=False)
-    return psi_w, tuple(tables), tuple(dists)
+    return psi_w, table, dist
 
 
 def _fill(cfg, results, errors, mitigated, f_full, f_parts, matrices, recon) -> None:
@@ -124,22 +139,6 @@ def _fill(cfg, results, errors, mitigated, f_full, f_parts, matrices, recon) -> 
                 "residual_bc": float(recon.residual_bc[t]),
                 "truncated_mass": {k: float(v[t]) for k, v in recon.truncated_mass.items()},
             }
-
-
-def _sample(cfg: ExperimentConfig, results: list[TrialResult], dists) -> list[np.ndarray]:
-    """Sampled (n, L, d) counts of each circuit group of dists.
-
-    Circuit j of trial t, counted across the groups, draws from the stream
-    [seed, t, j]. Each trial's three-qubit counts are stored in its result.
-    """
-    counts = [np.empty((len(results), *d.shape), dtype=np.int64) for d in dists]
-    for t, r in enumerate(results):
-        first = 0
-        for c, dist in zip(counts, dists):
-            c[t] = sample_circuits(dist, cfg.shots, (cfg.seed, r.trial_id), first)
-            first += len(dist)
-        r.counts = counts[0][t]
-    return counts
 
 
 def _reconstruct(cfg: ExperimentConfig, errors: dict, psi_w, p3, pab, pbc, eps_b: float):
@@ -162,16 +161,22 @@ def _reconstruct(cfg: ExperimentConfig, errors: dict, psi_w, p3, pab, pbc, eps_b
 def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     """Run the trials of results as one batch, filling each result in place.
 
-    Every circuit of trial t samples from its own stream [seed, t, j];
-    every later stage runs once on the stack of all the trials. A failing
-    trial gets its first error (see the module docstring).
+    Circuit j of trial t samples from its own stream [seed, t, j]; every
+    later stage runs once on the stack of all the trials. A failing trial
+    gets its first error (see the module docstring).
     """
-    psi_w, tables, dists = _noisy_probs(cfg.noise)
+    psi_w, table, dist = _noisy_probs(cfg.noise)
     if cfg.exact:
-        measured = [np.broadcast_to(tab, (len(results), *tab.shape)) for tab in tables]
+        table = np.broadcast_to(table, (len(results), *table.shape))
+        groups = [table[:, rows, :width] for rows, width, _ in LAYOUT]
     else:
-        measured = [counts_to_probs(c) for c in _sample(cfg, results, dists)]
-    *measured, calibration = measured
+        counts = sample_counts(dist, WIDTHS, cfg.shots, cfg.seed, [r.trial_id for r in results])
+        for r, c in zip(results, counts):
+            r.counts = c[LAYOUT[0][0]]  # the rows of the 3q settings
+        # frequencies at each group's own width: the float sum of a padded row
+        # runs in another order, which rounds differently past 2**53 shots
+        groups = [counts_to_probs(counts[:, rows, :width]) for rows, width, _ in LAYOUT]
+    *measured, calibration = groups
     # row 2q + b of the calibration group is column b of qubit q's matrix
     f_hats = calibration.reshape(len(results), 3, 2, 2).swapaxes(-1, -2)
     for r, f in zip(results, f_hats):

@@ -27,6 +27,7 @@ from .linalg import eig_hermitian, first_true, flag, outer, partial_trace, vecto
 DEGENERACY_GAP = 1e-6
 PHASE_MAGNITUDE_FLOOR = 1e-8
 MIN_KEPT_MASS = 0.8
+TRACE_TOL = 1e-10  # a marginal whose trace is further from 1 is renormalized
 
 
 class ReconstructionError(Exception):
@@ -67,7 +68,7 @@ class MarginalPair:
         out = []
         for name, rho in (("rho_ab", self.rho_ab), ("rho_bc", self.rho_bc)):
             tr = np.trace(rho, axis1=-2, axis2=-1).real
-            off = np.abs(tr - 1.0) > 1e-10
+            off = np.abs(tr - 1.0) > TRACE_TOL
             if off.any():
                 warnings.warn(f"{name} has trace {tr[first_true(off)]:.4f}; renormalizing to 1")
                 rho = np.where(off[..., None, None], rho / tr[..., None, None], rho)

@@ -19,9 +19,9 @@ from wtomo.noise import (
     counts_to_probs,
     exact_probs,
     outcome_distribution,
-    sample_circuits,
+    sample_counts,
 )
-from wtomo.pipeline import ExperimentConfig, run_pipeline
+from wtomo.pipeline import LAYOUT, WIDTHS, ExperimentConfig, _noisy_probs, run_pipeline
 
 
 def sample_shots_per_flip(
@@ -123,21 +123,21 @@ class TestReadoutModel:
 
 class TestSampling:
     def test_deterministic_for_seed(self):
-        dists = outcome_distribution(np.full((1, 8), 1 / 8))
-        a = sample_circuits(dists, 5000, (42, 0), 0)
-        b = sample_circuits(dists, 5000, (42, 0), 0)
+        dist = outcome_distribution(np.full((1, 8), 1 / 8))
+        a = sample_counts(dist, [8], 5000, 42, [0])
+        b = sample_counts(dist, [8], 5000, 42, [0])
         assert np.array_equal(a, b)
-        assert a.sum() == 5000
+        assert a.shape == (1, 1, 8) and a.sum() == 5000
 
     def test_different_seeds_differ(self):
-        dists = outcome_distribution(np.full((1, 8), 1 / 8))
-        a = sample_circuits(dists, 5000, (1, 0), 0)
-        assert not np.array_equal(a, sample_circuits(dists, 5000, (2, 0), 0))
+        dist = outcome_distribution(np.full((1, 8), 1 / 8))
+        a = sample_counts(dist, [8], 5000, 1, [0])
+        assert not np.array_equal(a, sample_counts(dist, [8], 5000, 2, [0]))
 
     def test_law_of_large_numbers(self):
         p = np.array([0.5, 0.3, 0.2, 0.0])
-        freq = counts_to_probs(sample_circuits(outcome_distribution(p[None]), 200_000, (7, 0), 0))
-        assert np.abs(freq[0] - p).max() <= 0.01
+        freq = counts_to_probs(sample_counts(outcome_distribution(p[None]), [4], 200_000, 7, [0]))
+        assert np.abs(freq[0, 0] - p).max() <= 0.01
 
     def test_invalid_distribution(self):
         with pytest.raises(ValueError):
@@ -191,6 +191,11 @@ class TestCountsFile:
         assert set(obj["ZZZ"]) == {"001", "100"}
         assert obj["noise"] is None
 
+    def test_largest_count_loads(self, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"ZZZ": {"000": 2**63 - 1, "111": 1}}))
+        assert load_counts_file(path)["ZZZ"].tolist() == [2**63 - 1, 0, 0, 0, 0, 0, 0, 1]
+
     def test_table_width_picks_the_scheme(self):
         # (7, 4) tables are the two-qubit settings in order, with 2-bit strings
         counts = np.arange(1, 29).reshape(7, 4)
@@ -212,9 +217,10 @@ class TestCountsFile:
         ({"000": "5"}, "has count '5' for '000', not a non-negative integer"),
         ({"000": None}, "has count None for '000', not a non-negative integer"),
         ({"000": 0, "101": 0}, "has no counts"),
+        ({"000": 2**63}, f"has count {2**63} for '000', more than {2**63 - 1}"),
     ], ids=["longer", "shorter", "not-binary", "empty-key", "negative-count",
             "fractional-count", "float-count", "bool-count", "string-count", "null-count",
-            "zero-sum"])
+            "zero-sum", "beyond-int64"])
     def test_malformed_bitstrings_name_the_table(self, table, message, tmp_path):
         path = tmp_path / "counts.json"
         path.write_text(json.dumps({"ZZZ": {"000": 1}, "XZZ": table}))
@@ -224,11 +230,27 @@ class TestCountsFile:
 
 class TestSampleCircuits:
     def test_rows_draw_from_keyed_streams(self):
-        dists = outcome_distribution(np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]]))
-        counts = sample_circuits(dists, 1000, (7, 3), 31)
-        for j, p in enumerate(dists):
-            expected = np.random.default_rng([7, 3, 31 + j]).multinomial(1000, p)
-            assert np.array_equal(counts[j], expected)
+        # row j of trial t draws over its own outcomes from the stream [seed, t, j]
+        widths = [2, 4, 2]
+        dist = np.zeros((3, 4))
+        dist[0, :2], dist[1], dist[2, :2] = [0.2, 0.8], [0.1, 0.2, 0.3, 0.4], [1.0, 0.0]
+        counts = sample_counts(dist, widths, 1000, 7, [3, 5])
+        assert counts.shape == (2, 3, 4) and counts.dtype == np.int64
+        for c, t in zip(counts, (3, 5)):
+            for j, w in enumerate(widths):
+                expected = np.random.default_rng([7, t, j]).multinomial(1000, dist[j, :w])
+                assert np.array_equal(c[j, :w], expected), (t, j)
+                assert not c[j, w:].any()
+
+    def test_padded_columns_draw_nothing(self):
+        # at 2**62 shots a draw over a padded row rounds counts into its padding;
+        # the sampler draws each row over its own outcomes only
+        shots = 2**62
+        counts = sample_counts(_noisy_probs(ReadoutModel.ibm_osaka())[2], WIDTHS, shots, 1234,
+                               [0, 1])
+        for rows, width, _ in LAYOUT:
+            assert not counts[:, rows, width:].any(), rows
+        assert (counts.sum(axis=-1) == shots).all()
 
     def test_outcome_distribution_is_what_sample_shots_draws_from(self):
         p = np.array([[0.25, 0.25, 0.5, 1e-12], [0.1, 0.2, 0.3, 0.4]])

@@ -2,26 +2,41 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wtomo import cli, pipeline
-from wtomo.circuits import MeasurementSetting, w_vector
+from wtomo.circuits import (
+    MeasurementSetting,
+    prepare_w,
+    three_qubit_settings,
+    two_qubit_settings,
+    w_vector,
+)
 from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, build_parser, main
 from wtomo.io import (
     load_density,
     readout_model_to_json_dict,
     report_csv_text,
     save_density,
+    save_reconstruction,
     write_outputs,
 )
 from wtomo.linalg import flag, outer, partial_trace
-from wtomo.noise import QubitReadout, ReadoutModel, outcome_distribution
+from wtomo.noise import (
+    QubitReadout,
+    ReadoutModel,
+    apply_readout_noise,
+    exact_probs,
+    outcome_distribution,
+)
 from wtomo.pipeline import ExperimentConfig, run_pipeline
 from wtomo.tomography import three_qubit_scheme, two_qubit_scheme
-from wtomo.wholeparts import ReconstructionError
+from wtomo.wholeparts import MarginalPair, ReconstructionError, diosi_reconstruct
 
 
 class TestConfig:
@@ -39,6 +54,8 @@ class TestConfig:
             ExperimentConfig(seed=-1)
         with pytest.raises(ValueError, match="2 qubits"):
             ExperimentConfig(noise=ReadoutModel.ibm_osaka().subset([0, 1]))
+        with pytest.raises(ValueError, match="shots must be <= 9223372036854775807"):
+            ExperimentConfig(shots=2**63)
 
 
 class TestRunTrial:
@@ -101,12 +118,28 @@ class TestRunTrial:
         assert calls == [31, 31]
 
     def test_cached_probabilities_are_read_only(self):
-        psi_w, tables, dists = pipeline._noisy_probs(ReadoutModel.ibm_osaka())
-        assert [t.shape for t in tables] == [(17, 8), (7, 4), (7, 4), (6, 2)]
-        assert [d.shape for d in dists] == [(17, 8), (7, 4), (7, 4), (6, 2)]
-        for a in (psi_w, *tables, *dists):
+        psi_w, table, dist = pipeline._noisy_probs(ReadoutModel.ibm_osaka())
+        assert table.shape == dist.shape == (37, 8)
+        for rows, width, _ in pipeline.LAYOUT:  # each group zero-padded past its own width
+            assert not table[rows, width:].any() and not dist[rows, width:].any()
+        for a in (psi_w, table, dist):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
+
+    def test_table_rows_follow_the_layout(self):
+        # 17 3q settings, 7 AB and 7 BC settings, then qubit A, B, C prepared in |0>, |1>
+        model = ReadoutModel.ibm_osaka()
+        _, table, dist = pipeline._noisy_probs(model)
+        rho_w, rows = outer(prepare_w()), []
+        for qubits, settings in (([0, 1, 2], three_qubit_settings()),
+                                 ([0, 1], two_qubit_settings()), ([1, 2], two_qubit_settings())):
+            rho, sub = partial_trace(rho_w, qubits), model.subset(qubits)
+            rows += [apply_readout_noise(exact_probs(rho, s), sub) for s in settings]
+        rows += [q.calibration_matrix()[:, prep] for q in model.qubits for prep in (0, 1)]
+        assert len(rows) == 37
+        for j, row in enumerate(rows):
+            assert np.array_equal(table[j, :len(row)], row), j
+            assert np.array_equal(dist[j, :len(row)], outcome_distribution(row)), j
 
 
 def injecting(targets):
@@ -383,6 +416,33 @@ class TestCli:
         printed = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(printed) == pytest.approx(1.0, abs=1e-6)
 
+    def test_diosi_renormalizes_without_python_warnings(self, tmp_path):
+        # marginals of trace 0.98 once put two UserWarning records, with the
+        # install path and a source line, on the stderr of a fresh process
+        run = tmp_path / "run"
+        cfg = ExperimentConfig(shots=20000, trials=1, seed=11)
+        write_outputs(cfg, run_pipeline(cfg), run)
+        ab, bc, out = tmp_path / "ab.json", tmp_path / "bc.json", tmp_path / "psi.json"
+        for name, path in (("rho_ab", ab), ("rho_bc", bc)):
+            save_density(0.98 * load_density(run / "trial_0" / f"{name}.json", 2), path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wtomo.cli", "diosi", str(ab), str(bc), "--eps-b", "0.0642",
+             "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "UserWarning" not in proc.stderr and ".py:" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"{path} has trace 0.9800; renormalizing to 1" for path in (ab, bc)
+        ]
+        # the state is the one the library writes when it renormalizes itself
+        expected = tmp_path / "expected.json"
+        with pytest.warns(UserWarning, match="renormalizing"):
+            pair = MarginalPair(load_density(ab, 2), load_density(bc, 2), 0.0642)
+            save_reconstruction(diosi_reconstruct(pair), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_diosi_failure_exit_code(self, tmp_path, capsys):
         # GHZ marginals: degenerate spectrum -> reconstruction exit code
         ghz = np.zeros(8, dtype=complex)
@@ -402,6 +462,24 @@ class TestCli:
         assert exc.value.code == 2
         assert f"argument {flag}: expected an integer >= 1, got '0'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("shots", [2**63, 10**20])
+    def test_pipeline_rejects_shots_beyond_int64(self, shots, tmp_path, capsys):
+        # numpy's multinomial once failed on them with an OverflowError traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--shots", str(shots), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --shots: expected an integer <= {2**63 - 1}, got '{shots}'" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_pipeline_runs_at_the_largest_shots(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--shots", str(2**63 - 1), "--trials", "1",
+                     "--out", str(out)]) == EXIT_OK
+        counts = json.loads((out / "trial_0" / "counts_3q.json").read_text())
+        assert counts["shots"] == 2**63 - 1
+        assert sum(counts["ZZZ"].values()) == 2**63 - 1
 
     @pytest.mark.parametrize("command", [
         ["tomo3q", "{missing}", "--out", "{out}"],
@@ -510,10 +588,12 @@ class TestCli:
         ({"000": -50, "001": 60}, "has count -50 for '000', not a non-negative integer"),
         ({"000": 50, "001": 2.7}, "has count 2.7 for '001', not a non-negative integer"),
         ({"000": 0}, "has no counts"),
-    ], ids=["negative", "fractional", "zero-sum"])
+        ({"000": 10**22}, f"has count {10**22} for '000', more than {2**63 - 1}"),
+    ], ids=["negative", "fractional", "zero-sum", "too-large"])
     def test_counts_that_are_not_a_sample_are_reported(self, table, message, tmp_path):
         # a complete 17-table file in which one table is no sample of shots;
-        # a zero-sum table once ended in a 0/0 RuntimeWarning and exit 3
+        # a zero-sum table once ended in a 0/0 RuntimeWarning and exit 3, a
+        # count beyond int64 in an OverflowError traceback
         obj = {label: {"000": 10, "111": 5} for label in three_qubit_scheme().labels}
         obj["XZZ"] = table
         counts, out = tmp_path / "counts.json", tmp_path / "out.json"
