@@ -49,27 +49,16 @@ def lift(u: np.ndarray, qubit: int, nqubits: int) -> np.ndarray:
 
 
 def cnot_matrix(control: int, target: int, nqubits: int) -> np.ndarray:
-    """CNOT on an n-qubit register via the projector decomposition."""
+    """CNOT on an n-qubit register: the basis permutation that flips the
+    target bit of each basis index whose control bit is 1."""
     if control == target:
         raise ValueError("control and target must differ")
     for q in (control, target):
         if not 0 <= q < nqubits:
             raise ValueError(f"qubit {q} out of range for {nqubits} qubits")
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-
-    def term(ctrl_op, tgt_op):
-        out = np.eye(1, dtype=complex)
-        for q in range(nqubits):
-            if q == control:
-                out = np.kron(out, ctrl_op)
-            elif q == target:
-                out = np.kron(out, tgt_op)
-            else:
-                out = np.kron(out, I2)
-        return out
-
-    return term(p0, I2) + term(p1, X)
+    idx = np.arange(2**nqubits)
+    flip = (idx >> (nqubits - 1 - control)) & 1
+    return np.eye(2**nqubits, dtype=complex)[idx ^ (flip << (nqubits - 1 - target))]
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,8 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(hermitian_part(h))
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    return np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
+    w, v = np.linalg.eigh(hermitian_part(h))  # ascending
+    return w[..., ::-1], v[..., ::-1]
 
 
 def nqubits_of(rho: np.ndarray) -> int:

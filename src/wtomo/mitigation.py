@@ -19,14 +19,13 @@ def mitigation_matrix(fs) -> np.ndarray:
 
 def _mitigation_matrix(fs: np.ndarray, errors: dict | None) -> np.ndarray:
     """mitigation_matrix that flags (``linalg.flag``) each member of the stack
-    with an unusable calibration matrix, one that is not column-stochastic or is
-    numerically singular; such a member gets the identity map."""
-    not_stochastic = (
-        (np.abs(fs.sum(axis=-2) - 1.0).max(axis=-1) > 1e-9)
-        | (fs.min(axis=(-2, -1)) < -1e-12)
-        | (fs.max(axis=(-2, -1)) > 1 + 1e-12)
-    )
-    bad = not_stochastic | (np.abs(np.linalg.det(fs)) <= 1e-6)
+    with an unusable calibration matrix, one that is not column-stochastic
+    (a non-finite entry counts as such) or is numerically singular; such a
+    member gets the identity map."""
+    in_range = ((fs >= -1e-12) & (fs <= 1 + 1e-12)).all(axis=(-2, -1))  # False for NaN
+    fs_in_range = np.where(in_range[..., None, None], fs, np.eye(2))  # sum and det stay finite
+    not_stochastic = ~in_range | (np.abs(fs_in_range.sum(axis=-2) - 1.0).max(axis=-1) > 1e-9)
+    bad = not_stochastic | (np.abs(np.linalg.det(fs_in_range)) <= 1e-6)
     failing = bad.any(axis=-1)
     flag(errors, failing, lambda k: ValueError("calibration matrix is " + (
         "not column-stochastic" if not_stochastic[k][first_true(bad[k])]  # its first bad one

@@ -7,9 +7,11 @@ nonzero spectrum with rho_BC, and rho_C with rho_AB, so
     psi = sum_i exp(i alpha_i) sqrt(lambda_A^i) |i;A> ⊗ |i;BC>
 
 with the branch phases alpha_i fixed by consistency with the equivalent
-(rho_C, rho_AB) decomposition. States whose single-party spectra are
-degenerate (GHZ-like) are not determined by their marginals and are
-rejected rather than guessed.
+(rho_C, rho_AB) decomposition. The five marginals are decomposed in two
+stacks, (rho_A, rho_C, rho_B) and (rho_BC, rho_AB), with one eig_hermitian
+call each (see _top2). States whose single-party spectra are degenerate
+(GHZ-like) are not determined by their marginals and are rejected rather
+than guessed.
 
 Each check flags (``linalg.flag``) the failing pairs of a stack in a dict of
 errors, and the other pairs come out as alone; with None, the first raises.
@@ -18,7 +20,7 @@ errors, and the other pairs come out as alone; with None, the first raises.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,24 +84,6 @@ class MarginalPair:
 
 
 @dataclass(frozen=True)
-class OverlapTensors:
-    """Eigenbasis overlap data for the phase solve.
-
-    a_tensor[i, j, k] = <jk | i;BC> and c_tensor[k, i, j] = <ij | k;AB>,
-    with |ij> and |jk> built from the single-party eigenbases. Every field
-    carries the leading axes of the marginal pair it was built from.
-    """
-
-    a_tensor: np.ndarray
-    c_tensor: np.ndarray
-    lambda_a: np.ndarray
-    lambda_c: np.ndarray
-    vectors_a: np.ndarray  # columns: |i;A>
-    vectors_bc: np.ndarray  # columns: |i;BC>
-    truncated_mass: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class ReconstructionResult:
     """psi (..., 8) and its projector rho (..., 8, 8); residuals and truncated
     masses are floats for one pair, arrays (...) for a stack of pairs."""
@@ -124,11 +108,6 @@ def _fix_vector_gauge(v: np.ndarray) -> np.ndarray:
     return np.where(zero, v, v * (mag / np.where(zero, 1, vk)))
 
 
-def _fix_column_gauge(vectors: np.ndarray) -> np.ndarray:
-    """_fix_vector_gauge on each column."""
-    return _fix_vector_gauge(vectors.swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
 def _single_party_marginals(pair: MarginalPair, errors) -> tuple[np.ndarray, ...]:
     """The three 2x2 marginals (rho_A, rho_B, rho_C) of a trace-normalized pair.
 
@@ -147,17 +126,27 @@ def _single_party_marginals(pair: MarginalPair, errors) -> tuple[np.ndarray, ...
     return rho_a, rho_b, rho_c
 
 
-def _top2(rho: np.ndarray, label: str, truncation: dict, errors) -> tuple[np.ndarray, ...]:
-    """Keep the top-2 eigenpairs of rho, renormalize kept mass to 1."""
-    w, v = eig_hermitian(rho)
+def _top2(rhos: np.ndarray, labels: tuple[str, ...], truncation: dict, errors) -> tuple:
+    """Top-2 eigenpairs, in descending order, of the marginals rhos (..., L, d, d)
+    named by labels along axis -3, from one eig_hermitian call.
+
+    In label order, records each discarded spectral mass in truncation and
+    flags a TooMixedError where the kept mass is below MIN_KEPT_MASS. Returns,
+    label axis first, the kept eigenvalues renormalized to sum 1 (L, ..., 2) and
+    the kept eigenvectors (L, ..., d, 2), each column gauge-fixed by _fix_vector_gauge.
+    """
+    w, v = eig_hermitian(rhos)
     w = np.clip(w, 0.0, None)
     kept = w[..., :2].sum(axis=-1)
-    truncation[label] = _scalar(np.maximum(0.0, w.sum(axis=-1) - kept))
-    flag(errors, kept < MIN_KEPT_MASS, lambda k: TooMixedError(
-        f"{label}: kept spectral mass {kept[k]:.3f} < {MIN_KEPT_MASS}; "
-        "input too mixed for a pure-state hypothesis"
-    ))
-    return w[..., :2] / kept[..., None], v[..., :2]
+    lost = np.maximum(0.0, w.sum(axis=-1) - kept)
+    for m, label in enumerate(labels):
+        truncation[label] = _scalar(lost[..., m])
+        flag(errors, kept[..., m] < MIN_KEPT_MASS, lambda k: TooMixedError(
+            f"{label}: kept spectral mass {kept[(*k, m)]:.3f} < {MIN_KEPT_MASS}; "
+            "input too mixed for a pure-state hypothesis"
+        ))
+    vectors = _fix_vector_gauge(v[..., :2].swapaxes(-1, -2)).swapaxes(-1, -2)
+    return np.moveaxis(w[..., :2] / kept[..., None], -2, 0), np.moveaxis(vectors, -3, 0)
 
 
 def _overlaps(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -173,38 +162,14 @@ def _overlaps(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return terms.reshape(*terms.shape[:-5], 4, 2, 2, 2).sum(axis=-4)
 
 
-def _purify_structures(pair: MarginalPair, errors) -> OverlapTensors:
-    """Matched spectral data of all marginals of a trace-normalized pair,
-    truncated to Schmidt rank 2.
-
-    Spectra are paired in descending order: lambda_A^i with the i-th
-    eigenvector of rho_BC, lambda_C^k with the k-th of rho_AB.
-    """
-    rho_a, rho_b, rho_c = _single_party_marginals(pair, errors)
-    truncation: dict = {}
-    lam_a, vec_a = _top2(rho_a, "rho_a", truncation, errors)
-    lam_c, vec_c = _top2(rho_c, "rho_c", truncation, errors)
-    _, vec_b = _top2(rho_b, "rho_b", truncation, errors)
-    _, vec_bc = _top2(pair.rho_bc, "rho_bc", truncation, errors)
-    _, vec_ab = _top2(pair.rho_ab, "rho_ab", truncation, errors)
-    vec_a, vec_b, vec_c, vec_bc, vec_ab = map(
-        _fix_column_gauge, (vec_a, vec_b, vec_c, vec_bc, vec_ab)
-    )
-    return OverlapTensors(
-        a_tensor=_overlaps(vec_b, vec_c, vec_bc),
-        c_tensor=_overlaps(vec_a, vec_b, vec_ab),
-        lambda_a=lam_a,
-        lambda_c=lam_c,
-        vectors_a=vec_a,
-        vectors_bc=vec_bc,
-        truncated_mass=truncation,
-    )
-
-
-def _solve_phases(t: OverlapTensors, errors) -> np.ndarray:
+def _solve_phases(lam_a, lam_c, a_tensor, c_tensor, errors) -> np.ndarray:
     """Branch phases alpha_i making the two pure-state decompositions agree.
 
-    The consistency constraint
+    Spectra are paired in descending order, as _top2 gives them: lam_a[i] of
+    rho_A with |i;BC>, the i-th eigenvector of rho_BC, and lam_c[k] of rho_C
+    with |k;AB>, the k-th of rho_AB. The overlaps (see _overlaps) are
+    A[i, j, k] = <j;B k;C | i;BC> (a_tensor) and C[k, i, j] = <i;A j;B | k;AB>
+    (c_tensor). The consistency constraint
         exp(i alpha_i) sqrt(lambda_A^i) A[i,j,k]
             == exp(i gamma_k) sqrt(lambda_C^k) C[k,i,j]
     is solved in the gauge gamma_0 = 0: the relative phase alpha_i - gamma_k
@@ -212,14 +177,13 @@ def _solve_phases(t: OverlapTensors, errors) -> np.ndarray:
     best-conditioned branch, and each alpha_i is refined as the argument of
     the gamma-weighted overlap sum.
     """
-    lam_a = t.lambda_a
     degenerate = np.abs(lam_a[..., 0] - lam_a[..., 1]) <= DEGENERACY_GAP
     flag(errors, degenerate, lambda k: DegenerateSpectrumError(
         f"rho_A spectrum {lam_a[k]} is degenerate within {DEGENERACY_GAP}; "
         "the marginals do not determine the global state"
     ))
-    t1 = np.sqrt(lam_a)[..., :, None, None] * t.a_tensor  # [i, j, k]
-    t2 = np.einsum("...k,...kij->...ijk", np.sqrt(t.lambda_c), t.c_tensor)
+    t1 = np.sqrt(lam_a)[..., :, None, None] * a_tensor  # [i, j, k]
+    t2 = np.einsum("...k,...kij->...ijk", np.sqrt(lam_c), c_tensor)
     # products by einsum as in _overlaps, then the sum over j
     m = np.einsum("...ijk,...ijk->...ijk", t2, t1.conj()).sum(axis=-2)  # [i, k]
     # arg(m[i, k]) = alpha_i - gamma_k
@@ -256,23 +220,26 @@ def diosi_reconstruct(pair: MarginalPair) -> ReconstructionResult:
 def _diosi_reconstruct(pair: MarginalPair, errors: dict | None) -> ReconstructionResult:
     """diosi_reconstruct whose checks flag failing pairs in errors (see the module docstring)."""
     pair = pair.normalized()
-    t = _purify_structures(pair, errors)
-    alpha = _solve_phases(t, errors)
-    weights = np.exp(1j * alpha) * np.sqrt(t.lambda_a)
+    rho_a, rho_b, rho_c = _single_party_marginals(pair, errors)
+    truncation: dict = {}
+    (lam_a, lam_c, _), (vec_a, vec_c, vec_b) = _top2(
+        np.stack([rho_a, rho_c, rho_b], axis=-3), ("rho_a", "rho_c", "rho_b"), truncation, errors
+    )
+    _, (vec_bc, vec_ab) = _top2(
+        np.stack([pair.rho_bc, pair.rho_ab], axis=-3), ("rho_bc", "rho_ab"), truncation, errors
+    )
+    a_tensor, c_tensor = _overlaps(vec_b, vec_c, vec_bc), _overlaps(vec_a, vec_b, vec_ab)
+    alpha = _solve_phases(lam_a, lam_c, a_tensor, c_tensor, errors)
+    weights = np.exp(1j * alpha) * np.sqrt(lam_a)
     lead = alpha.shape[:-1]
     psi = np.zeros((*lead, 8), dtype=complex)
     for i in range(2):  # the two Schmidt branches |i;A> ⊗ |i;BC>
-        branch = t.vectors_a[..., :, None, i] * t.vectors_bc[..., None, :, i]
+        branch = vec_a[..., :, None, i] * vec_bc[..., None, :, i]
         psi += weights[..., i, None] * branch.reshape(*lead, 8)
     psi /= vector_norm(psi)[..., None]
     psi = _fix_vector_gauge(psi)
     rho = outer(psi)
     residual_ab = np.abs(partial_trace(rho, [0, 1]) - pair.rho_ab).max(axis=(-2, -1))
     residual_bc = np.abs(partial_trace(rho, [1, 2]) - pair.rho_bc).max(axis=(-2, -1))
-    return ReconstructionResult(
-        psi=psi,
-        rho=rho,
-        residual_ab=_scalar(residual_ab),
-        residual_bc=_scalar(residual_bc),
-        truncated_mass=t.truncated_mass,
-    )
+    return ReconstructionResult(psi=psi, rho=rho, residual_ab=_scalar(residual_ab),
+                                residual_bc=_scalar(residual_bc), truncated_mass=truncation)

@@ -15,12 +15,11 @@ from wtomo.wholeparts import (
     InconsistentMarginalsError,
     MarginalPair,
     _diosi_reconstruct,
-    _purify_structures,
     _solve_phases,
     diosi_reconstruct,
 )
 
-from conftest import random_density, random_pure
+from conftest import matched_spectra, random_density, random_pure
 
 SIZES = (1, 2, 5, 33)
 
@@ -101,8 +100,8 @@ def test_reconstruct_stack(n, rng):
 def test_diosi_stack(n, rng):
     states = noisy_pure_states(rng, n)
     stacked = diosi_reconstruct(pairs_of(states))
-    t = _purify_structures(pairs_of(states).normalized(), None)
-    alpha = _solve_phases(t, None)
+    lam_a, lam_c, vectors, a_tensor, c_tensor = matched_spectra(pairs_of(states).normalized())
+    alpha = _solve_phases(lam_a, lam_c, a_tensor, c_tensor, None)
     for k, rho in enumerate(states):
         pair = pairs_of(rho)
         one = diosi_reconstruct(pair)
@@ -110,10 +109,12 @@ def test_diosi_stack(n, rng):
         assert stacked.residual_ab[k] == one.residual_ab
         assert stacked.residual_bc[k] == one.residual_bc
         assert {key: v[k] for key, v in stacked.truncated_mass.items()} == one.truncated_mass
-        t1 = _purify_structures(pair.normalized(), None)
-        assert np.array_equal(t.a_tensor[k], t1.a_tensor)
-        assert np.array_equal(t.c_tensor[k], t1.c_tensor)
-        assert np.array_equal(alpha[k], _solve_phases(t1, None))
+        lam_a1, lam_c1, vectors1, a_tensor1, c_tensor1 = matched_spectra(pair.normalized())
+        assert np.array_equal(lam_a[k], lam_a1) and np.array_equal(lam_c[k], lam_c1)
+        assert all(np.array_equal(v[k], v1) for v, v1 in zip(vectors, vectors1))
+        assert np.array_equal(a_tensor[k], a_tensor1)
+        assert np.array_equal(c_tensor[k], c_tensor1)
+        assert np.array_equal(alpha[k], _solve_phases(lam_a1, lam_c1, a_tensor1, c_tensor1, None))
 
 
 def test_diosi_stack_reports_first_failing_pair(rng):

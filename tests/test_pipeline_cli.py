@@ -549,7 +549,7 @@ class TestCli:
     @pytest.mark.parametrize("case", [
         "empty-table", "counts-not-object", "ragged-bitstrings", "short-bitstring",
         "not-a-bitstring", "calib-qubit-count", "calib-singular", "calib-not-object",
-        "calib-not-2x2", "calib-ragged", "calib-not-numbers",
+        "calib-not-2x2", "calib-ragged", "calib-not-numbers", "calib-nan",
     ])
     def test_malformed_input_is_reported(self, command, case, tmp_path):
         n = 3 if command == "tomo3q" else 2
@@ -572,6 +572,9 @@ class TestCli:
             "calib-ragged": (calib, json.dumps({"qA": good, "qB": [[0.5, 0.5], [0.5]],
                                                 "qC": good})),
             "calib-not-numbers": (calib, json.dumps({"qA": good, "qB": "x", "qC": good})),
+            # json writes NaN, which every comparison of a range check lets through
+            "calib-nan": (calib, json.dumps({"qA": [[float("nan"), 0.02], [0.01, 0.98]],
+                                             **{f"q{q}": good for q in "ABC"[1:n]}})),
         }[case]
         bad.write_text(text)
         out = tmp_path / "out.json"
@@ -582,6 +585,8 @@ class TestCli:
             assert str(exc.value.code).endswith(
                 ": calibration matrix 'qB' is not a 2x2 array of numbers [[f00, f01], [f10, f11]]"
             )
+        if case == "calib-nan":
+            assert str(exc.value.code).endswith(": calibration matrix is not column-stochastic")
         assert not out.exists()
 
     @pytest.mark.parametrize("table, message", [
