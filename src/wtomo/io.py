@@ -56,7 +56,14 @@ def density_to_json_dict(rho: np.ndarray) -> dict:
 
 
 def density_from_json_dict(d: dict) -> np.ndarray:
-    rho = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
+    re, im = np.array(d["re"], dtype=float), np.array(d["im"], dtype=float)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):  # json reads NaN and Infinity
+        raise ValueError("density matrix has non-finite entries")
+    rho = re + 1j * im
+    if rho.ndim == 1:  # e.g. the file wtomo diosi writes
+        raise ValueError(
+            f"file holds a state vector of {rho.size} amplitudes, not a density matrix"
+        )
     dim = 2 ** int(d["nqubits"])
     if rho.shape != (dim, dim):
         raise ValueError(f"matrix shape {rho.shape} inconsistent with nqubits")
@@ -177,6 +184,9 @@ def readout_model_from_json_dict(d: dict) -> ReadoutModel:
     for label, v in d.items():
         if not isinstance(v, dict):
             raise ValueError(f"qubit {label!r} is not an object of p01 and p10")
+        for key in ("p01", "p10"):
+            if key not in v:
+                raise ValueError(f"qubit {label!r} has no {key!r}")
         p01, p10 = v["p01"], v["p10"]
         if not all(isinstance(p, (int, float)) for p in (p01, p10)):
             raise ValueError(f"qubit {label!r}: p01 {p01!r}, p10 {p10!r} are not numbers")

@@ -6,6 +6,10 @@ fixed seed gives a bit-for-bit reproducible stream. In a simulated run
 circuit j of trial t is row j of the trial's zero-padded (37, 8) table
 (``pipeline.LAYOUT``) and draws from its own stream, keyed [seed, t, j], over
 its own outcomes only (``sample_counts``), so no two circuits share a stream.
+The key reaches ``SeedSequence`` as the uint32 words that numpy makes of the
+list [seed, t, j] (each int's 32-bit words, least significant first), so it
+is the same stream as ``default_rng([seed, t, j])`` without the per-int
+coercion, and ``RNG_ALGORITHM`` names it unchanged.
 """
 
 from __future__ import annotations
@@ -93,16 +97,35 @@ def outcome_distribution(p: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def _words(n: int) -> list[int]:
+    """The 32-bit words of n >= 0, least significant first and at least one:
+    what ``SeedSequence`` makes of an int in its entropy."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def sample_counts(
     dist: np.ndarray, widths: list[int], shots: int, seed: int, trials: list[int]
 ) -> np.ndarray:
     """Counts (T, R, D) of the trials' circuits, one per row of dist (R, D):
     circuit j of trial t draws shots from the stream [seed, t, j] over the first
-    widths[j] outcomes of dist[j] only, so the zero padding past them stays 0."""
+    widths[j] outcomes of dist[j] only, so the zero padding past them stays 0.
+
+    Each trial's R keys are one uint32 table whose row j holds the words of
+    seed, t and j in that order; ``default_rng`` takes a row as its entropy
+    as it is, which gives the stream of the list [seed, t, j] bit for bit."""
+    rows = [dist[j, :w] for j, w in enumerate(widths)]
+    seed_words = _words(seed)
     counts = np.zeros((len(trials), *dist.shape), dtype=np.int64)
     for c, t in zip(counts, trials):
-        for j, w in enumerate(widths):
-            c[j, :w] = np.random.default_rng([seed, t, j]).multinomial(shots, dist[j, :w])
+        head = seed_words + _words(t)
+        keys = np.empty((len(rows), len(head) + 1), dtype=np.uint32)
+        keys[:, :-1] = head
+        keys[:, -1] = np.arange(len(rows))
+        for out, key, row in zip(c, keys, rows):
+            out[: row.size] = np.random.default_rng(key).multinomial(shots, row)
     return counts
 
 

@@ -242,6 +242,19 @@ class TestSampleCircuits:
                 assert np.array_equal(c[j, :w], expected), (t, j)
                 assert not c[j, w:].any()
 
+    def test_word_keys_match_list_keys(self):
+        # the sampler's uint32 word keys are the streams of the lists [seed, t, j],
+        # also where seed or t spans more than one 32-bit word
+        widths = [2, 4]
+        dist = np.array([[0.3, 0.7, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
+        trials = [0, 1, 2**32 - 1, 2**32 + 5]
+        for seed in (0, 1234, 2**32 - 1, 2**32, 5 * 10**9, 2**64 + 3):
+            counts = sample_counts(dist, widths, 1000, seed, trials)
+            for c, t in zip(counts, trials):
+                for j, w in enumerate(widths):
+                    expected = np.random.default_rng([seed, t, j]).multinomial(1000, dist[j, :w])
+                    assert np.array_equal(c[j, :w], expected), (seed, t, j)
+
     def test_padded_columns_draw_nothing(self):
         # at 2**62 shots a draw over a padded row rounds counts into its padding;
         # the sampler draws each row over its own outcomes only

@@ -648,8 +648,16 @@ class TestCli:
         (["diosi", "{f}", "{f}", "--out", "{out}"],
          partial_trace(outer(w_vector()), [0, 1]) + np.diag([1e-3, 0, 0], 1),
          "cannot read {f}: density matrix is not Hermitian within 1e-08"),
+        (["diosi", "{f}", "{f}", "--out", "{out}"],
+         partial_trace(outer(w_vector()), [0, 1]) + np.diag([math.nan, 0, 0], 1),
+         "cannot read {f}: density matrix has non-finite entries"),
+        (["fidelity", "{f}"], np.diag([math.nan, 1, 0, 0, 0, 0, 0, 0]),
+         "cannot read {f}: density matrix has non-finite entries"),
+        (["fidelity", "{f}"], np.eye(8) / 8 + np.diag([complex(0, math.inf)] + [0j] * 6, 1),
+         "cannot read {f}: density matrix has non-finite entries"),
     ], ids=["fidelity-two-qubit", "diosi-three-qubit", "fidelity-zero-trace",
-            "fidelity-negative-overlap", "fidelity-overlap-above-one", "diosi-not-hermitian"])
+            "fidelity-negative-overlap", "fidelity-overlap-above-one", "diosi-not-hermitian",
+            "diosi-nan", "fidelity-nan-on-diagonal", "fidelity-infinite-imaginary"])
     def test_malformed_density_file_is_reported(self, command, rho, message, tmp_path):
         f, out = tmp_path / "rho.json", tmp_path / "out.json"
         save_density(rho, f)
@@ -657,6 +665,18 @@ class TestCli:
             main([a.format(f=f, out=out) for a in command])
         assert exc.value.code == message.format(f=f)
         assert not out.exists()
+
+    def test_fidelity_of_a_diosi_state_file_is_reported(self, tmp_path):
+        rho = outer(w_vector())
+        ab, bc, psi = tmp_path / "ab.json", tmp_path / "bc.json", tmp_path / "psi.json"
+        save_density(partial_trace(rho, [0, 1]), ab)
+        save_density(partial_trace(rho, [1, 2]), bc)
+        assert main(["diosi", str(ab), str(bc), "--eps-b", "1e-8", "--out", str(psi)]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(["fidelity", str(psi)])
+        assert exc.value.code == (
+            f"cannot read {psi}: file holds a state vector of 8 amplitudes, not a density matrix"
+        )
 
     @pytest.mark.parametrize("failing, code", [(1, EXIT_PARTIAL), (2, EXIT_RECONSTRUCTION)])
     def test_failed_trials_set_the_exit_code(self, failing, code, tmp_path, monkeypatch, capsys):
@@ -693,7 +713,9 @@ class TestCli:
     @pytest.mark.parametrize("qubit, message", [
         (5, "qubit 'qA' is not an object of p01 and p10"),
         ({"p01": "x", "p10": 0.008}, "qubit 'qA': p01 'x', p10 0.008 are not numbers"),
-    ], ids=["qubit-not-object", "p01-not-a-number"])
+        ({"p01": 0.023}, "qubit 'qA' has no 'p10'"),
+        ({"p10": 0.008}, "qubit 'qA' has no 'p01'"),
+    ], ids=["qubit-not-object", "p01-not-a-number", "p10-missing", "p01-missing"])
     def test_malformed_noise_file_is_reported(self, qubit, message, tmp_path):
         noise = tmp_path / "noise.json"
         noise.write_text(json.dumps({"qA": qubit, "qB": 1, "qC": 2}))
