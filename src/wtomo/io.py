@@ -56,7 +56,12 @@ def density_to_json_dict(rho: np.ndarray) -> dict:
 
 
 def density_from_json_dict(d: dict) -> np.ndarray:
+    for key in ("nqubits", "re", "im"):
+        if key not in d:
+            raise ValueError(f"density file has no {key!r}")
     re, im = np.array(d["re"], dtype=float), np.array(d["im"], dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"'re' has shape {re.shape} but 'im' has shape {im.shape}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):  # json reads NaN and Infinity
         raise ValueError("density matrix has non-finite entries")
     rho = re + 1j * im

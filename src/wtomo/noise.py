@@ -1,15 +1,15 @@
 """Readout-noise simulation: exact outcome probabilities, per-qubit
 confusion and finite-shot sampling.
 
-All sampling uses numpy's PCG64 generator (``np.random.default_rng``); a
-fixed seed gives a bit-for-bit reproducible stream. In a simulated run
-circuit j of trial t is row j of the trial's zero-padded (37, 8) table
-(``pipeline.LAYOUT``) and draws from its own stream, keyed [seed, t, j], over
-its own outcomes only (``sample_counts``), so no two circuits share a stream.
-The key reaches ``SeedSequence`` as the uint32 words that numpy makes of the
-list [seed, t, j] (each int's 32-bit words, least significant first), so it
-is the same stream as ``default_rng([seed, t, j])`` without the per-int
-coercion, and ``RNG_ALGORITHM`` names it unchanged.
+All sampling uses numpy's PCG64 generator; a fixed seed gives a bit-for-bit
+reproducible stream. In a simulated run circuit j of trial t is row j of the
+trial's zero-padded (37, 8) table (``pipeline.LAYOUT``) and draws from its own
+stream, keyed [seed, t, j], over its own outcomes only (``sample_counts``), so
+no two circuits share a stream. The stream is ``default_rng([seed, t, j])``
+and ``RNG_ALGORITHM`` names it unchanged; ``sample_counts`` only splits the
+seeding into its two steps. numpy's ``SeedSequence`` mixes each key into its
+4-word pool, and one batched step (``_pcg64_states``) hashes every pool of the
+batch into the four uint64 words that seed PCG64.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .circuits import MeasurementSetting
 
@@ -106,6 +107,49 @@ def _words(n: int) -> list[int]:
     return words
 
 
+def _state_hash_constants() -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) uint32 constant of each of the 8 output words of
+    ``SeedSequence.generate_state``: its hash constant starts at INIT_B and is
+    multiplied by MULT_B before each word."""
+    h, xor, mult = 0x8B51F9DD, [], []
+    for _ in range(8):
+        xor.append(h)
+        h = h * 0x58F38DED & 0xFFFFFFFF
+        mult.append(h)
+    return np.array(xor, dtype=np.uint32), np.array(mult, dtype=np.uint32)
+
+
+_STATE_XOR, _STATE_MULT = _state_hash_constants()
+
+
+def _pcg64_states(pools: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` of every 4-word uint32
+    pool of a stack (..., 4), as uint64 (..., 4): word i hashes pool word
+    i % 4 in uint32 wrap-around arithmetic, and words 2k and 2k + 1 are the
+    low and high halves of uint64 k (numpy pairs them little-endian). The
+    result is C-contiguous, so each (4,) row is a block PCG64 can read."""
+    w = np.concatenate((pools, pools), axis=-1) ^ _STATE_XOR
+    w *= _STATE_MULT
+    w ^= w >> 16
+    w = w.astype(np.uint64)
+    return np.ascontiguousarray(w[..., 0::2] | (w[..., 1::2] << 32))
+
+
+class _KnownState(ISeedSequence):
+    """A seed sequence whose PCG64 state words are already computed: it gives
+    them for PCG64's one request and refuses any other. PCG64 reads the
+    words as raw memory, so state must be a C-contiguous (4,) uint64 array,
+    as each row of ``_pcg64_states`` is."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only PCG64's 4 uint64 state words are known, not {n_words} {dtype}")
+        return self.state
+
+
 def sample_counts(
     dist: np.ndarray, widths: list[int], shots: int, seed: int, trials: list[int]
 ) -> np.ndarray:
@@ -114,18 +158,27 @@ def sample_counts(
     widths[j] outcomes of dist[j] only, so the zero padding past them stays 0.
 
     Each trial's R keys are one uint32 table whose row j holds the words of
-    seed, t and j in that order; ``default_rng`` takes a row as its entropy
-    as it is, which gives the stream of the list [seed, t, j] bit for bit."""
+    seed, t and j in that order, the entropy numpy makes of the list
+    [seed, t, j]. numpy's ``SeedSequence`` mixes each row into its pool; one
+    ``_pcg64_states`` step over the (T, R, 4) pool table gives every
+    circuit's PCG64 state, so circuit j draws from ``default_rng([seed, t, j])``
+    bit for bit."""
     rows = [dist[j, :w] for j, w in enumerate(widths)]
     seed_words = _words(seed)
-    counts = np.zeros((len(trials), *dist.shape), dtype=np.int64)
-    for c, t in zip(counts, trials):
+    pools = np.empty((len(trials), len(rows), 4), dtype=np.uint32)
+    for pool, t in zip(pools, trials):
         head = seed_words + _words(t)
         keys = np.empty((len(rows), len(head) + 1), dtype=np.uint32)
         keys[:, :-1] = head
         keys[:, -1] = np.arange(len(rows))
-        for out, key, row in zip(c, keys, rows):
-            out[: row.size] = np.random.default_rng(key).multinomial(shots, row)
+        for out, key in zip(pool, keys):
+            out[:] = np.random.SeedSequence(key).pool
+    states = _pcg64_states(pools)
+    counts = np.zeros((len(trials), *dist.shape), dtype=np.int64)
+    for c, trial_states in zip(counts, states):
+        for out, state, row in zip(c, trial_states, rows):
+            rng = np.random.Generator(np.random.PCG64(_KnownState(state)))
+            out[: row.size] = rng.multinomial(shots, row)
     return counts
 
 

@@ -15,6 +15,9 @@ from wtomo.noise import (
     IBM_OSAKA_READOUT,
     QubitReadout,
     ReadoutModel,
+    _KnownState,
+    _pcg64_states,
+    _words,
     apply_readout_noise,
     counts_to_probs,
     exact_probs,
@@ -254,6 +257,33 @@ class TestSampleCircuits:
                 for j, w in enumerate(widths):
                     expected = np.random.default_rng([seed, t, j]).multinomial(1000, dist[j, :w])
                     assert np.array_equal(c[j, :w], expected), (seed, t, j)
+
+    def test_batched_state_step_is_numpys(self):
+        # one _pcg64_states step over a stack of pools gives what numpy's
+        # SeedSequence(key).generate_state(4, np.uint64) gives key by key,
+        # for keys [seed], [seed, t] and [seed, t, j] of 1 to 6 uint32 words
+        keys = [key
+                for seed in (0, 2**32 - 1, 5 * 10**9, 2**64 + 3)
+                for t in (0, 2**32 + 5)
+                for key in ([seed], [seed, t], [seed, t, 36])]
+        sequences = [np.random.SeedSequence(k) for k in keys]
+        assert {sum(len(_words(n)) for n in k) for k in keys} == {1, 2, 3, 4, 5, 6}
+        pools = np.array([s.pool for s in sequences]).reshape(2, -1, 4)
+        states = _pcg64_states(pools)
+        assert states.dtype == np.uint64 and states.flags.c_contiguous
+        expected = np.array([s.generate_state(4, np.uint64) for s in sequences])
+        assert np.array_equal(states.reshape(-1, 4), expected)
+
+    def test_known_state_seeds_pcg64_only(self):
+        # PCG64 seeded from the known state is default_rng(key); any other
+        # request, such as MT19937's 624 uint32 words, is refused
+        key = [1234, 5, 7]
+        state = _pcg64_states(np.random.SeedSequence(key).pool)
+        known = np.random.Generator(np.random.PCG64(_KnownState(state)))
+        assert np.array_equal(known.integers(2**63, size=8),
+                              np.random.default_rng(key).integers(2**63, size=8))
+        with pytest.raises(ValueError):
+            np.random.MT19937(_KnownState(state))
 
     def test_padded_columns_draw_nothing(self):
         # at 2**62 shots a draw over a padded row rounds counts into its padding;

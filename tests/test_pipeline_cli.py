@@ -19,6 +19,7 @@ from wtomo.circuits import (
 )
 from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, build_parser, main
 from wtomo.io import (
+    density_to_json_dict,
     load_density,
     readout_model_to_json_dict,
     report_csv_text,
@@ -290,17 +291,17 @@ class TestDeterminism:
         # every sampled circuit of every trial draws from its own stream:
         # 17 + 7 + 7 settings and 6 calibration circuits per trial
         keys = []
-        default_rng = np.random.default_rng
+        seed_sequence = np.random.SeedSequence
 
-        def recording_rng(seed):
-            keys.append(tuple(seed))
-            return default_rng(seed)
+        def recording_seed_sequence(entropy):
+            keys.append(tuple(int(w) for w in entropy))
+            return seed_sequence(entropy)
 
-        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        monkeypatch.setattr(np.random, "SeedSequence", recording_seed_sequence)
         trials = 5
         run_pipeline(ExperimentConfig(shots=100, trials=trials, seed=1234))
         assert sorted(keys) == [(1234, t, s) for t in range(trials) for s in range(37)]
-        states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
+        states = {tuple(seed_sequence(k).generate_state(4)) for k in keys}
         assert len(states) == 37 * trials
 
     def test_calibration_is_drawn_after_the_settings(self):
@@ -677,6 +678,28 @@ class TestCli:
         assert exc.value.code == (
             f"cannot read {psi}: file holds a state vector of 8 amplitudes, not a density matrix"
         )
+
+    @pytest.mark.parametrize("command, dim", [(["fidelity", "{f}"], 8),
+                                              (["diosi", "{f}", "{f}", "--out", "{out}"], 4)])
+    @pytest.mark.parametrize("drop, im, message", [
+        ("re", None, "density file has no 're'"),
+        ("im", None, "density file has no 'im'"),
+        ("nqubits", None, "density file has no 'nqubits'"),
+        (None, np.zeros((2, 2)), "'re' has shape ({n}, {n}) but 'im' has shape (2, 2)"),
+    ], ids=["no-re", "no-im", "no-nqubits", "im-shape"])
+    def test_density_file_names_its_missing_key_or_shapes(self, command, dim, drop, im, message,
+                                                          tmp_path):
+        f, out = tmp_path / "rho.json", tmp_path / "out.json"
+        d = density_to_json_dict(np.eye(dim) / dim)
+        if drop:
+            del d[drop]
+        if im is not None:
+            d["im"] = im.tolist()
+        f.write_text(json.dumps(d))
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(f=f, out=out) for a in command])
+        assert exc.value.code == f"cannot read {f}: " + message.format(n=dim)
+        assert not out.exists()
 
     @pytest.mark.parametrize("failing, code", [(1, EXIT_PARTIAL), (2, EXIT_RECONSTRUCTION)])
     def test_failed_trials_set_the_exit_code(self, failing, code, tmp_path, monkeypatch, capsys):
