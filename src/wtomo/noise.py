@@ -6,10 +6,11 @@ reproducible stream. In a simulated run circuit j of trial t is row j of the
 trial's zero-padded (37, 8) table (``pipeline.LAYOUT``) and draws from its own
 stream, keyed [seed, t, j], over its own outcomes only (``sample_counts``), so
 no two circuits share a stream. The stream is ``default_rng([seed, t, j])``
-and ``RNG_ALGORITHM`` names it unchanged; ``sample_counts`` only splits the
-seeding into its two steps. numpy's ``SeedSequence`` mixes each key into its
-4-word pool, and one batched step (``_pcg64_states``) hashes every pool of the
-batch into the four uint64 words that seed PCG64.
+and ``RNG_ALGORITHM`` names it unchanged; ``sample_counts`` only computes
+numpy's seeding for the whole batch at once. One numpy step (``_seed_pools``)
+mixes every key into its 4-word pool as ``SeedSequence`` does, and one more
+(``_pcg64_states``) hashes every pool into the four uint64 words that seed
+PCG64.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def outcome_distribution(p: np.ndarray) -> np.ndarray:
     """The distribution the sampler draws from: p validated, clipped at zero
     and renormalized (each row of a stack separately)."""
     p = np.asarray(p, dtype=float)
-    if p.min() < -1e-9 or (np.abs(p.sum(axis=-1) - 1.0) > 1e-9).any():
+    if (not np.isfinite(p).all() or p.min() < -1e-9
+            or (np.abs(p.sum(axis=-1) - 1.0) > 1e-9).any()):
         raise ValueError("invalid outcome distribution")
     p = np.clip(p, 0.0, None)
     return p / p.sum(axis=-1, keepdims=True)
@@ -100,26 +102,73 @@ def outcome_distribution(p: np.ndarray) -> np.ndarray:
 
 def _words(n: int) -> list[int]:
     """The 32-bit words of n >= 0, least significant first and at least one:
-    what ``SeedSequence`` makes of an int in its entropy."""
+    what ``SeedSequence`` makes of an int in its entropy. Like
+    ``SeedSequence``, it rejects a negative n."""
+    if n < 0:
+        raise ValueError(f"stream key words need an integer >= 0, not {n}")
     words = [n & 0xFFFFFFFF]
     while n := n >> 32:
         words.append(n & 0xFFFFFFFF)
     return words
 
 
-def _state_hash_constants() -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiply) uint32 constant of each of the 8 output words of
-    ``SeedSequence.generate_state``: its hash constant starts at INIT_B and is
-    multiplied by MULT_B before each word."""
-    h, xor, mult = 0x8B51F9DD, [], []
-    for _ in range(8):
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) uint32 constants of n successive hashes of
+    ``SeedSequence``: its hash constant starts at init, is the xor constant
+    of a hash, and is multiplied by mult to give that hash's multiplier,
+    which is also the next hash's xor constant."""
+    h, xor, out = init, [], []
+    for _ in range(n):
         xor.append(h)
-        h = h * 0x58F38DED & 0xFFFFFFFF
-        mult.append(h)
-    return np.array(xor, dtype=np.uint32), np.array(mult, dtype=np.uint32)
+        h = h * mult & 0xFFFFFFFF
+        out.append(h)
+    return np.array(xor, dtype=np.uint32), np.array(out, dtype=np.uint32)
 
 
-_STATE_XOR, _STATE_MULT = _state_hash_constants()
+# generate_state's 8 output words: INIT_B, MULT_B
+_STATE_XOR, _STATE_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """numpy's ``hashmix`` of uint32 words, one hash constant step each."""
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's ``mix`` of uint32 pool words x with hashed words y."""
+    r = x * _MIX_L
+    r -= y * _MIX_R
+    r ^= r >> 16
+    return r
+
+
+def _seed_pools(keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).pool`` of every uint32 key of a table (..., K), as
+    uint32 (..., 4): numpy's ``mix_entropy`` in uint32 wrap-around arithmetic.
+    The first 4 words (zeros past K) are hashed into the pool, each pool word
+    is mixed with the hash of every other, then each word past the fourth
+    with every pool word. Its hash constant (INIT_A, MULT_A) steps once per
+    hash whatever the data, so the 4 * max(K, 4) constants are computed
+    once per table."""
+    k = keys.shape[-1]
+    xor, mult = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * max(k, 4))
+    head = np.zeros((*keys.shape[:-1], 4), dtype=np.uint32)
+    head[..., : min(k, 4)] = keys[..., :4]
+    pool = _hashmix(head, xor[:4], mult[:4])
+    c = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        h = _hashmix(pool[..., src, None], xor[c : c + 3], mult[c : c + 3])
+        pool[..., dst] = _mix(pool[..., dst], h)
+        c += 3
+    for src in range(4, k):
+        pool = _mix(pool, _hashmix(keys[..., src, None], xor[c : c + 4], mult[c : c + 4]))
+        c += 4
+    return pool
 
 
 def _pcg64_states(pools: np.ndarray) -> np.ndarray:
@@ -157,22 +206,25 @@ def sample_counts(
     circuit j of trial t draws shots from the stream [seed, t, j] over the first
     widths[j] outcomes of dist[j] only, so the zero padding past them stays 0.
 
-    Each trial's R keys are one uint32 table whose row j holds the words of
-    seed, t and j in that order, the entropy numpy makes of the list
-    [seed, t, j]. numpy's ``SeedSequence`` mixes each row into its pool; one
-    ``_pcg64_states`` step over the (T, R, 4) pool table gives every
-    circuit's PCG64 state, so circuit j draws from ``default_rng([seed, t, j])``
-    bit for bit."""
+    Circuit j's key is the uint32 row holding the words of seed, t and j in
+    that order, the entropy numpy makes of the list [seed, t, j]. One
+    ``_seed_pools`` step mixes the key table of every trial whose t has the
+    same number of words (a zero word cannot pad a key without changing its
+    stream), as ``SeedSequence`` does; one ``_pcg64_states`` step over the
+    (T, R, 4) pool table gives every circuit's PCG64 state, so circuit j
+    draws from ``default_rng([seed, t, j])`` bit for bit."""
     rows = [dist[j, :w] for j, w in enumerate(widths)]
     seed_words = _words(seed)
+    trial_words = [_words(t) for t in trials]
     pools = np.empty((len(trials), len(rows), 4), dtype=np.uint32)
-    for pool, t in zip(pools, trials):
-        head = seed_words + _words(t)
-        keys = np.empty((len(rows), len(head) + 1), dtype=np.uint32)
-        keys[:, :-1] = head
-        keys[:, -1] = np.arange(len(rows))
-        for out, key in zip(pool, keys):
-            out[:] = np.random.SeedSequence(key).pool
+    for n in {len(w) for w in trial_words}:
+        group = [i for i, w in enumerate(trial_words) if len(w) == n]
+        keys = np.empty((len(group), len(rows), len(seed_words) + n + 1), dtype=np.uint32)
+        keys[..., : len(seed_words)] = seed_words
+        t_words = np.array([trial_words[i] for i in group], dtype=np.uint32)
+        keys[..., len(seed_words) : -1] = t_words[:, None]
+        keys[..., -1] = np.arange(len(rows))
+        pools[group] = _seed_pools(keys)
     states = _pcg64_states(pools)
     counts = np.zeros((len(trials), *dist.shape), dtype=np.int64)
     for c, trial_states in zip(counts, states):

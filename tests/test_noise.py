@@ -17,6 +17,7 @@ from wtomo.noise import (
     ReadoutModel,
     _KnownState,
     _pcg64_states,
+    _seed_pools,
     _words,
     apply_readout_noise,
     counts_to_probs,
@@ -274,6 +275,33 @@ class TestSampleCircuits:
         expected = np.array([s.generate_state(4, np.uint64) for s in sequences])
         assert np.array_equal(states.reshape(-1, 4), expected)
 
+    def test_seed_pools_are_numpys(self):
+        # one _seed_pools step over a key table gives numpy's
+        # SeedSequence(key).pool key by key: random keys of 1 to 8 words
+        # (zero fill below 4, remaining-entropy mixing above) and the sampler's
+        # edge keys [seed, t, j], whose expected pools numpy mixes from the list
+        rng = np.random.default_rng(2024)
+        for k in range(1, 9):
+            keys = rng.integers(2**32, size=(3, 100, k), dtype=np.uint32)
+            expected = [np.random.SeedSequence(key).pool for key in keys.reshape(-1, k)]
+            pools = _seed_pools(keys)
+            assert pools.dtype == np.uint32 and pools.shape == (3, 100, 4)
+            assert np.array_equal(pools.reshape(-1, 4), expected), k
+        for seed in (0, 2**32 - 1, 5 * 10**9, 2**64 + 3):
+            for t in (0, 2**32 + 5):
+                for j in (0, 36):
+                    key = np.array(_words(seed) + _words(t) + [j], dtype=np.uint32)
+                    expected = np.random.SeedSequence([seed, t, j]).pool
+                    assert np.array_equal(_seed_pools(key), expected), (seed, t, j)
+
+    def test_negative_key_is_rejected(self):
+        # -1 >> 32 == -1: without the check the word loop never ends
+        dist = np.array([[0.5, 0.5]])
+        with pytest.raises(ValueError, match="not -1$"):
+            sample_counts(dist, [2], 10, -1, [0])
+        with pytest.raises(ValueError, match="not -3$"):
+            sample_counts(dist, [2], 10, 1234, [0, -3])
+
     def test_known_state_seeds_pcg64_only(self):
         # PCG64 seeded from the known state is default_rng(key); any other
         # request, such as MT19937's 624 uint32 words, is refused
@@ -302,3 +330,11 @@ class TestSampleCircuits:
             assert np.array_equal(dist, expected)
         with pytest.raises(ValueError, match="invalid outcome distribution"):
             outcome_distribution(np.array([[0.5, 0.5], [0.6, 0.6]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outcome_distribution_is_rejected(self, bad):
+        # NaN fails both comparisons of the range and sum checks
+        with pytest.raises(ValueError, match="invalid outcome distribution"):
+            outcome_distribution(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="invalid outcome distribution"):
+            outcome_distribution(np.array([[0.5, 0.5], [bad, 1.0]]))

@@ -31,6 +31,7 @@ from wtomo.linalg import flag, outer, partial_trace
 from wtomo.noise import (
     QubitReadout,
     ReadoutModel,
+    _seed_pools,
     apply_readout_noise,
     exact_probs,
     outcome_distribution,
@@ -257,6 +258,14 @@ class TestBatching:
         cfg = ExperimentConfig(shots=2000, trials=20, seed=1234, scheme="both", mitigate=True)
         assert report_csv_text(cfg, run_pipeline(cfg)) == golden.read_text()
 
+    def test_golden_report_of_a_three_word_seed(self):
+        # seed 2**64 + 3 makes 5-word keys, so sampling mixes the words past
+        # the fourth into the pool; report.csv as written before that mixing
+        # left numpy's SeedSequence
+        golden = Path(__file__).parent / "data" / "report_seed2p64p3_3x2000.csv"
+        cfg = ExperimentConfig(shots=2000, trials=3, seed=2**64 + 3, scheme="both", mitigate=True)
+        assert report_csv_text(cfg, run_pipeline(cfg)) == golden.read_text()
+
     def test_golden_run_directory(self, tmp_path):
         # every file of a small passing run: report, metadata, and per trial the
         # four density files, the counts file and the calibration file
@@ -291,17 +300,16 @@ class TestDeterminism:
         # every sampled circuit of every trial draws from its own stream:
         # 17 + 7 + 7 settings and 6 calibration circuits per trial
         keys = []
-        seed_sequence = np.random.SeedSequence
 
-        def recording_seed_sequence(entropy):
-            keys.append(tuple(int(w) for w in entropy))
-            return seed_sequence(entropy)
+        def recording_seed_pools(table):
+            keys.extend(tuple(int(w) for w in key) for key in table.reshape(-1, table.shape[-1]))
+            return _seed_pools(table)
 
-        monkeypatch.setattr(np.random, "SeedSequence", recording_seed_sequence)
+        monkeypatch.setattr("wtomo.noise._seed_pools", recording_seed_pools)
         trials = 5
         run_pipeline(ExperimentConfig(shots=100, trials=trials, seed=1234))
         assert sorted(keys) == [(1234, t, s) for t in range(trials) for s in range(37)]
-        states = {tuple(seed_sequence(k).generate_state(4)) for k in keys}
+        states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
         assert len(states) == 37 * trials
 
     def test_calibration_is_drawn_after_the_settings(self):
