@@ -75,10 +75,11 @@ REF_RHO_PARTS = np.array(
 ENTRYWISE_TOL = 0.02  # published precision
 FIDELITY_PARTS_EXPECTED = 0.995
 FIDELITY_PARTS_TOL = 0.01
+EPS_B = 0.05  # the pipeline's base experimental tolerance on the shared-qubit gap
 
 
-def experimental_marginals(eps_b: float = 0.05) -> MarginalPair:
+def experimental_marginals() -> MarginalPair:
     """The two-qubit fixtures, harmonized to the three-qubit convention and
-    divided by their printed trace (0.98)."""
+    divided by their printed trace (0.98), with tolerance ``EPS_B``."""
     ab, bc = (rho.T / np.trace(rho).real for rho in (_RHO_AB_PUBLISHED, _RHO_BC_PUBLISHED))
-    return MarginalPair(ab, bc, eps_b)
+    return MarginalPair(ab, bc, EPS_B)

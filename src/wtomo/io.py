@@ -102,8 +102,9 @@ def counts_file_dict(
     """Counts-file object of the counts (L, d) of the three- or two-qubit
     scheme (by d), in setting order; zero counts are left out.
 
-    seed is the seed or key prefix the counts were drawn from; the pipeline
-    writes its trial key [seed, trial].
+    seed is the key of the stream the counts were drawn from; the pipeline
+    writes its trial's stream key [seed, trial], so
+    ``np.random.default_rng(obj["seed"])`` replays the trial's draws.
     """
     nqubits = np.shape(counts)[-1].bit_length() - 1
     scheme = three_qubit_scheme() if nqubits == 3 else two_qubit_scheme()
@@ -118,8 +119,9 @@ def counts_file_dict(
 
 def load_counts_file(path) -> dict[str, np.ndarray]:
     """The tables of a counts file, label -> counts array; "shots", "seed" and
-    "noise" are not read. Every count is a non-negative JSON integer of at
-    most ``MAX_SHOTS`` and every table has a positive total."""
+    "noise" are not read. Every table has bitstrings of one length, at most
+    3 bits; every count is a non-negative JSON integer of at most
+    ``MAX_SHOTS`` and every table has a positive total."""
     obj = _read_object(path, "a counts file holds a JSON object of tables")
     for key in ("shots", "seed", "noise"):
         obj.pop(key, None)
@@ -133,6 +135,9 @@ def load_counts_file(path) -> dict[str, np.ndarray]:
         bad = [bits for bits in table if not bits or set(bits) - {"0", "1"}]
         if bad:
             raise ValueError(f"table {label!r} has key {bad[0]!r}, not a bitstring of 0s and 1s")
+        if lengths[0] > len(QUBIT_NAMES):  # checked before 2**length counts are allocated
+            raise ValueError(f"table {label!r} has {lengths[0]}-bit strings, "
+                             f"more than the {len(QUBIT_NAMES)} qubits wtomo reads")
         c = np.zeros(2 ** lengths[0], dtype=int)
         for bits, v in table.items():
             if type(v) is not int or v < 0:  # bool is an int subclass, JSON true is not
@@ -193,7 +198,8 @@ def readout_model_from_json_dict(d: dict) -> ReadoutModel:
             if key not in v:
                 raise ValueError(f"qubit {label!r} has no {key!r}")
         p01, p10 = v["p01"], v["p10"]
-        if not all(isinstance(p, (int, float)) for p in (p01, p10)):
+        # bool is an int subclass, JSON true is not a number
+        if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in (p01, p10)):
             raise ValueError(f"qubit {label!r}: p01 {p01!r}, p10 {p10!r} are not numbers")
         qubits.append(QubitReadout(p01, p10))
     return ReadoutModel(tuple(qubits))

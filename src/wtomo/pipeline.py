@@ -3,10 +3,10 @@ setting, optional mitigation, reconstruction, and fidelity reporting.
 
 Each trial mirrors one hardware run: the 17 three-qubit settings, 7
 two-qubit settings per marginal (14 circuits) and 6 calibration circuits,
-the 37 rows of one zero-padded (37, 8) table (``LAYOUT``). Circuit j of
-trial t is row j of that table and draws from the stream keyed [seed, t, j]
-over its own outcomes (``noise.sample_counts``), so a fixed configuration
-reproduces byte-identical reports and no two circuits share a stream.
+the 37 rows of one zero-padded (37, 8) table (``LAYOUT``). Trial t draws
+from one stream keyed [seed, t], its circuits in row order, each over its own
+outcomes (``noise.sample_counts``), so a fixed configuration reproduces
+byte-identical reports and no two trials share a stream.
 
 The trials of a run form one batch: after sampling, every stage runs once
 on stacks with a leading trial axis; a trial's result is bitwise the same in
@@ -40,9 +40,10 @@ from .tomography import reconstruct_2q, reconstruct_3q
 from .wholeparts import MarginalPair, _diosi_reconstruct
 
 
-# A trial's circuit groups in stream order, as (rows of its (37, 8) table,
-# outcomes per circuit, measured qubits): the 3q, AB and BC settings in setting
-# order, then qubit A, B, C each prepared in |0> then |1> and read alone.
+# A trial's circuit groups in the order they draw from its stream, as (rows of
+# its (37, 8) table, outcomes per circuit, measured qubits): the 3q, AB and BC
+# settings in setting order, then qubit A, B, C each prepared in |0> then |1>
+# and read alone.
 LAYOUT = (
     (slice(0, 17), 8, (0, 1, 2)),
     (slice(17, 24), 4, (0, 1)),
@@ -161,8 +162,8 @@ def _reconstruct(cfg: ExperimentConfig, errors: dict, psi_w, p3, pab, pbc, eps_b
 def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     """Run the trials of results as one batch, filling each result in place.
 
-    Circuit j of trial t samples from its own stream [seed, t, j]; every
-    later stage runs once on the stack of all the trials. A failing trial
+    Trial t samples its circuits from its own stream [seed, t]; every later
+    stage runs once on the stack of all the trials. A failing trial
     gets its first error (see the module docstring).
     """
     psi_w, table, dist = _noisy_probs(cfg.noise)

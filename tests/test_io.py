@@ -126,7 +126,7 @@ METADATA_FILE = """{
     "p10": 0.5
    }
   },
-  "rng": "numpy PCG64 (default_rng), stream key [seed, trial, stream]",
+  "rng": "numpy PCG64 (default_rng), one stream per trial keyed [seed, trial], circuits drawn in row order",
   "scheme": "both",
   "seed": 7,
   "shots": 10,

@@ -15,10 +15,6 @@ from wtomo.noise import (
     IBM_OSAKA_READOUT,
     QubitReadout,
     ReadoutModel,
-    _KnownState,
-    _pcg64_states,
-    _seed_pools,
-    _words,
     apply_readout_noise,
     counts_to_probs,
     exact_probs,
@@ -222,9 +218,11 @@ class TestCountsFile:
         ({"000": None}, "has count None for '000', not a non-negative integer"),
         ({"000": 0, "101": 0}, "has no counts"),
         ({"000": 2**63}, f"has count {2**63} for '000', more than {2**63 - 1}"),
+        ({"0" * 44: 5}, "has 44-bit strings, more than the 3 qubits wtomo reads"),
+        ({"1111": 5}, "has 4-bit strings, more than the 3 qubits wtomo reads"),
     ], ids=["longer", "shorter", "not-binary", "empty-key", "negative-count",
             "fractional-count", "float-count", "bool-count", "string-count", "null-count",
-            "zero-sum", "beyond-int64"])
+            "zero-sum", "beyond-int64", "44-bit", "4-bit"])
     def test_malformed_bitstrings_name_the_table(self, table, message, tmp_path):
         path = tmp_path / "counts.json"
         path.write_text(json.dumps({"ZZZ": {"000": 1}, "XZZ": table}))
@@ -234,84 +232,43 @@ class TestCountsFile:
 
 class TestSampleCircuits:
     def test_rows_draw_from_keyed_streams(self):
-        # row j of trial t draws over its own outcomes from the stream [seed, t, j]
+        # trial t draws its rows in order from the one stream [seed, t], row j
+        # over its own outcomes only
         widths = [2, 4, 2]
         dist = np.zeros((3, 4))
         dist[0, :2], dist[1], dist[2, :2] = [0.2, 0.8], [0.1, 0.2, 0.3, 0.4], [1.0, 0.0]
         counts = sample_counts(dist, widths, 1000, 7, [3, 5])
         assert counts.shape == (2, 3, 4) and counts.dtype == np.int64
         for c, t in zip(counts, (3, 5)):
+            rng = np.random.default_rng([7, t])
             for j, w in enumerate(widths):
-                expected = np.random.default_rng([7, t, j]).multinomial(1000, dist[j, :w])
-                assert np.array_equal(c[j, :w], expected), (t, j)
+                assert np.array_equal(c[j, :w], rng.multinomial(1000, dist[j, :w])), (t, j)
                 assert not c[j, w:].any()
 
     def test_word_keys_match_list_keys(self):
-        # the sampler's uint32 word keys are the streams of the lists [seed, t, j],
-        # also where seed or t spans more than one 32-bit word
+        # the stream of [seed, t] is the one numpy makes of their uint32 words
+        # (least significant first), also where seed or t spans more than one
+        # 32-bit word: no word is dropped or truncated
+        def words(n):
+            return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+
         widths = [2, 4]
         dist = np.array([[0.3, 0.7, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
         trials = [0, 1, 2**32 - 1, 2**32 + 5]
         for seed in (0, 1234, 2**32 - 1, 2**32, 5 * 10**9, 2**64 + 3):
             counts = sample_counts(dist, widths, 1000, seed, trials)
             for c, t in zip(counts, trials):
+                rng = np.random.default_rng(np.array(words(seed) + words(t), dtype=np.uint32))
                 for j, w in enumerate(widths):
-                    expected = np.random.default_rng([seed, t, j]).multinomial(1000, dist[j, :w])
-                    assert np.array_equal(c[j, :w], expected), (seed, t, j)
-
-    def test_batched_state_step_is_numpys(self):
-        # one _pcg64_states step over a stack of pools gives what numpy's
-        # SeedSequence(key).generate_state(4, np.uint64) gives key by key,
-        # for keys [seed], [seed, t] and [seed, t, j] of 1 to 6 uint32 words
-        keys = [key
-                for seed in (0, 2**32 - 1, 5 * 10**9, 2**64 + 3)
-                for t in (0, 2**32 + 5)
-                for key in ([seed], [seed, t], [seed, t, 36])]
-        sequences = [np.random.SeedSequence(k) for k in keys]
-        assert {sum(len(_words(n)) for n in k) for k in keys} == {1, 2, 3, 4, 5, 6}
-        pools = np.array([s.pool for s in sequences]).reshape(2, -1, 4)
-        states = _pcg64_states(pools)
-        assert states.dtype == np.uint64 and states.flags.c_contiguous
-        expected = np.array([s.generate_state(4, np.uint64) for s in sequences])
-        assert np.array_equal(states.reshape(-1, 4), expected)
-
-    def test_seed_pools_are_numpys(self):
-        # one _seed_pools step over a key table gives numpy's
-        # SeedSequence(key).pool key by key: random keys of 1 to 8 words
-        # (zero fill below 4, remaining-entropy mixing above) and the sampler's
-        # edge keys [seed, t, j], whose expected pools numpy mixes from the list
-        rng = np.random.default_rng(2024)
-        for k in range(1, 9):
-            keys = rng.integers(2**32, size=(3, 100, k), dtype=np.uint32)
-            expected = [np.random.SeedSequence(key).pool for key in keys.reshape(-1, k)]
-            pools = _seed_pools(keys)
-            assert pools.dtype == np.uint32 and pools.shape == (3, 100, 4)
-            assert np.array_equal(pools.reshape(-1, 4), expected), k
-        for seed in (0, 2**32 - 1, 5 * 10**9, 2**64 + 3):
-            for t in (0, 2**32 + 5):
-                for j in (0, 36):
-                    key = np.array(_words(seed) + _words(t) + [j], dtype=np.uint32)
-                    expected = np.random.SeedSequence([seed, t, j]).pool
-                    assert np.array_equal(_seed_pools(key), expected), (seed, t, j)
+                    assert np.array_equal(c[j, :w], rng.multinomial(1000, dist[j, :w])), (seed, t)
 
     def test_negative_key_is_rejected(self):
-        # -1 >> 32 == -1: without the check the word loop never ends
+        # numpy's own key check: a negative seed or trial has no 32-bit words
         dist = np.array([[0.5, 0.5]])
-        with pytest.raises(ValueError, match="not -1$"):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
             sample_counts(dist, [2], 10, -1, [0])
-        with pytest.raises(ValueError, match="not -3$"):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
             sample_counts(dist, [2], 10, 1234, [0, -3])
-
-    def test_known_state_seeds_pcg64_only(self):
-        # PCG64 seeded from the known state is default_rng(key); any other
-        # request, such as MT19937's 624 uint32 words, is refused
-        key = [1234, 5, 7]
-        state = _pcg64_states(np.random.SeedSequence(key).pool)
-        known = np.random.Generator(np.random.PCG64(_KnownState(state)))
-        assert np.array_equal(known.integers(2**63, size=8),
-                              np.random.default_rng(key).integers(2**63, size=8))
-        with pytest.raises(ValueError):
-            np.random.MT19937(_KnownState(state))
 
     def test_padded_columns_draw_nothing(self):
         # at 2**62 shots a draw over a padded row rounds counts into its padding;

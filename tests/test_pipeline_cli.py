@@ -19,10 +19,13 @@ from wtomo.circuits import (
 )
 from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, build_parser, main
 from wtomo.io import (
+    counts_file_dict,
     density_to_json_dict,
     load_density,
+    readout_model_from_json_dict,
     readout_model_to_json_dict,
     report_csv_text,
+    save_calibration,
     save_density,
     save_reconstruction,
     write_outputs,
@@ -31,7 +34,6 @@ from wtomo.linalg import flag, outer, partial_trace
 from wtomo.noise import (
     QubitReadout,
     ReadoutModel,
-    _seed_pools,
     apply_readout_noise,
     exact_probs,
     outcome_distribution,
@@ -216,10 +218,11 @@ class TestBatching:
         with pytest.raises(ValueError, match="bug"):
             run_pipeline(self.CFG)
 
+    # each seed is the first from 1234 up whose run has the failure it covers
     FAILING_RUNS = {
         "shots1_trials40_parts2q_nomitigate":
-            ExperimentConfig(shots=1, trials=40, scheme="parts2q", mitigate=False),
-        "shots3_trials100": ExperimentConfig(shots=3, trials=100),
+            ExperimentConfig(shots=1, trials=40, seed=1235, scheme="parts2q", mitigate=False),
+        "shots3_trials100": ExperimentConfig(shots=3, trials=100, seed=1237),
     }
     # the failure each golden run exists to cover, and the files its trial keeps;
     # regenerated goldens must still hold both
@@ -235,7 +238,7 @@ class TestBatching:
     def test_golden_failing_run(self, name, tmp_path):
         # singular calibration (a trial that fails only in the mitigated pass
         # keeps its unmitigated matrices under --no-mitigate) and TooMixedError,
-        # as written before failing trials were flagged inside the batch
+        # as written when sampling became one stream per trial
         golden = Path(__file__).parent / "data" / "failing_runs" / name
         out = tmp_path / "run"
         cfg = self.FAILING_RUNS[name]
@@ -253,15 +256,15 @@ class TestBatching:
 
     def test_golden_report(self):
         # report.csv of seed 1234, 20 trials, 2000 shots, both schemes, mitigated,
-        # as written before the pipeline was batched
+        # as written when sampling became one stream per trial
         golden = Path(__file__).parent / "data" / "report_seed1234_20x2000.csv"
         cfg = ExperimentConfig(shots=2000, trials=20, seed=1234, scheme="both", mitigate=True)
         assert report_csv_text(cfg, run_pipeline(cfg)) == golden.read_text()
 
     def test_golden_report_of_a_three_word_seed(self):
-        # seed 2**64 + 3 makes 5-word keys, so sampling mixes the words past
-        # the fourth into the pool; report.csv as written before that mixing
-        # left numpy's SeedSequence
+        # seed 2**64 + 3 spans three 32-bit words, so every stream key
+        # [seed, t] is a multi-word key; report.csv as written when sampling
+        # became one stream per trial
         golden = Path(__file__).parent / "data" / "report_seed2p64p3_3x2000.csv"
         cfg = ExperimentConfig(shots=2000, trials=3, seed=2**64 + 3, scheme="both", mitigate=True)
         assert report_csv_text(cfg, run_pipeline(cfg)) == golden.read_text()
@@ -297,31 +300,36 @@ class TestDeterminism:
         assert report_csv_text(base, ra) != report_csv_text(other, rb)
 
     def test_stream_keys_are_distinct(self, monkeypatch):
-        # every sampled circuit of every trial draws from its own stream:
-        # 17 + 7 + 7 settings and 6 calibration circuits per trial
+        # every trial draws from its own stream [seed, t]: one generator per
+        # trial, each with its own state
         keys = []
+        default_rng = np.random.default_rng
 
-        def recording_seed_pools(table):
-            keys.extend(tuple(int(w) for w in key) for key in table.reshape(-1, table.shape[-1]))
-            return _seed_pools(table)
+        def recording_default_rng(key):
+            keys.append(key)
+            return default_rng(key)
 
-        monkeypatch.setattr("wtomo.noise._seed_pools", recording_seed_pools)
+        monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
         trials = 5
         run_pipeline(ExperimentConfig(shots=100, trials=trials, seed=1234))
-        assert sorted(keys) == [(1234, t, s) for t in range(trials) for s in range(37)]
+        assert keys == [[1234, t] for t in range(trials)]
         states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
-        assert len(states) == 37 * trials
+        assert len(states) == trials
 
     def test_calibration_is_drawn_after_the_settings(self):
         # calibration circuit j (qubit j // 2 prepared in |j % 2>) of trial t
-        # is circuit 31 + j, after the 17 + 7 + 7 settings: stream [seed, t, 31 + j]
+        # is row 31 + j: stream [seed, t] draws it after the 17 + 7 + 7 settings
         model = ReadoutModel.ibm_osaka()
         cfg = ExperimentConfig(shots=500, trials=3, seed=42, noise=model)
+        dist = pipeline._noisy_probs(model)[2]
         for t, r in enumerate(run_pipeline(cfg)):
+            rng = np.random.default_rng([cfg.seed, t])
+            for row, width in zip(dist[:31], pipeline.WIDTHS):
+                rng.multinomial(cfg.shots, row[:width])
             for j in range(6):
                 q, prep = divmod(j, 2)
-                dist = outcome_distribution(model.qubits[q].calibration_matrix()[:, prep])
-                draw = np.random.default_rng([cfg.seed, t, 31 + j]).multinomial(cfg.shots, dist)
+                p = outcome_distribution(model.qubits[q].calibration_matrix()[:, prep])
+                draw = rng.multinomial(cfg.shots, p)
                 assert np.array_equal(r.calibration[q][:, prep], draw / cfg.shots), (t, j)
 
     def test_trials_are_independent_streams(self):
@@ -354,6 +362,29 @@ class TestOutputs:
             "trial,shots,f_full_unmitigated,f_full_mitigated,"
             "f_parts_unmitigated,f_parts_mitigated"
         )
+
+    def test_counts_file_names_its_stream(self, tmp_path):
+        # replaying default_rng(seed entry) of a trial's counts_3q.json over the
+        # 37 rows of LAYOUT, in order, gives that file's tables and the trial's
+        # calibration.json
+        out = tmp_path / "run"
+        cfg = ExperimentConfig(shots=700, trials=2, seed=1234)
+        write_outputs(cfg, run_pipeline(cfg), out)
+        for t in range(2):
+            tdir = out / f"trial_{t}"
+            obj = json.loads((tdir / "counts_3q.json").read_text())
+            assert obj["seed"] == [1234, t]
+            model = readout_model_from_json_dict(obj["noise"])
+            rng = np.random.default_rng(obj["seed"])
+            dist = pipeline._noisy_probs(model)[2]
+            draws = np.zeros(dist.shape, dtype=np.int64)
+            for j, width in enumerate(pipeline.WIDTHS):
+                draws[j, :width] = rng.multinomial(obj["shots"], dist[j, :width])
+            assert obj == counts_file_dict(draws[:17], obj["shots"], obj["seed"], model)
+            calibration = draws[31:, :2].reshape(3, 2, 2).swapaxes(-1, -2) / obj["shots"]
+            saved = tmp_path / f"calibration_{t}.json"
+            save_calibration(calibration, saved)
+            assert saved.read_bytes() == (tdir / "calibration.json").read_bytes(), t
 
     def test_saved_marginals_consistent_with_parts(self, tmp_path):
         out = tmp_path / "run"
@@ -557,8 +588,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["tomo3q", "tomo2q"])
     @pytest.mark.parametrize("case", [
         "empty-table", "counts-not-object", "ragged-bitstrings", "short-bitstring",
-        "not-a-bitstring", "calib-qubit-count", "calib-singular", "calib-not-object",
-        "calib-not-2x2", "calib-ragged", "calib-not-numbers", "calib-nan",
+        "not-a-bitstring", "long-bitstring", "calib-qubit-count", "calib-singular",
+        "calib-not-object", "calib-not-2x2", "calib-ragged", "calib-not-numbers", "calib-nan",
     ])
     def test_malformed_input_is_reported(self, command, case, tmp_path):
         n = 3 if command == "tomo3q" else 2
@@ -572,6 +603,8 @@ class TestCli:
             "ragged-bitstrings": (counts, json.dumps({"Z" * n: {"0" * n: 5, "1" * (n + 1): 3}})),
             "short-bitstring": (counts, json.dumps({"Z" * n: {"0" * n: 5, "1" * (n - 1): 3}})),
             "not-a-bitstring": (counts, json.dumps({"Z" * n: {"0" * n: 5, "2" * n: 3}})),
+            # 2**44 counts would be allocated before any check: numpy's MemoryError
+            "long-bitstring": (counts, json.dumps({"Z" * n: {"1" * 44: 5}})),
             "calib-qubit-count": (calib, json.dumps({f"q{q}": good for q in "ABC"[: n - 1]})),
             "calib-singular": (
                 calib, json.dumps({f"q{q}": [[0.5, 0.5], [0.5, 0.5]] for q in "ABC"[:n]})
@@ -594,6 +627,9 @@ class TestCli:
             assert str(exc.value.code).endswith(
                 ": calibration matrix 'qB' is not a 2x2 array of numbers [[f00, f01], [f10, f11]]"
             )
+        if case == "long-bitstring":
+            assert str(exc.value.code).endswith(
+                f": table {'Z' * n!r} has 44-bit strings, more than the 3 qubits wtomo reads")
         if case == "calib-nan":
             assert str(exc.value.code).endswith(": calibration matrix is not column-stochastic")
         assert not out.exists()
@@ -746,7 +782,9 @@ class TestCli:
         ({"p01": "x", "p10": 0.008}, "qubit 'qA': p01 'x', p10 0.008 are not numbers"),
         ({"p01": 0.023}, "qubit 'qA' has no 'p10'"),
         ({"p10": 0.008}, "qubit 'qA' has no 'p01'"),
-    ], ids=["qubit-not-object", "p01-not-a-number", "p10-missing", "p01-missing"])
+        ({"p01": True, "p10": 0.008}, "qubit 'qA': p01 True, p10 0.008 are not numbers"),
+    ], ids=["qubit-not-object", "p01-not-a-number", "p10-missing", "p01-missing",
+            "p01-boolean"])
     def test_malformed_noise_file_is_reported(self, qubit, message, tmp_path):
         noise = tmp_path / "noise.json"
         noise.write_text(json.dumps({"qA": qubit, "qB": 1, "qC": 2}))
