@@ -7,11 +7,12 @@ nonzero spectrum with rho_BC, and rho_C with rho_AB, so
     psi = sum_i exp(i alpha_i) sqrt(lambda_A^i) |i;A> ⊗ |i;BC>
 
 with the branch phases alpha_i fixed by consistency with the equivalent
-(rho_C, rho_AB) decomposition. The five marginals are decomposed in two
-stacks, (rho_A, rho_C, rho_B) and (rho_BC, rho_AB), with one eig_hermitian
-call each (see _top2). States whose single-party spectra are degenerate
-(GHZ-like) are not determined by their marginals and are rejected rather
-than guessed.
+(rho_C, rho_AB) decomposition. The four marginals are decomposed in two
+stacks, (rho_A, rho_C) and (rho_BC, rho_AB), with one eig_hermitian call
+each (see _top2), and the phases come from one contraction over the shared
+qubit B (see _phase_matrix). States whose single-party spectra are
+degenerate (GHZ-like), or whose branches the overlaps do not link, are not
+determined by their marginals and are rejected rather than guessed.
 
 Each check flags (``linalg.flag``) the failing pairs of a stack in a dict of
 errors, and the other pairs come out as alone; with None, the first raises.
@@ -108,86 +109,66 @@ def _fix_vector_gauge(v: np.ndarray) -> np.ndarray:
     return np.where(zero, v, v * (mag / np.where(zero, 1, vk)))
 
 
-def _single_party_marginals(pair: MarginalPair, errors) -> tuple[np.ndarray, ...]:
-    """The three 2x2 marginals (rho_A, rho_B, rho_C) of a trace-normalized pair.
-
-    rho_B is the average of its two estimates; their max-norm discrepancy
-    must stay within pair.eps_b.
-    """
-    rho_a = partial_trace(pair.rho_ab, [0])
-    rho_b_from_ab = partial_trace(pair.rho_ab, [1])
-    rho_b_from_bc = partial_trace(pair.rho_bc, [0])
-    rho_c = partial_trace(pair.rho_bc, [1])
-    gap = np.abs(rho_b_from_ab - rho_b_from_bc).max(axis=(-2, -1))
+def _single_party_marginals(pair: MarginalPair, errors) -> tuple[np.ndarray, np.ndarray]:
+    """The 2x2 marginals (rho_A, rho_C) of a trace-normalized pair, whose two
+    estimates of the shared qubit B must agree within pair.eps_b (max norm)."""
+    gap = np.abs(partial_trace(pair.rho_ab, [1]) - partial_trace(pair.rho_bc, [0])).max(axis=(-2, -1))
     flag(errors, gap > pair.eps_b, lambda k: InconsistentMarginalsError(
         f"shared-qubit marginals disagree by {gap[k]:.4f} (> eps_b = {pair.eps_b})"
     ))
-    rho_b = (rho_b_from_ab + rho_b_from_bc) / 2
-    return rho_a, rho_b, rho_c
+    return partial_trace(pair.rho_ab, [0]), partial_trace(pair.rho_bc, [1])
 
 
-def _top2(rhos: np.ndarray, labels: tuple[str, ...], truncation: dict, errors) -> tuple:
-    """Top-2 eigenpairs, in descending order, of the marginals rhos (..., L, d, d)
-    named by labels along axis -3, from one eig_hermitian call.
+def _top2(rhos: np.ndarray) -> tuple:
+    """Top-2 eigenpairs, in descending order, of the marginals rhos (..., L, d, d),
+    from one eig_hermitian call, with the spectrum clipped at 0.
 
-    In label order, records each discarded spectral mass in truncation and
-    flags a TooMixedError where the kept mass is below MIN_KEPT_MASS. Returns,
-    label axis first, the kept eigenvalues renormalized to sum 1 (L, ..., 2) and
-    the kept eigenvectors (L, ..., d, 2), each column gauge-fixed by _fix_vector_gauge.
+    Returns, label axis first: the kept spectral mass (L, ...), the discarded
+    mass (L, ...), the kept eigenvalues renormalized to sum 1 (L, ..., 2) and
+    the kept eigenvectors (L, ..., d, 2), each column gauge-fixed by
+    _fix_vector_gauge. For d = 2 nothing is discarded.
     """
     w, v = eig_hermitian(rhos)
     w = np.clip(w, 0.0, None)
     kept = w[..., :2].sum(axis=-1)
     lost = np.maximum(0.0, w.sum(axis=-1) - kept)
-    for m, label in enumerate(labels):
-        truncation[label] = _scalar(lost[..., m])
-        flag(errors, kept[..., m] < MIN_KEPT_MASS, lambda k: TooMixedError(
-            f"{label}: kept spectral mass {kept[(*k, m)]:.3f} < {MIN_KEPT_MASS}; "
-            "input too mixed for a pure-state hypothesis"
-        ))
     vectors = _fix_vector_gauge(v[..., :2].swapaxes(-1, -2)).swapaxes(-1, -2)
-    return np.moveaxis(w[..., :2] / kept[..., None], -2, 0), np.moveaxis(vectors, -3, 0)
+    return (np.moveaxis(kept, -1, 0), np.moveaxis(lost, -1, 0),
+            np.moveaxis(w[..., :2] / kept[..., None], -2, 0), np.moveaxis(vectors, -3, 0))
 
 
-def _overlaps(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """t[i, j, k] = sum_{b,c} conj(u[b, j]) conj(v[c, k]) w[2b + c, i].
+def _phase_matrix(lam_a, lam_c, vec_a, vec_c, vec_ab, vec_bc) -> np.ndarray:
+    """m[i, k] = sqrt(lambda_A^i lambda_C^k) <i;A i;BC | k;AB k;C>, the overlap of
+    branch i of the (rho_A, rho_BC) decomposition with branch k of the
+    (rho_C, rho_AB) one, from one contraction over the qubits a, b, c:
 
-    The products come from einsum, which multiplies complex numbers as
-    scalar code does (numpy's vectorised `*` may round differently), in two
-    steps that need smaller buffers than one; the four (b, c) terms are then
-    summed in order, so the rounding is the same for every pair of a stack.
+        sum_abc conj(vec_a[a, i]) vec_ab[2a + b, k] conj(vec_bc[2b + c, i]) vec_c[c, k]
+
+    A single einsum, so a pair rounds the same in a stack of any size.
     """
-    uv = np.einsum("...bj,...ck->...bcjk", u.conj(), v.conj())
-    terms = np.einsum("...bcjk,...bci->...bcijk", uv, w.reshape(*w.shape[:-2], 2, 2, 2))
-    return terms.reshape(*terms.shape[:-5], 4, 2, 2, 2).sum(axis=-4)
+    lead = vec_a.shape[:-2]
+    s = np.einsum("...ai,...abk,...bci,...ck->...ik", vec_a.conj(), vec_ab.reshape(*lead, 2, 2, 2),
+                  vec_bc.conj().reshape(*lead, 2, 2, 2), vec_c)
+    return np.sqrt(lam_a)[..., :, None] * np.sqrt(lam_c)[..., None, :] * s
 
 
-def _solve_phases(lam_a, lam_c, a_tensor, c_tensor, errors) -> np.ndarray:
+def _solve_phases(lam_a, m, errors) -> np.ndarray:
     """Branch phases alpha_i making the two pure-state decompositions agree.
 
-    Spectra are paired in descending order, as _top2 gives them: lam_a[i] of
-    rho_A with |i;BC>, the i-th eigenvector of rho_BC, and lam_c[k] of rho_C
-    with |k;AB>, the k-th of rho_AB. The overlaps (see _overlaps) are
-    A[i, j, k] = <j;B k;C | i;BC> (a_tensor) and C[k, i, j] = <i;A j;B | k;AB>
-    (c_tensor). The consistency constraint
-        exp(i alpha_i) sqrt(lambda_A^i) A[i,j,k]
-            == exp(i gamma_k) sqrt(lambda_C^k) C[k,i,j]
-    is solved in the gauge gamma_0 = 0: the relative phase alpha_i - gamma_k
-    is read off the j-summed overlap M[i,k], gamma_1 follows from the
-    best-conditioned branch, and each alpha_i is refined as the argument of
-    the gamma-weighted overlap sum.
+    Spectra are paired in descending order, as _top2 gives them; m is the
+    phase matrix of _phase_matrix, whose argument arg(m[i, k]) is
+    alpha_i - gamma_k for the branch phases gamma_k of the (rho_C, rho_AB)
+    decomposition. This is solved in the gauge gamma_0 = 0: gamma_1 follows
+    from the branch i_best with the largest |m[i, 1]|, and each alpha_i is
+    refined as the argument of the gamma-weighted row sum of m. With both
+    branches live, an i_best that does not link to C branch 0 would read the
+    relative branch phase from rounding noise, and is flagged.
     """
     degenerate = np.abs(lam_a[..., 0] - lam_a[..., 1]) <= DEGENERACY_GAP
     flag(errors, degenerate, lambda k: DegenerateSpectrumError(
         f"rho_A spectrum {lam_a[k]} is degenerate within {DEGENERACY_GAP}; "
         "the marginals do not determine the global state"
     ))
-    t1 = np.sqrt(lam_a)[..., :, None, None] * a_tensor  # [i, j, k]
-    t2 = np.einsum("...k,...kij->...ijk", np.sqrt(lam_c), c_tensor)
-    # products by einsum as in _overlaps, then the sum over j
-    m = np.einsum("...ijk,...ijk->...ijk", t2, t1.conj()).sum(axis=-2)  # [i, k]
-    # arg(m[i, k]) = alpha_i - gamma_k
-
     live = np.sqrt(lam_a) > 1e-8  # phases of zero-amplitude branches are moot
     usable = np.abs(m).max(axis=-1) >= PHASE_MAGNITUDE_FLOOR
     stuck = live & ~usable
@@ -197,9 +178,16 @@ def _solve_phases(lam_a, lam_c, a_tensor, c_tensor, errors) -> np.ndarray:
 
     alpha = np.where(live, np.angle(m[..., :, 0]), 0.0)
     i_best = np.argmax(np.abs(m[..., :, 1]), axis=-1)[..., None]
-    gamma_1 = np.take_along_axis(alpha, i_best, -1) - np.angle(
-        np.take_along_axis(m[..., :, 1], i_best, -1)
-    )
+    m_best = np.take_along_axis(m, i_best[..., None], -2)[..., 0, :]  # m[i_best, :]
+    # gamma_1 needs i_best linked to both C branches, unless all of column 1
+    # is below the floor: then C's branch 1 carries no weight and gamma_1 is moot
+    weak = np.abs(m_best) < PHASE_MAGNITUDE_FLOOR
+    unlinked = live.all(axis=-1) & weak[..., 0] & ~weak[..., 1]
+    flag(errors, unlinked, lambda k: UnderdeterminedPhaseError(
+        f"branch {i_best[k][0]} fixes gamma_1 but its overlap with C branch 0 is "
+        f"{abs(m_best[k][0]):.1e} < {PHASE_MAGNITUDE_FLOOR}; the relative branch phase is unresolved"
+    ))
+    gamma_1 = np.take_along_axis(alpha, i_best, -1) - np.angle(m_best[..., 1:])
     gamma = np.concatenate([np.zeros_like(gamma_1), gamma_1], axis=-1)
     refined = np.angle((m @ np.exp(1j * gamma)[..., None])[..., 0])
     return np.where(live & usable, refined, 0.0)
@@ -220,16 +208,19 @@ def diosi_reconstruct(pair: MarginalPair) -> ReconstructionResult:
 def _diosi_reconstruct(pair: MarginalPair, errors: dict | None) -> ReconstructionResult:
     """diosi_reconstruct whose checks flag failing pairs in errors (see the module docstring)."""
     pair = pair.normalized()
-    rho_a, rho_b, rho_c = _single_party_marginals(pair, errors)
+    _, _, (lam_a, lam_c), (vec_a, vec_c) = _top2(
+        np.stack(_single_party_marginals(pair, errors), axis=-3)
+    )
+    kept, lost, _, (vec_bc, vec_ab) = _top2(np.stack([pair.rho_bc, pair.rho_ab], axis=-3))
     truncation: dict = {}
-    (lam_a, lam_c, _), (vec_a, vec_c, vec_b) = _top2(
-        np.stack([rho_a, rho_c, rho_b], axis=-3), ("rho_a", "rho_c", "rho_b"), truncation, errors
-    )
-    _, (vec_bc, vec_ab) = _top2(
-        np.stack([pair.rho_bc, pair.rho_ab], axis=-3), ("rho_bc", "rho_ab"), truncation, errors
-    )
-    a_tensor, c_tensor = _overlaps(vec_b, vec_c, vec_bc), _overlaps(vec_a, vec_b, vec_ab)
-    alpha = _solve_phases(lam_a, lam_c, a_tensor, c_tensor, errors)
+    for label, kept_m, lost_m in zip(("rho_bc", "rho_ab"), kept, lost):
+        truncation[label] = _scalar(lost_m)
+        flag(errors, kept_m < MIN_KEPT_MASS, lambda k: TooMixedError(
+            f"{label}: kept spectral mass {kept_m[k]:.3f} < {MIN_KEPT_MASS}; "
+            "input too mixed for a pure-state hypothesis"
+        ))
+    m = _phase_matrix(lam_a, lam_c, vec_a, vec_c, vec_ab, vec_bc)
+    alpha = _solve_phases(lam_a, m, errors)
     weights = np.exp(1j * alpha) * np.sqrt(lam_a)
     lead = alpha.shape[:-1]
     psi = np.zeros((*lead, 8), dtype=complex)

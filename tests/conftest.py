@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wtomo.wholeparts import _overlaps, _single_party_marginals, _top2
+from wtomo.wholeparts import _phase_matrix, _single_party_marginals, _top2
 
 
 def random_density(dim, rng, rank=None):
@@ -20,15 +20,10 @@ def random_pure(dim, rng):
 def matched_spectra(pair):
     """The whole-from-parts spectral data of a trace-normalized pair, built as
     _diosi_reconstruct builds it: the top-2 spectra (lam_a, lam_c), the
-    gauge-fixed eigenvectors (a, b, c, ab, bc) and the overlap tensors."""
-    rho_a, rho_b, rho_c = _single_party_marginals(pair, None)
-    (lam_a, lam_c, _), (a, c, b) = _top2(
-        np.stack([rho_a, rho_c, rho_b], axis=-3), ("rho_a", "rho_c", "rho_b"), {}, None
-    )
-    _, (bc, ab) = _top2(
-        np.stack([pair.rho_bc, pair.rho_ab], axis=-3), ("rho_bc", "rho_ab"), {}, None
-    )
-    return lam_a, lam_c, (a, b, c, ab, bc), _overlaps(b, c, bc), _overlaps(a, b, ab)
+    gauge-fixed eigenvectors (a, c, ab, bc) and the phase matrix."""
+    _, _, (lam_a, lam_c), (a, c) = _top2(np.stack(_single_party_marginals(pair, None), axis=-3))
+    _, _, _, (bc, ab) = _top2(np.stack([pair.rho_bc, pair.rho_ab], axis=-3))
+    return lam_a, lam_c, (a, c, ab, bc), _phase_matrix(lam_a, lam_c, a, c, ab, bc)
 
 
 @pytest.fixture

@@ -97,7 +97,7 @@ STATE_FILE = """{
  "residual_ab": 0.125,
  "residual_bc": 0.0625,
  "truncated_mass": {
-  "rho_a": 0.5
+  "rho_bc": 0.5
  }
 }
 """
@@ -188,7 +188,7 @@ RHO_PARTS_FILE = """{
  "residual_ab": 0.125,
  "residual_bc": 0.0625,
  "truncated_mass": {
-  "rho_a": 0.5
+  "rho_bc": 0.5
  }
 }
 """
@@ -240,19 +240,19 @@ def test_noise_model_file(tmp_path):
 
 def test_state_file(tmp_path):
     psi = np.array([0, 0.6, 0.8j, 0, 0, 0, 0, 0])
-    result = ReconstructionResult(psi, np.outer(psi, psi.conj()), 0.125, 0.0625, {"rho_a": 0.5})
+    result = ReconstructionResult(psi, np.outer(psi, psi.conj()), 0.125, 0.0625, {"rho_bc": 0.5})
     path = tmp_path / "psi.json"
     io.save_reconstruction(result, path)
     assert path.read_text() == STATE_FILE
     d = json.loads(path.read_text())
     assert np.array_equal(np.array(d["re"]) + 1j * np.array(d["im"]), psi)
     assert d["residual_ab"] == 0.125 and d["residual_bc"] == 0.0625
-    assert d["truncated_mass"] == {"rho_a": 0.5}
+    assert d["truncated_mass"] == {"rho_bc": 0.5}
 
 
 def test_run_directory(tmp_path):
     cfg = ExperimentConfig(shots=10, trials=2, seed=7, noise=MODEL)
-    residuals = {"residual_ab": 0.125, "residual_bc": 0.0625, "truncated_mass": {"rho_a": 0.5}}
+    residuals = {"residual_ab": 0.125, "residual_bc": 0.0625, "truncated_mass": {"rho_bc": 0.5}}
     good = TrialResult(
         trial_id=0,
         reports={m: Fidelities(0.5, 0.75 + m / 8) for m in (False, True)},

@@ -254,6 +254,18 @@ class TestBatching:
         assert any(e.startswith(error) and files[f"trial_{t}"] == kept
                    for t, e in errors.items())
 
+    def test_a_branch_phase_read_from_rounding_noise_fails_its_trial(self):
+        # in trials 31, 54 and 55 of --shots 1 --trials 60 both A branches are
+        # live, but the branch that fixes gamma_1 overlaps C branch 0 only at
+        # rounding level, so the relative branch phase would come from noise
+        errors = {r.trial_id: r.error for r in run_pipeline(ExperimentConfig(shots=1, trials=60))
+                  if r.error and r.error.startswith("UnderdeterminedPhaseError")}
+        assert sorted(errors) == [31, 54, 55]
+        prefix = "UnderdeterminedPhaseError: branch 1 fixes gamma_1 but its overlap with C branch 0 is "
+        suffix = " < 1e-08; the relative branch phase is unresolved"
+        assert errors[31].startswith(prefix) and errors[31].endswith(suffix)
+        assert float(errors[31][len(prefix):-len(suffix)]) < 1e-15
+
     def test_golden_report(self):
         # report.csv of seed 1234, 20 trials, 2000 shots, both schemes, mitigated,
         # as written when sampling became one stream per trial

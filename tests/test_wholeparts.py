@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,7 @@ from wtomo.wholeparts import (
     InconsistentMarginalsError,
     MarginalPair,
     TooMixedError,
+    UnderdeterminedPhaseError,
     _diosi_reconstruct,
     _fix_vector_gauge,
     _single_party_marginals,
@@ -43,8 +42,7 @@ def random_gapped_pure(rng, gap=0.05):
 class TestSinglePartyMarginals:
     def test_w_state(self):
         pair = marginal_pair_of(w_vector()).normalized()
-        rho_a, rho_b, rho_c = _single_party_marginals(pair, None)
-        for rho in (rho_a, rho_b, rho_c):
+        for rho in _single_party_marginals(pair, None):
             assert np.abs(rho - np.diag([2 / 3, 1 / 3])).max() <= 1e-12
 
     def test_inconsistent_shared_qubit_rejected(self):
@@ -63,67 +61,65 @@ class TestSinglePartyMarginals:
         pair = marginal_pair_of(w_vector())
         scaled = MarginalPair(0.98 * pair.rho_ab, 0.98 * pair.rho_bc, 1e-6)
         with pytest.warns(UserWarning):
-            rho_a, _, _ = _single_party_marginals(scaled.normalized(), None)
+            rho_a, _ = _single_party_marginals(scaled.normalized(), None)
         assert abs(np.trace(rho_a) - 1.0) <= 1e-12
 
 
 class TestPurifyStructures:
-    """The matched spectral data of the purification: _top2 and _overlaps."""
+    """The matched spectral data of the purification: _top2 and _phase_matrix."""
 
     def test_w_state_spectra(self):
         lam_a, lam_c, *_ = matched_spectra(marginal_pair_of(w_vector()).normalized())
         assert np.allclose(lam_a, [2 / 3, 1 / 3], atol=1e-12)
         assert np.allclose(lam_c, [2 / 3, 1 / 3], atol=1e-12)
 
-    def test_overlap_tensor_unitarity(self, rng):
-        # columns of the bipartite eigenvectors expanded in the product
-        # eigenbasis keep unit norm
-        *_, a_tensor, _ = matched_spectra(marginal_pair_of(random_gapped_pure(rng)).normalized())
-        for i in range(2):
-            assert abs(np.abs(a_tensor[i]) ** 2 * 1.0).sum() <= 1.0 + 1e-10
+    def test_phase_matrix_margins_are_the_spectra(self, rng):
+        # for a pure state, |m[i, k]| is the weight branch i of the A split
+        # shares with branch k of the C split: rows sum to lam_a, columns to lam_c
+        *_, m = matched_spectra(marginal_pair_of(w_vector()).normalized())
+        assert np.abs(np.abs(m) - [[1 / 3, 1 / 3], [1 / 3, 0]]).max() <= 1e-12
+        for _ in range(20):
+            lam_a, lam_c, _, m = matched_spectra(marginal_pair_of(random_gapped_pure(rng)).normalized())
+            assert np.abs(np.abs(m).sum(axis=1) - lam_a).max() <= 1e-12
+            assert np.abs(np.abs(m).sum(axis=0) - lam_c).max() <= 1e-12
 
-    def test_overlap_tensors_match_kron_loop(self, rng):
+    def test_phase_matrix_matches_a_sum_over_a_b_basis(self, rng):
         # reference: one eig_hermitian call and one _fix_vector_gauge call per
-        # marginal and vector, and one vdot of a Kronecker product per entry;
-        # the einsum sums 4 products in another order, so entries agree to a few ulps
+        # marginal and vector, the overlaps A[i, j, k] = <j;B k;C | i;BC> and
+        # C[k, i, j] = <i;A j;B | k;AB> in a random orthonormal basis |j;B> of
+        # qubit B, one vdot of a Kronecker product per entry, then the sum over j
         for _ in range(20):
             pair = marginal_pair_of(random_gapped_pure(rng)).normalized()
-            a, b, c, ab, bc = (
+            a, c, ab, bc = (
                 np.column_stack([_fix_vector_gauge(v) for v in eig_hermitian(rho)[1][:, :2].T])
                 for rho in (*_single_party_marginals(pair, None), pair.rho_ab, pair.rho_bc)
             )
-            _, _, vectors, a_tensor, c_tensor = matched_spectra(pair)
-            for got, ref in zip(vectors, (a, b, c, ab, bc)):
+            b, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            lam_a, lam_c, vectors, m = matched_spectra(pair)
+            for got, ref in zip(vectors, (a, c, ab, bc)):
                 assert np.array_equal(got, ref)
-            for i, j, k in itertools.product(range(2), repeat=3):
-                a_ref = np.vdot(np.kron(b[:, j], c[:, k]), bc[:, i])
-                c_ref = np.vdot(np.kron(a[:, i], b[:, j]), ab[:, k])
-                assert abs(a_tensor[i, j, k] - a_ref) <= 1e-15
-                assert abs(c_tensor[k, i, j] - c_ref) <= 1e-15
+            m_ref = np.zeros((2, 2), dtype=complex)
+            for i, k in np.ndindex(2, 2):
+                for j in range(2):
+                    a_ijk = np.sqrt(lam_a[i]) * np.vdot(np.kron(b[:, j], c[:, k]), bc[:, i])
+                    c_kij = np.sqrt(lam_c[k]) * np.vdot(np.kron(a[:, i], b[:, j]), ab[:, k])
+                    m_ref[i, k] += c_kij * np.conj(a_ijk)
+            assert np.abs(m - m_ref).max() <= 2e-15
 
     def test_too_mixed_rejected(self):
         pair = MarginalPair(np.eye(4, dtype=complex) / 4, np.eye(4, dtype=complex) / 4, 1e-6)
         with pytest.raises(TooMixedError, match="^rho_bc: kept spectral mass 0.500 < 0.8"):
-            matched_spectra(pair.normalized())
+            diosi_reconstruct(pair)
 
-    def test_too_mixed_reports_the_first_marginal_in_label_order(self, monkeypatch, rng):
-        # rho_C is decomposed in the single-qubit stack, before rho_AB in the
-        # two-qubit stack, so a pair too mixed in both reports rho_c alone and
-        # in a batch; a normalized rho_C keeps all its mass, so it is halved here
+    def test_too_mixed_reports_the_first_marginal_in_label_order(self):
+        # rho_BC comes before rho_AB in the two-qubit stack, so a pair too mixed
+        # in both reports rho_bc alone and in a batch
         bell = np.zeros((4, 4), dtype=complex)
         bell[np.ix_([0, 3], [0, 3])] = 0.5
         w = marginal_pair_of(w_vector())
         rho_ab = np.stack([w.rho_ab, np.eye(4) / 4, np.eye(4) / 4])
-        rho_bc = np.stack([w.rho_bc, bell, bell])
-        single_party = wholeparts._single_party_marginals
-
-        def halve_rho_c(pair, errors):  # of the one pair, or of member 1 of the batch
-            rho_a, rho_b, rho_c = single_party(pair, errors)
-            scale = 0.5 if rho_c.ndim == 2 else np.array([1, 0.5, 1])[:, None, None]
-            return rho_a, rho_b, rho_c * scale
-
-        monkeypatch.setattr(wholeparts, "_single_party_marginals", halve_rho_c)
-        with pytest.raises(TooMixedError, match="^rho_c: kept spectral mass 0.500 < 0.8") as alone:
+        rho_bc = np.stack([w.rho_bc, np.eye(4) / 4, bell])
+        with pytest.raises(TooMixedError, match="^rho_bc: kept spectral mass 0.500 < 0.8") as alone:
             diosi_reconstruct(MarginalPair(rho_ab[1], rho_bc[1], 1.0))
         errors = {}
         _diosi_reconstruct(MarginalPair(rho_ab, rho_bc, 1.0), errors)
@@ -136,9 +132,31 @@ class TestSolvePhases:
     def test_ghz_degenerate_spectrum_raises(self):
         ghz = np.zeros(8, dtype=complex)
         ghz[0] = ghz[7] = 1 / np.sqrt(2)
-        lam_a, lam_c, _, a_tensor, c_tensor = matched_spectra(marginal_pair_of(ghz).normalized())
+        lam_a, _, _, m = matched_spectra(marginal_pair_of(ghz).normalized())
         with pytest.raises(DegenerateSpectrumError):
-            _solve_phases(lam_a, lam_c, a_tensor, c_tensor, None)
+            _solve_phases(lam_a, m, None)
+
+    def test_unlinked_branches_raise(self):
+        # a diagonal m links A branch i to C branch i only, so the relative
+        # phase of the two branches is not determined
+        with pytest.raises(UnderdeterminedPhaseError, match="^branch 1 fixes gamma_1 but its "
+                           "overlap with C branch 0 is 0.0e\\+00 < 1e-08"):
+            _solve_phases(np.array([0.6, 0.4]), np.diag([0.6, 0.4]).astype(complex), None)
+
+    def test_generalized_ghz_phase_is_not_guessed(self):
+        # 0.8|000> + 0.6 e^{0.9i}|111> has the marginals of every relative phase
+        psi = np.zeros(8, dtype=complex)
+        psi[0], psi[7] = 0.8, 0.6 * np.exp(0.9j)
+        with pytest.raises(UnderdeterminedPhaseError, match="^branch 1 fixes gamma_1"):
+            diosi_reconstruct(marginal_pair_of(psi))
+
+    def test_a_weightless_c_branch_leaves_gamma_1_moot(self):
+        # (0.8|00> + 0.6 e^{0.7i}|11>) ⊗ |0>: rho_C is pure, column 1 of m is
+        # below the floor, and the A branches still fix the relative phase
+        psi = np.zeros(8, dtype=complex)
+        psi[0], psi[6] = 0.8, 0.6 * np.exp(0.7j)
+        res = diosi_reconstruct(marginal_pair_of(psi))
+        assert abs(abs(np.vdot(psi, res.psi)) - 1.0) <= 1e-12
 
     def test_real_nonnegative_state_gives_sign_factors(self, rng):
         # for a real, entrywise non-negative global state the solved branch
@@ -149,10 +167,8 @@ class TestSolvePhases:
             psi /= np.linalg.norm(psi)
             if spectral_gap(psi) <= 0.05:
                 continue
-            lam_a, lam_c, _, a_tensor, c_tensor = matched_spectra(
-                marginal_pair_of(psi).normalized()
-            )
-            alpha = _solve_phases(lam_a, lam_c, a_tensor, c_tensor, None)
+            lam_a, _, _, m = matched_spectra(marginal_pair_of(psi).normalized())
+            alpha = _solve_phases(lam_a, m, None)
             factors = np.exp(1j * alpha)
             assert np.abs(factors.imag).max() <= 1e-6
             res = diosi_reconstruct(marginal_pair_of(psi))
@@ -200,7 +216,7 @@ class TestDiosiReconstruct:
         assert abs(abs(np.vdot(psi, res.psi)) - 1.0) <= 1e-10
 
     def test_two_eigendecompositions(self, monkeypatch, rng):
-        # one stack of the three single-qubit marginals, one of the two pairs
+        # one stack of the two single-qubit marginals, one of the two pairs
         calls = []
 
         def counted(h):
@@ -209,11 +225,11 @@ class TestDiosiReconstruct:
 
         monkeypatch.setattr(wholeparts, "eig_hermitian", counted)
         diosi_reconstruct(marginal_pair_of(random_gapped_pure(rng)))
-        assert calls == [(3, 2, 2), (2, 4, 4)]
+        assert calls == [(2, 2, 2), (2, 4, 4)]
 
     def test_truncated_mass_reported(self, rng):
         res = diosi_reconstruct(marginal_pair_of(random_gapped_pure(rng)))
-        assert list(res.truncated_mass) == ["rho_a", "rho_c", "rho_b", "rho_bc", "rho_ab"]
+        assert list(res.truncated_mass) == ["rho_bc", "rho_ab"]
         assert all(v <= 1e-10 for v in res.truncated_mass.values())
 
     def test_json_dict(self, rng):
