@@ -31,7 +31,7 @@ from .mitigation import mitigate, mitigation_matrix, spectral_correct
 from .noise import MAX_SHOTS, ReadoutModel, counts_to_probs
 from .pipeline import ExperimentConfig, run_pipeline
 from .tomography import reconstruct_2q, reconstruct_3q, three_qubit_scheme, two_qubit_scheme
-from .wholeparts import TRACE_TOL, MarginalPair, ReconstructionError, diosi_reconstruct
+from .wholeparts import EPS_B, TRACE_TOL, MarginalPair, ReconstructionError, diosi_reconstruct
 
 EXIT_OK = 0
 EXIT_FIXTURE_MISMATCH = 2
@@ -175,7 +175,7 @@ def _cmd_tomo(args, nqubits: int) -> int:
         rho = reconstruct_3q(p) if nqubits == 3 else reconstruct_2q(p)
         if args.correct:
             rho = spectral_correct(rho)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"reconstruction failed: {exc}", file=sys.stderr)
         return EXIT_RECONSTRUCTION
     _write(io.save_density, rho, args.out)
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diosi", help="whole-from-parts reconstruction")
     p.add_argument("rho_ab", help="density-matrix JSON for qubits AB")
     p.add_argument("rho_bc", help="density-matrix JSON for qubits BC")
-    p.add_argument("--eps-b", type=_non_negative_float, default=0.05)
+    p.add_argument("--eps-b", type=_non_negative_float, default=EPS_B)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_diosi)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .wholeparts import MarginalPair
+from .wholeparts import EPS_B, MarginalPair
 
 # two-qubit marginals (as published; trace 0.98 resp. 0.98 before renormalization)
 _RHO_AB_PUBLISHED = np.array(
@@ -75,11 +75,10 @@ REF_RHO_PARTS = np.array(
 ENTRYWISE_TOL = 0.02  # published precision
 FIDELITY_PARTS_EXPECTED = 0.995
 FIDELITY_PARTS_TOL = 0.01
-EPS_B = 0.05  # the pipeline's base experimental tolerance on the shared-qubit gap
 
 
 def experimental_marginals() -> MarginalPair:
     """The two-qubit fixtures, harmonized to the three-qubit convention and
-    divided by their printed trace (0.98), with tolerance ``EPS_B``."""
+    divided by their printed trace (0.98), with tolerance ``wholeparts.EPS_B``."""
     ab, bc = (rho.T / np.trace(rho).real for rho in (_RHO_AB_PUBLISHED, _RHO_BC_PUBLISHED))
     return MarginalPair(ab, bc, EPS_B)

@@ -153,7 +153,16 @@ def load_counts_file(path) -> dict[str, np.ndarray]:
     return counts
 
 
-# calibration files: {"qA": [[f00, f01], [f10, f11]], ...}, ordered A, B, C
+def _by_qubit(entries: dict, holds: str) -> dict:
+    """entries in qubit order; their keys, in any order, must be the labels
+    qA, qB, ... of the first len(entries) qubits."""
+    labels = [f"q{name}" for name in QUBIT_NAMES[:len(entries)]]
+    if sorted(entries) != labels:
+        raise ValueError(f"{holds} has qubit labels {', '.join(entries)}, not {', '.join(labels)}")
+    return {label: entries[label] for label in labels}
+
+
+# calibration files: {"qA": [[f00, f01], [f10, f11]], ...}, read by label
 
 
 def save_calibration(fs: np.ndarray, path) -> None:
@@ -161,25 +170,26 @@ def save_calibration(fs: np.ndarray, path) -> None:
 
 
 def load_calibration(path, nqubits: int) -> np.ndarray:
-    """The nqubits 2x2 matrices of a calibration file, in file order, as an
-    (nqubits, 2, 2) array."""
+    """The nqubits 2x2 matrices of a calibration file, in qubit order A, B,
+    C, as an (nqubits, 2, 2) array."""
     obj = _read_object(path, "a calibration file holds a JSON object of matrices")
-    fs = []
+    fs = {}
     for label, mat in obj.items():
         try:
-            fs.append(np.array(mat, dtype=float))
+            fs[label] = np.array(mat, dtype=float)
         except (TypeError, ValueError):  # ragged, or not numbers
             raise ValueError(f"calibration matrix {label!r} is not a 2x2 array of numbers "
                              "[[f00, f01], [f10, f11]]") from None
     if len(fs) != nqubits:
         raise ValueError(f"need {nqubits} calibration matrices, found {len(fs)}")
+    fs = list(_by_qubit(fs, "calibration file").values())
     for f in fs:
         if f.shape != (2, 2):
             raise ValueError(f"calibration matrix must be 2x2, got {f.shape}")
     return np.array(fs)
 
 
-# noise-model files: {"qA": {"p01": .., "p10": ..}, ...}, ordered A, B, C
+# noise-model files: {"qA": {"p01": .., "p10": ..}, ...}, read by label
 
 
 def readout_model_to_json_dict(model: ReadoutModel) -> dict:
@@ -191,7 +201,7 @@ def readout_model_to_json_dict(model: ReadoutModel) -> dict:
 
 def readout_model_from_json_dict(d: dict) -> ReadoutModel:
     qubits = []
-    for label, v in d.items():
+    for label, v in _by_qubit(d, "noise model").items():
         if not isinstance(v, dict):
             raise ValueError(f"qubit {label!r} is not an object of p01 and p10")
         for key in ("p01", "p10"):

@@ -3,9 +3,9 @@ confusion and finite-shot sampling.
 
 All sampling uses numpy's PCG64 generator; a fixed seed gives a bit-for-bit
 reproducible stream. In a simulated run trial t draws from one stream,
-``default_rng([seed, t])``, and its circuits are the rows of its zero-padded
-(37, 8) table (``pipeline.LAYOUT``), drawn in row order, each over its own
-outcomes only (``sample_counts``). So no two trials share a stream, and
+``default_rng([seed, t])``: its four circuit groups (``pipeline.LAYOUT``)
+in order, each as one multinomial over its own outcomes whose rows numpy
+draws in order (``sample_counts``). So no two trials share a stream, and
 ``RNG_ALGORITHM`` names this keying rule.
 """
 
@@ -99,20 +99,18 @@ def outcome_distribution(p: np.ndarray) -> np.ndarray:
 
 
 def sample_counts(
-    dist: np.ndarray, widths: list[int], shots: int, seed: int, trials: list[int]
-) -> np.ndarray:
-    """Counts (T, R, D) of the trials' circuits, one per row of dist (R, D):
-    trial t draws its circuits in row order from the one stream
-    ``default_rng([seed, t])``, row j shots over the first widths[j] outcomes
-    of dist[j] only, so the zero padding past them stays 0. Trial t's counts
-    do not depend on the other trials of the batch. numpy rejects a negative
-    seed or t (``ValueError: expected non-negative integer``)."""
-    rows = [dist[j, :w] for j, w in enumerate(widths)]
-    counts = np.zeros((len(trials), *dist.shape), dtype=np.int64)
-    for c, t in zip(counts, trials):
+    dists: list[np.ndarray], shots: int, seed: int, trials: list[int]
+) -> list[np.ndarray]:
+    """One (T, R, d) counts stack per (R, d) distribution of dists. Trial t
+    draws the groups in order from its own stream ``default_rng([seed, t])``,
+    each in one multinomial call whose rows numpy draws in order, so its
+    counts do not depend on the other trials. numpy rejects a negative seed
+    or t (``ValueError: expected non-negative integer``)."""
+    counts = [np.empty((len(trials), *dist.shape), dtype=np.int64) for dist in dists]
+    for i, t in enumerate(trials):
         rng = np.random.default_rng([seed, t])
-        for out, row in zip(c, rows):
-            out[: row.size] = rng.multinomial(shots, row)
+        for c, dist in zip(counts, dists):
+            c[i] = rng.multinomial(shots, dist)
     return counts
 
 

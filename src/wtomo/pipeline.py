@@ -1,12 +1,12 @@
 """End-to-end simulated experiment: calibration, noisy measurement of every
 setting, optional mitigation, reconstruction, and fidelity reporting.
 
-Each trial mirrors one hardware run: the 17 three-qubit settings, 7
-two-qubit settings per marginal (14 circuits) and 6 calibration circuits,
-the 37 rows of one zero-padded (37, 8) table (``LAYOUT``). Trial t draws
-from one stream keyed [seed, t], its circuits in row order, each over its own
-outcomes (``noise.sample_counts``), so a fixed configuration reproduces
-byte-identical reports and no two trials share a stream.
+Each trial mirrors one hardware run: four circuit groups (``LAYOUT``), the
+17 three-qubit settings, 7 two-qubit settings per marginal and 6
+calibration circuits, each one table at its own width. Trial t draws its
+groups in order from one stream keyed [seed, t] (``noise.sample_counts``),
+so a fixed configuration reproduces byte-identical reports and no two
+trials share a stream.
 
 The trials of a run form one batch: after sampling, every stage runs once
 on stacks with a leading trial axis; a trial's result is bitwise the same in
@@ -37,20 +37,13 @@ from .noise import (
     sample_counts,
 )
 from .tomography import reconstruct_2q, reconstruct_3q
-from .wholeparts import MarginalPair, _diosi_reconstruct
+from .wholeparts import EPS_B, MarginalPair, _diosi_reconstruct
 
 
-# A trial's circuit groups in the order they draw from its stream, as (rows of
-# its (37, 8) table, outcomes per circuit, measured qubits): the 3q, AB and BC
-# settings in setting order, then qubit A, B, C each prepared in |0> then |1>
-# and read alone.
-LAYOUT = (
-    (slice(0, 17), 8, (0, 1, 2)),
-    (slice(17, 24), 4, (0, 1)),
-    (slice(24, 31), 4, (1, 2)),
-    (slice(31, 37), 2, (0, 1, 2)),
-)
-WIDTHS = [width for rows, width, _ in LAYOUT for _ in range(rows.start, rows.stop)]
+# A trial's circuit groups in the order they draw from its stream, as (outcomes
+# per circuit, measured qubits): the 3q, AB and BC settings in setting order,
+# then qubit A, B, C each prepared in |0> then |1> and read alone.
+LAYOUT = ((8, (0, 1, 2)), (4, (0, 1)), (4, (1, 2)), (2, (0, 1, 2)))
 
 
 @dataclass(frozen=True)
@@ -99,30 +92,30 @@ def _noisy_probs(model: ReadoutModel | None):
     """The W state and the noisy outcome probabilities of every circuit of a trial.
 
     They depend on the noise model only, not on the trial, so every trial
-    shares one read-only copy. Returns (psi_w, table, dist): table holds the
-    exact probabilities of the circuits of ``LAYOUT``, one row each, padded
-    with zeros to (37, 8); dist the same rows as the sampler draws from them
-    (``noise.outcome_distribution`` of each group at its own width).
+    shares one read-only copy. Returns (psi_w, tables, dists): per group of
+    ``LAYOUT`` the exact probabilities of its circuits, one row each, of
+    shapes (17, 8), (7, 4), (7, 4) and (6, 2), and the same as the sampler
+    draws from them (``noise.outcome_distribution``).
     """
     psi_w = prepare_w()
     rho_w = outer(psi_w)
-    table, dist = np.zeros((2, len(WIDTHS), 8))
-    for rows, width, qubits in LAYOUT:
+    tables = []
+    for width, qubits in LAYOUT:
         if width == 2:  # calibration: the columns of each qubit's matrix
-            table[rows, :width] = np.concatenate([
+            tables.append(np.concatenate([
                 np.eye(2) if model is None else model.qubits[q].calibration_matrix().T
-                for q in qubits])
+                for q in qubits]))
         else:
             rho = partial_trace(rho_w, qubits)
             settings = three_qubit_settings() if width == 8 else two_qubit_settings()
             probs = [exact_probs(rho, s) for s in settings]
             if model is not None:
                 probs = [apply_readout_noise(p, model.subset(qubits)) for p in probs]
-            table[rows, :width] = probs
-        dist[rows, :width] = outcome_distribution(table[rows, :width])
-    for a in (psi_w, table, dist):
+            tables.append(np.array(probs))
+    dists = tuple(outcome_distribution(table) for table in tables)
+    for a in (psi_w, *tables, *dists):
         a.setflags(write=False)
-    return psi_w, table, dist
+    return psi_w, tuple(tables), dists
 
 
 def _fill(cfg, results, errors, mitigated, f_full, f_parts, matrices, recon) -> None:
@@ -166,17 +159,14 @@ def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     stage runs once on the stack of all the trials. A failing trial
     gets its first error (see the module docstring).
     """
-    psi_w, table, dist = _noisy_probs(cfg.noise)
+    psi_w, tables, dists = _noisy_probs(cfg.noise)
     if cfg.exact:
-        table = np.broadcast_to(table, (len(results), *table.shape))
-        groups = [table[:, rows, :width] for rows, width, _ in LAYOUT]
+        groups = [np.broadcast_to(table, (len(results), *table.shape)) for table in tables]
     else:
-        counts = sample_counts(dist, WIDTHS, cfg.shots, cfg.seed, [r.trial_id for r in results])
-        for r, c in zip(results, counts):
-            r.counts = c[LAYOUT[0][0]]  # the rows of the 3q settings
-        # frequencies at each group's own width: the float sum of a padded row
-        # runs in another order, which rounds differently past 2**53 shots
-        groups = [counts_to_probs(counts[:, rows, :width]) for rows, width, _ in LAYOUT]
+        counts = sample_counts(dists, cfg.shots, cfg.seed, [r.trial_id for r in results])
+        for r, c in zip(results, counts[0]):  # the 3q settings
+            r.counts = c
+        groups = [counts_to_probs(c) for c in counts]
     *measured, calibration = groups
     # row 2q + b of the calibration group is column b of qubit q's matrix
     f_hats = calibration.reshape(len(results), 3, 2, 2).swapaxes(-1, -2)
@@ -186,7 +176,7 @@ def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
         eps_b = 1e-8
     else:
         # base experimental tolerance plus a shot-noise allowance
-        eps_b = 0.05 + (0.0 if cfg.exact else 2.0 / np.sqrt(cfg.shots))
+        eps_b = EPS_B + (0.0 if cfg.exact else 2.0 / np.sqrt(cfg.shots))
 
     errors: dict = {}  # (t,): the first error of trial t
     for mitigated in (False, True):

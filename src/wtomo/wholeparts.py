@@ -31,6 +31,7 @@ DEGENERACY_GAP = 1e-6
 PHASE_MAGNITUDE_FLOOR = 1e-8
 MIN_KEPT_MASS = 0.8
 TRACE_TOL = 1e-10  # a marginal whose trace is further from 1 is renormalized
+EPS_B = 0.05  # base tolerance on the shared-qubit gap of experimental marginals
 
 
 class ReconstructionError(Exception):
@@ -59,13 +60,13 @@ class MarginalPair:
     """Two-qubit marginals rho_AB and rho_BC of a three-qubit state.
 
     eps_b bounds the allowed disagreement between the two estimates of the
-    shared qubit B (use ~0.05 for experimental inputs, 1e-10 for exact).
+    shared qubit B (``EPS_B`` for experimental inputs, 1e-10 for exact).
     rho_ab and rho_bc may be stacks (..., 4, 4) of pairs sharing eps_b.
     """
 
     rho_ab: np.ndarray
     rho_bc: np.ndarray
-    eps_b: float = 0.05
+    eps_b: float
 
     def normalized(self) -> "MarginalPair":
         out = []

@@ -218,18 +218,48 @@ LAYOUT = r"calibration matrix '{}' is not a 2x2 array of numbers \[\[f00, f01\],
     ([[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "must be 2x2, got \\(3, 3\\)"),
     ([[[1, 0], [0, 1]], [1, 0]], "must be 2x2, got \\(2,\\)"),
     ([[1, 0], [0, 1]] * 3, "need 2 calibration matrices, found 6"),
-    ([[[1, 0], [0, 1]], [[0.5, 0.5], [0.5]]], LAYOUT.format("q1")),
-    ([[[1, 0], [0, 1]], "x"], LAYOUT.format("q1")),
-    ([{"a": 1}, [[1, 0], [0, 1]]], LAYOUT.format("q0")),
-    ([[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0.5, 0.5], [0.5]]], LAYOUT.format("q2")),
+    ([[[1, 0], [0, 1]], [[0.5, 0.5], [0.5]]], LAYOUT.format("qB")),
+    ([[[1, 0], [0, 1]], "x"], LAYOUT.format("qB")),
+    ([{"a": 1}, [[1, 0], [0, 1]]], LAYOUT.format("qA")),
+    ([[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0.5, 0.5], [0.5]]], LAYOUT.format("qC")),
 ], ids=["count", "3x3", "vector", "count-before-shape", "ragged", "not-numbers", "object",
         "unreadable-before-count"])
 def test_calibration_file_is_checked(matrices, message, tmp_path):
-    # each matrix is read as numbers, then the qubit count, then each matrix's shape
+    # each matrix is read as numbers, then the qubit count, the labels and
+    # each matrix's shape
     path = tmp_path / "calibration.json"
-    path.write_text(json.dumps({f"q{k}": m for k, m in enumerate(matrices)}))
+    path.write_text(json.dumps({f"q{'ABCDEF'[k]}": m for k, m in enumerate(matrices)}))
     with pytest.raises(ValueError, match=message):
         io.load_calibration(path, 2)
+
+
+FS = [[[0.9, 0.2], [0.1, 0.8]], [[0.95, 0.3], [0.05, 0.7]], [[0.99, 0.4], [0.01, 0.6]]]
+NOISY = ReadoutModel((QubitReadout(0.1, 0.2), QubitReadout(0.3, 0.4), QubitReadout(0.5, 0.25)))
+
+
+def test_files_are_read_by_qubit_label(tmp_path):
+    # entries are taken in qubit order A, B, C, whatever their order in the file
+    calibration, noise = tmp_path / "calibration.json", tmp_path / "noise.json"
+    calibration.write_text(json.dumps({"qC": FS[2], "qA": FS[0], "qB": FS[1]}))
+    assert np.array_equal(io.load_calibration(calibration, 3), FS)
+    d = io.readout_model_to_json_dict(NOISY)
+    noise.write_text(json.dumps({q: d[q] for q in ("qC", "qA", "qB")}))
+    assert io.load_readout_model(noise, 3) == NOISY
+
+
+@pytest.mark.parametrize("labels", [["qA", "q1"], ["qa", "qB"], ["qA", "qC"], ["qC", "qB"]],
+                         ids=["unknown", "lower-case", "missing-B", "missing-A"])
+def test_qubit_labels_are_checked(labels, tmp_path):
+    # a two-entry file must hold qA and qB
+    calibration, noise = tmp_path / "calibration.json", tmp_path / "noise.json"
+    message = f"has qubit labels {', '.join(labels)}, not qA, qB$"
+    calibration.write_text(json.dumps(dict(zip(labels, FS))))
+    with pytest.raises(ValueError, match="^calibration file " + message):
+        io.load_calibration(calibration, 2)
+    d = io.readout_model_to_json_dict(NOISY)
+    noise.write_text(json.dumps(dict(zip(labels, d.values()))))
+    with pytest.raises(ValueError, match="^noise model " + message):
+        io.load_readout_model(noise, 2)
 
 
 def test_noise_model_file(tmp_path):

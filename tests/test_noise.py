@@ -21,7 +21,7 @@ from wtomo.noise import (
     outcome_distribution,
     sample_counts,
 )
-from wtomo.pipeline import LAYOUT, WIDTHS, ExperimentConfig, _noisy_probs, run_pipeline
+from wtomo.pipeline import ExperimentConfig, _noisy_probs, run_pipeline
 
 
 def sample_shots_per_flip(
@@ -123,21 +123,22 @@ class TestReadoutModel:
 
 class TestSampling:
     def test_deterministic_for_seed(self):
-        dist = outcome_distribution(np.full((1, 8), 1 / 8))
-        a = sample_counts(dist, [8], 5000, 42, [0])
-        b = sample_counts(dist, [8], 5000, 42, [0])
+        dists = [outcome_distribution(np.full((1, 8), 1 / 8))]
+        [a] = sample_counts(dists, 5000, 42, [0])
+        [b] = sample_counts(dists, 5000, 42, [0])
         assert np.array_equal(a, b)
         assert a.shape == (1, 1, 8) and a.sum() == 5000
 
     def test_different_seeds_differ(self):
-        dist = outcome_distribution(np.full((1, 8), 1 / 8))
-        a = sample_counts(dist, [8], 5000, 1, [0])
-        assert not np.array_equal(a, sample_counts(dist, [8], 5000, 2, [0]))
+        dists = [outcome_distribution(np.full((1, 8), 1 / 8))]
+        [a] = sample_counts(dists, 5000, 1, [0])
+        [b] = sample_counts(dists, 5000, 2, [0])
+        assert not np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         p = np.array([0.5, 0.3, 0.2, 0.0])
-        freq = counts_to_probs(sample_counts(outcome_distribution(p[None]), [4], 200_000, 7, [0]))
-        assert np.abs(freq[0, 0] - p).max() <= 0.01
+        [counts] = sample_counts([outcome_distribution(p[None])], 200_000, 7, [0])
+        assert np.abs(counts_to_probs(counts)[0, 0] - p).max() <= 0.01
 
     def test_invalid_distribution(self):
         with pytest.raises(ValueError):
@@ -230,20 +231,24 @@ class TestCountsFile:
             load_counts_file(path)
 
 
+def replay(dists, shots, key):
+    """Each group's counts drawn row by row, in order, from default_rng(key)."""
+    rng = np.random.default_rng(key)
+    return [np.array([rng.multinomial(shots, row) for row in dist]) for dist in dists]
+
+
 class TestSampleCircuits:
     def test_rows_draw_from_keyed_streams(self):
-        # trial t draws its rows in order from the one stream [seed, t], row j
-        # over its own outcomes only
-        widths = [2, 4, 2]
-        dist = np.zeros((3, 4))
-        dist[0, :2], dist[1], dist[2, :2] = [0.2, 0.8], [0.1, 0.2, 0.3, 0.4], [1.0, 0.0]
-        counts = sample_counts(dist, widths, 1000, 7, [3, 5])
-        assert counts.shape == (2, 3, 4) and counts.dtype == np.int64
-        for c, t in zip(counts, (3, 5)):
-            rng = np.random.default_rng([7, t])
-            for j, w in enumerate(widths):
-                assert np.array_equal(c[j, :w], rng.multinomial(1000, dist[j, :w])), (t, j)
-                assert not c[j, w:].any()
+        # trial t draws its groups in order from the one stream [seed, t], each
+        # group's rows in order, each over the group's own outcomes
+        dists = [np.array([[0.2, 0.8], [1.0, 0.0]]), np.array([[0.1, 0.2, 0.3, 0.4]]),
+                 np.array([[0.5, 0.5]])]
+        counts = sample_counts(dists, 1000, 7, [3, 5])
+        assert [c.shape for c in counts] == [(2, 2, 2), (2, 1, 4), (2, 1, 2)]
+        assert all(c.dtype == np.int64 for c in counts)
+        for i, t in enumerate((3, 5)):
+            for c, r in zip(counts, replay(dists, 1000, [7, t])):
+                assert np.array_equal(c[i], r), t
 
     def test_word_keys_match_list_keys(self):
         # the stream of [seed, t] is the one numpy makes of their uint32 words
@@ -252,33 +257,33 @@ class TestSampleCircuits:
         def words(n):
             return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
 
-        widths = [2, 4]
-        dist = np.array([[0.3, 0.7, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
+        dists = [np.array([[0.3, 0.7]]), np.array([[0.1, 0.2, 0.3, 0.4]])]
         trials = [0, 1, 2**32 - 1, 2**32 + 5]
         for seed in (0, 1234, 2**32 - 1, 2**32, 5 * 10**9, 2**64 + 3):
-            counts = sample_counts(dist, widths, 1000, seed, trials)
-            for c, t in zip(counts, trials):
-                rng = np.random.default_rng(np.array(words(seed) + words(t), dtype=np.uint32))
-                for j, w in enumerate(widths):
-                    assert np.array_equal(c[j, :w], rng.multinomial(1000, dist[j, :w])), (seed, t)
+            counts = sample_counts(dists, 1000, seed, trials)
+            for i, t in enumerate(trials):
+                key = np.array(words(seed) + words(t), dtype=np.uint32)
+                for c, r in zip(counts, replay(dists, 1000, key)):
+                    assert np.array_equal(c[i], r), (seed, t)
 
     def test_negative_key_is_rejected(self):
         # numpy's own key check: a negative seed or trial has no 32-bit words
-        dist = np.array([[0.5, 0.5]])
+        dists = [np.array([[0.5, 0.5]])]
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            sample_counts(dist, [2], 10, -1, [0])
+            sample_counts(dists, 10, -1, [0])
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            sample_counts(dist, [2], 10, 1234, [0, -3])
+            sample_counts(dists, 10, 1234, [0, -3])
 
-    def test_padded_columns_draw_nothing(self):
-        # at 2**62 shots a draw over a padded row rounds counts into its padding;
-        # the sampler draws each row over its own outcomes only
-        shots = 2**62
-        counts = sample_counts(_noisy_probs(ReadoutModel.ibm_osaka())[2], WIDTHS, shots, 1234,
-                               [0, 1])
-        for rows, width, _ in LAYOUT:
-            assert not counts[:, rows, width:].any(), rows
-        assert (counts.sum(axis=-1) == shots).all()
+    @pytest.mark.parametrize("shots", [1, 2**62, 2**63 - 1])
+    def test_groups_replay_row_by_row_at_extreme_shots(self, shots):
+        # one multinomial call per group equals row-by-row draws from the same
+        # stream, and every row is a sample of shots, at numpy's int64 limit too
+        dists = _noisy_probs(ReadoutModel.ibm_osaka())[2]
+        counts = sample_counts(dists, shots, 1234, [0, 1])
+        for i, t in enumerate((0, 1)):
+            for c, r in zip(counts, replay(dists, shots, [1234, t])):
+                assert np.array_equal(c[i], r), t
+        assert all((c.sum(axis=-1) == shots).all() for c in counts)
 
     def test_outcome_distribution_is_what_sample_shots_draws_from(self):
         p = np.array([[0.25, 0.25, 0.5, 1e-12], [0.1, 0.2, 0.3, 0.4]])

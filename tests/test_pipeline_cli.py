@@ -122,28 +122,30 @@ class TestRunTrial:
         assert calls == [31, 31]
 
     def test_cached_probabilities_are_read_only(self):
-        psi_w, table, dist = pipeline._noisy_probs(ReadoutModel.ibm_osaka())
-        assert table.shape == dist.shape == (37, 8)
-        for rows, width, _ in pipeline.LAYOUT:  # each group zero-padded past its own width
-            assert not table[rows, width:].any() and not dist[rows, width:].any()
-        for a in (psi_w, table, dist):
+        psi_w, tables, dists = pipeline._noisy_probs(ReadoutModel.ibm_osaka())
+        # one table per group of LAYOUT, each at its own width, no padding
+        shapes = [(17, 8), (7, 4), (7, 4), (6, 2)]
+        assert [t.shape for t in tables] == [d.shape for d in dists] == shapes
+        assert [t.shape[1] for t in tables] == [width for width, _ in pipeline.LAYOUT]
+        for a in (psi_w, *tables, *dists):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
     def test_table_rows_follow_the_layout(self):
         # 17 3q settings, 7 AB and 7 BC settings, then qubit A, B, C prepared in |0>, |1>
         model = ReadoutModel.ibm_osaka()
-        _, table, dist = pipeline._noisy_probs(model)
-        rho_w, rows = outer(prepare_w()), []
+        _, tables, dists = pipeline._noisy_probs(model)
+        rho_w, groups = outer(prepare_w()), []
         for qubits, settings in (([0, 1, 2], three_qubit_settings()),
                                  ([0, 1], two_qubit_settings()), ([1, 2], two_qubit_settings())):
             rho, sub = partial_trace(rho_w, qubits), model.subset(qubits)
-            rows += [apply_readout_noise(exact_probs(rho, s), sub) for s in settings]
-        rows += [q.calibration_matrix()[:, prep] for q in model.qubits for prep in (0, 1)]
-        assert len(rows) == 37
-        for j, row in enumerate(rows):
-            assert np.array_equal(table[j, :len(row)], row), j
-            assert np.array_equal(dist[j, :len(row)], outcome_distribution(row)), j
+            groups.append([apply_readout_noise(exact_probs(rho, s), sub) for s in settings])
+        groups.append([q.calibration_matrix()[:, prep] for q in model.qubits for prep in (0, 1)])
+        assert [len(rows) for rows in groups] == [17, 7, 7, 6]
+        for g, (rows, table, dist) in enumerate(zip(groups, tables, dists, strict=True)):
+            for j, row in enumerate(rows):
+                assert np.array_equal(table[j], row), (g, j)
+                assert np.array_equal(dist[j], outcome_distribution(row)), (g, j)
 
 
 def injecting(targets):
@@ -330,14 +332,16 @@ class TestDeterminism:
 
     def test_calibration_is_drawn_after_the_settings(self):
         # calibration circuit j (qubit j // 2 prepared in |j % 2>) of trial t
-        # is row 31 + j: stream [seed, t] draws it after the 17 + 7 + 7 settings
+        # is row j of the last group: stream [seed, t] draws it after the
+        # 17 + 7 + 7 settings
         model = ReadoutModel.ibm_osaka()
         cfg = ExperimentConfig(shots=500, trials=3, seed=42, noise=model)
-        dist = pipeline._noisy_probs(model)[2]
+        settings = pipeline._noisy_probs(model)[2][:3]
         for t, r in enumerate(run_pipeline(cfg)):
             rng = np.random.default_rng([cfg.seed, t])
-            for row, width in zip(dist[:31], pipeline.WIDTHS):
-                rng.multinomial(cfg.shots, row[:width])
+            for dist in settings:
+                for row in dist:
+                    rng.multinomial(cfg.shots, row)
             for j in range(6):
                 q, prep = divmod(j, 2)
                 p = outcome_distribution(model.qubits[q].calibration_matrix()[:, prep])
@@ -377,8 +381,8 @@ class TestOutputs:
 
     def test_counts_file_names_its_stream(self, tmp_path):
         # replaying default_rng(seed entry) of a trial's counts_3q.json over the
-        # 37 rows of LAYOUT, in order, gives that file's tables and the trial's
-        # calibration.json
+        # groups of LAYOUT, row by row in order, gives that file's tables and
+        # the trial's calibration.json
         out = tmp_path / "run"
         cfg = ExperimentConfig(shots=700, trials=2, seed=1234)
         write_outputs(cfg, run_pipeline(cfg), out)
@@ -388,12 +392,10 @@ class TestOutputs:
             assert obj["seed"] == [1234, t]
             model = readout_model_from_json_dict(obj["noise"])
             rng = np.random.default_rng(obj["seed"])
-            dist = pipeline._noisy_probs(model)[2]
-            draws = np.zeros(dist.shape, dtype=np.int64)
-            for j, width in enumerate(pipeline.WIDTHS):
-                draws[j, :width] = rng.multinomial(obj["shots"], dist[j, :width])
-            assert obj == counts_file_dict(draws[:17], obj["shots"], obj["seed"], model)
-            calibration = draws[31:, :2].reshape(3, 2, 2).swapaxes(-1, -2) / obj["shots"]
+            draws = [np.array([rng.multinomial(obj["shots"], row) for row in dist])
+                     for dist in pipeline._noisy_probs(model)[2]]
+            assert obj == counts_file_dict(draws[0], obj["shots"], obj["seed"], model)
+            calibration = draws[3].reshape(3, 2, 2).swapaxes(-1, -2) / obj["shots"]
             saved = tmp_path / f"calibration_{t}.json"
             save_calibration(calibration, saved)
             assert saved.read_bytes() == (tdir / "calibration.json").read_bytes(), t
@@ -602,6 +604,7 @@ class TestCli:
         "empty-table", "counts-not-object", "ragged-bitstrings", "short-bitstring",
         "not-a-bitstring", "long-bitstring", "calib-qubit-count", "calib-singular",
         "calib-not-object", "calib-not-2x2", "calib-ragged", "calib-not-numbers", "calib-nan",
+        "calib-unknown-label",
     ])
     def test_malformed_input_is_reported(self, command, case, tmp_path):
         n = 3 if command == "tomo3q" else 2
@@ -629,6 +632,7 @@ class TestCli:
             # json writes NaN, which every comparison of a range check lets through
             "calib-nan": (calib, json.dumps({"qA": [[float("nan"), 0.02], [0.01, 0.98]],
                                              **{f"q{q}": good for q in "ABC"[1:n]}})),
+            "calib-unknown-label": (calib, json.dumps({f"q{q}": good for q in "0BC"[:n]})),
         }[case]
         bad.write_text(text)
         out = tmp_path / "out.json"
@@ -644,6 +648,10 @@ class TestCli:
                 f": table {'Z' * n!r} has 44-bit strings, more than the 3 qubits wtomo reads")
         if case == "calib-nan":
             assert str(exc.value.code).endswith(": calibration matrix is not column-stochastic")
+        if case == "calib-unknown-label":
+            found, wanted = (", ".join(f"q{q}" for q in names[:n]) for names in ("0BC", "ABC"))
+            assert str(exc.value.code).endswith(
+                f": calibration file has qubit labels {found}, not {wanted}")
         assert not out.exists()
 
     @pytest.mark.parametrize("table, message", [
@@ -690,6 +698,36 @@ class TestCli:
         assert main(argv) == EXIT_RECONSTRUCTION
         assert capsys.readouterr().err == f"reconstruction failed: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tomo3q", "tomo2q"])
+    def test_a_programming_error_in_reconstruction_propagates(self, command, tmp_path,
+                                                               monkeypatch):
+        # a RuntimeError (e.g. a built-in scheme that fails to derive) is no
+        # "reconstruction failed" of the input: it ends the command
+        scheme = three_qubit_scheme() if command == "tomo3q" else two_qubit_scheme()
+        n = scheme.nqubits
+        counts, out = tmp_path / "counts.json", tmp_path / "out.json"
+        counts.write_text(json.dumps({label: {"0" * n: 10, "1" * n: 5} for label in scheme.labels}))
+
+        def broken(p):
+            raise RuntimeError("measurement map is numerically singular")
+
+        monkeypatch.setattr(cli, "reconstruct_3q" if n == 3 else "reconstruct_2q", broken)
+        with pytest.raises(RuntimeError, match="numerically singular"):
+            main([command, str(counts), "--out", str(out)])
+        assert not out.exists()
+
+    def test_calibration_file_is_read_by_qubit_label(self, tmp_path, capsys):
+        # a calibration file listing qC, qA, qB mitigates as one listing qA, qB, qC
+        out = tmp_path / "run"
+        assert main(["pipeline", "--trials", "1", "--out", str(out)]) == EXIT_OK
+        tdir = out / "trial_0"
+        calib = json.loads((tdir / "calibration.json").read_text())
+        reordered, rho = tmp_path / "calibration.json", tmp_path / "rho.json"
+        reordered.write_text(json.dumps({q: calib[q] for q in ("qC", "qA", "qB")}))
+        assert main(["tomo3q", str(tdir / "counts_3q.json"), "--calib", str(reordered),
+                     "--out", str(rho)]) == EXIT_OK
+        assert rho.read_bytes() == (tdir / "rho_full.json").read_bytes()
 
     @pytest.mark.parametrize("command, rho, message", [
         (["fidelity", "{f}"], np.eye(4) / 4,
