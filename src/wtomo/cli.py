@@ -30,7 +30,7 @@ from .metrics import fidelity_pure
 from .mitigation import mitigate, mitigation_matrix, spectral_correct
 from .noise import MAX_SHOTS, ReadoutModel, counts_to_probs
 from .pipeline import ExperimentConfig, run_pipeline
-from .tomography import reconstruct_2q, reconstruct_3q, three_qubit_scheme, two_qubit_scheme
+from .tomography import reconstruct_2q, reconstruct_3q
 from .wholeparts import EPS_B, TRACE_TOL, MarginalPair, ReconstructionError, diosi_reconstruct
 
 EXIT_OK = 0
@@ -154,24 +154,12 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK if ok else EXIT_FIXTURE_MISMATCH
 
 
-def _load_tables(args, nqubits: int) -> np.ndarray:
-    """The counts file's (L, d) probability tables in setting order, mitigated by --calib."""
-    counts = _read(io.load_counts_file, args.counts)
-    if args.calib:
-        m = _read(lambda path: mitigation_matrix(io.load_calibration(path, nqubits)), args.calib)
-    scheme = three_qubit_scheme() if nqubits == 3 else two_qubit_scheme()
-    for label in scheme.labels:
-        if label not in counts:
-            raise ValueError(f"missing probability table for setting {label}")
-        if len(counts[label]) != 2**nqubits:
-            raise ValueError(f"table for {label} has wrong length")
-    p = counts_to_probs(np.array([counts[label] for label in scheme.labels]))
-    return mitigate(m, p) if args.calib else p
-
-
 def _cmd_tomo(args, nqubits: int) -> int:
+    p = counts_to_probs(_read(io.load_counts_file, args.counts, nqubits))
+    if args.calib:
+        p = mitigate(_read(lambda path: mitigation_matrix(io.load_calibration(path, nqubits)),
+                           args.calib), p)
     try:
-        p = _load_tables(args, nqubits)
         rho = reconstruct_3q(p) if nqubits == 3 else reconstruct_2q(p)
         if args.correct:
             rho = spectral_correct(rho)

@@ -117,11 +117,13 @@ def counts_file_dict(
     return obj
 
 
-def load_counts_file(path) -> dict[str, np.ndarray]:
-    """The tables of a counts file, label -> counts array; "shots", "seed" and
-    "noise" are not read. Every table has bitstrings of one length, at most
-    3 bits; every count is a non-negative JSON integer of at most
-    ``MAX_SHOTS`` and every table has a positive total."""
+def load_counts_file(path, nqubits: int) -> np.ndarray:
+    """The counts (L, d) of the nqubits scheme's settings, in setting order,
+    from a counts file; "shots", "seed" and "noise" are not read. Every table
+    has bitstrings of one length, at most 3 bits; every count is a
+    non-negative JSON integer of at most ``MAX_SHOTS`` and every table has a
+    positive total. Each setting of the scheme needs a table of d = 2**nqubits
+    counts; tables of other labels are checked but not returned."""
     obj = _read_object(path, "a counts file holds a JSON object of tables")
     for key in ("shots", "seed", "noise"):
         obj.pop(key, None)
@@ -150,7 +152,13 @@ def load_counts_file(path) -> dict[str, np.ndarray]:
         if not c.any():
             raise ValueError(f"table {label!r} has no counts")
         counts[label] = c
-    return counts
+    scheme = three_qubit_scheme() if nqubits == 3 else two_qubit_scheme()
+    for label in scheme.labels:  # the first bad one in setting order
+        if label not in counts:
+            raise ValueError(f"missing probability table for setting {label}")
+        if len(counts[label]) != 2**nqubits:
+            raise ValueError(f"table for {label} has wrong length")
+    return np.array([counts[label] for label in scheme.labels])
 
 
 def _by_qubit(entries: dict, holds: str) -> dict:

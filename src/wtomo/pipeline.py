@@ -9,10 +9,13 @@ so a fixed configuration reproduces byte-identical reports and no two
 trials share a stream.
 
 The trials of a run form one batch: after sampling, every stage runs once
-on stacks with a leading trial axis; a trial's result is bitwise the same in
-a batch of any size. A trial that fails the calibration check or a Diosi
-check (a ``ReconstructionError``) gets its first error and keeps the passes
-it completed before; any other error propagates.
+on stacks with leading axes (pass, trial), pass 0 unmitigated and pass 1
+mitigated; the two-qubit route adds a pair axis, AB then BC, so (pass,
+trial, pair, 7, 4). A trial's result is bitwise the same in a batch of any
+size. Errors are keyed (pass, trial): the calibration check fails pass 1, a
+Diosi check (a ``ReconstructionError``) the pass it flags. A failing trial
+gets the error of its first failing pass and keeps the passes before it;
+any other error propagates.
 """
 
 from __future__ import annotations
@@ -118,56 +121,22 @@ def _noisy_probs(model: ReadoutModel | None):
     return psi_w, tuple(tables), dists
 
 
-def _fill(cfg, results, errors, mitigated, f_full, f_parts, matrices, recon) -> None:
-    """Store one pass (mitigated or not) of a batch in its trials without an error."""
-    for t, r in enumerate(results):
-        if (t,) in errors:
-            continue
-        r.reports[mitigated] = Fidelities(float(f_full[t]), float(f_parts[t]))
-        if mitigated != cfg.mitigate:
-            continue
-        r.matrices = {name: m[t] for name, m in matrices.items()}
-        if recon is not None:
-            r.residuals = {
-                "residual_ab": float(recon.residual_ab[t]),
-                "residual_bc": float(recon.residual_bc[t]),
-                "truncated_mass": {k: float(v[t]) for k, v in recon.truncated_mass.items()},
-            }
-
-
-def _reconstruct(cfg: ExperimentConfig, errors: dict, psi_w, p3, pab, pbc, eps_b: float):
-    """One pass over stacked tables: (f_full, f_parts, matrices, Diosi result)."""
-    nan = np.full(len(p3), np.nan)
-    f_full = f_parts = nan
-    matrices, recon = {}, None
-    if cfg.scheme in ("full3q", "both"):
-        matrices["rho_full"] = spectral_correct(reconstruct_3q(p3))
-        f_full = fidelity_pure(psi_w, matrices["rho_full"])
-    if cfg.scheme in ("parts2q", "both"):
-        rho_ab = spectral_correct(reconstruct_2q(pab))
-        rho_bc = spectral_correct(reconstruct_2q(pbc))
-        recon = _diosi_reconstruct(MarginalPair(rho_ab, rho_bc, eps_b), errors)
-        matrices.update(rho_ab=rho_ab, rho_bc=rho_bc, rho_parts=recon.rho)
-        f_parts = fidelity_pure(psi_w, matrices["rho_parts"])
-    return f_full, f_parts, matrices, recon
-
-
 def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     """Run the trials of results as one batch, filling each result in place.
 
     Trial t samples its circuits from its own stream [seed, t]; every later
-    stage runs once on the stack of all the trials. A failing trial
-    gets its first error (see the module docstring).
+    stage runs once on the (pass, trial[, pair]) stacks of all the trials. A
+    failing trial gets its first error (see the module docstring).
     """
     psi_w, tables, dists = _noisy_probs(cfg.noise)
     if cfg.exact:
-        groups = [np.broadcast_to(table, (len(results), *table.shape)) for table in tables]
+        p3, pab, pbc, calibration = [
+            np.broadcast_to(table, (len(results), *table.shape)) for table in tables]
     else:
         counts = sample_counts(dists, cfg.shots, cfg.seed, [r.trial_id for r in results])
         for r, c in zip(results, counts[0]):  # the 3q settings
             r.counts = c
-        groups = [counts_to_probs(c) for c in counts]
-    *measured, calibration = groups
+        p3, pab, pbc, calibration = [counts_to_probs(c) for c in counts]
     # row 2q + b of the calibration group is column b of qubit q's matrix
     f_hats = calibration.reshape(len(results), 3, 2, 2).swapaxes(-1, -2)
     for r, f in zip(results, f_hats):
@@ -178,14 +147,42 @@ def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
         # base experimental tolerance plus a shot-noise allowance
         eps_b = EPS_B + (0.0 if cfg.exact else 2.0 / np.sqrt(cfg.shots))
 
-    errors: dict = {}  # (t,): the first error of trial t
-    for mitigated in (False, True):
-        if mitigated:  # the last pass, so the unmitigated tables can go
-            measured = [mitigate(_mitigation_matrix(fs, errors), p)
-                        for fs, p in zip((f_hats, f_hats[:, :2], f_hats[:, 1:]), measured)]
-        _fill(cfg, results, errors, mitigated, *_reconstruct(cfg, errors, psi_w, *measured, eps_b))
-    for (t,), exc in errors.items():
-        results[t].error = f"{type(exc).__name__}: {exc}"
+    # Pass 0 is unmitigated, pass 1 mitigated. The 3q map checks every qubit's
+    # matrix, so it alone flags calibration errors, which fail pass 1.
+    found: dict = {}  # (t,): a calibration error
+    m3 = _mitigation_matrix(f_hats, found)
+    errors = {(1, *k): exc for k, exc in found.items()}  # (pass, t): its first error
+    f_full = f_parts = np.full((2, len(results)), np.nan)
+    matrices, recon = {}, None
+    if cfg.scheme in ("full3q", "both"):
+        matrices["rho_full"] = spectral_correct(reconstruct_3q(np.stack([p3, mitigate(m3, p3)])))
+        f_full = fidelity_pure(psi_w, matrices["rho_full"])
+    if cfg.scheme in ("parts2q", "both"):
+        p2 = np.stack([pab, pbc], axis=1)  # (trial, pair AB|BC, 7, 4)
+        m2 = _mitigation_matrix(np.stack([f_hats[:, :2], f_hats[:, 1:]], axis=1), {})  # m3's checks
+        rho_2q = spectral_correct(reconstruct_2q(np.stack([p2, mitigate(m2, p2)])))
+        recon = _diosi_reconstruct(MarginalPair(rho_2q[:, :, 0], rho_2q[:, :, 1], eps_b), errors)
+        matrices.update(rho_ab=rho_2q[:, :, 0], rho_bc=rho_2q[:, :, 1], rho_parts=recon.rho)
+        f_parts = fidelity_pure(psi_w, recon.rho)
+
+    written = int(cfg.mitigate)
+    # a copy of the written pass, so the trials' views do not keep both alive
+    matrices = {name: m[written].copy() for name, m in matrices.items()}
+    for t, r in enumerate(results):
+        for p in (0, 1):  # a trial keeps the passes before its first error
+            if (exc := errors.get((p, t))) is not None:
+                r.error = f"{type(exc).__name__}: {exc}"
+                break
+            r.reports[bool(p)] = Fidelities(float(f_full[p, t]), float(f_parts[p, t]))
+            if p == written:
+                r.matrices = {name: m[t] for name, m in matrices.items()}
+                if recon is not None:
+                    r.residuals = {
+                        "residual_ab": float(recon.residual_ab[p, t]),
+                        "residual_bc": float(recon.residual_bc[p, t]),
+                        "truncated_mass": {k: float(v[p, t])
+                                           for k, v in recon.truncated_mass.items()},
+                    }
 
 
 def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:

@@ -29,6 +29,7 @@ from .linalg import eig_hermitian, first_true, flag, outer, partial_trace, vecto
 
 DEGENERACY_GAP = 1e-6
 PHASE_MAGNITUDE_FLOOR = 1e-8
+LIVE_WEIGHT = 1e-12  # a branch of smaller weight is rounding (a pure rho_A reads ~1e-16)
 MIN_KEPT_MASS = 0.8
 TRACE_TOL = 1e-10  # a marginal whose trace is further from 1 is renormalized
 EPS_B = 0.05  # base tolerance on the shared-qubit gap of experimental marginals
@@ -161,18 +162,20 @@ def _solve_phases(lam_a, m, errors) -> np.ndarray:
     alpha_i - gamma_k for the branch phases gamma_k of the (rho_C, rho_AB)
     decomposition. This is solved in the gauge gamma_0 = 0: gamma_1 follows
     from the branch i_best with the largest |m[i, 1]|, and each alpha_i is
-    refined as the argument of the gamma-weighted row sum of m. With both
-    branches live, an i_best that does not link to C branch 0 would read the
-    relative branch phase from rounding noise, and is flagged.
+    refined as the argument of the gamma-weighted row sum of m. A branch of
+    weight at most LIVE_WEIGHT is not live, and a lone live branch needs no
+    overlap: its phase is global. With both branches live, a branch without
+    a usable overlap, or an i_best that does not link to C branch 0, would
+    read the relative branch phase from rounding noise, and is flagged.
     """
     degenerate = np.abs(lam_a[..., 0] - lam_a[..., 1]) <= DEGENERACY_GAP
     flag(errors, degenerate, lambda k: DegenerateSpectrumError(
         f"rho_A spectrum {lam_a[k]} is degenerate within {DEGENERACY_GAP}; "
         "the marginals do not determine the global state"
     ))
-    live = np.sqrt(lam_a) > 1e-8  # phases of zero-amplitude branches are moot
+    live = lam_a > LIVE_WEIGHT  # phases of zero-weight branches are moot
     usable = np.abs(m).max(axis=-1) >= PHASE_MAGNITUDE_FLOOR
-    stuck = live & ~usable
+    stuck = live.all(axis=-1, keepdims=True) & ~usable  # a lone live branch's phase is global
     flag(errors, stuck.any(axis=-1), lambda k: UnderdeterminedPhaseError(
         f"no usable overlap constraint for branch {first_true(stuck[k])[-1]}"
     ))

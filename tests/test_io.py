@@ -301,9 +301,7 @@ def test_run_directory(tmp_path):
     assert (out / "trial_0" / "counts_3q.json").read_text() == COUNTS_FILE
     assert (out / "trial_0" / "rho_parts.json").read_text() == RHO_PARTS_FILE
 
-    counts = io.load_counts_file(out / "trial_0" / "counts_3q.json")
-    assert list(counts) == sorted(THREE_QUBIT_LABELS)
-    assert np.array_equal([counts[label] for label in THREE_QUBIT_LABELS], good.counts)
+    assert np.array_equal(io.load_counts_file(out / "trial_0" / "counts_3q.json", 3), good.counts)
     meta = json.loads((out / "trial_0" / "counts_3q.json").read_text())
     assert meta["shots"] == 10 and meta["seed"] == [7, 0]
     assert io.readout_model_from_json_dict(meta["noise"]) == MODEL

@@ -149,11 +149,12 @@ class TestRunTrial:
 
 
 def injecting(targets):
-    """The pipeline's Diosi core, flagging each pair whose rho_ab is one of targets."""
+    """The pipeline's Diosi core, flagging each pair of a stack of any leading
+    shape whose rho_ab is one of targets."""
     diosi = pipeline._diosi_reconstruct
 
     def flaky(pair, errors):
-        hit = np.array([any(np.array_equal(rho, t) for t in targets) for rho in pair.rho_ab])
+        hit = np.any([(pair.rho_ab == t).all(axis=(-2, -1)) for t in targets], axis=0)
         flag(errors, hit, lambda k: ReconstructionError("injected"))
         return diosi(pair, errors)
 
@@ -210,6 +211,20 @@ class TestBatching:
             if r.trial_id != 2:
                 assert r.reports == c.reports
                 assert np.array_equal(r.matrices["rho_parts"], c.matrices["rho_parts"])
+
+    def test_both_passes_and_both_pairs_share_one_call_per_stage(self, monkeypatch):
+        # one spectral_correct per route and one Diosi call on (pass, trial)
+        # stacks; 4 eigh: the 3q and 2q corrections and Diosi's two stacks
+        calls = []
+        for name in ("spectral_correct", "_diosi_reconstruct"):
+            stage = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name,
+                                lambda *a, stage=stage, name=name: calls.append(name) or stage(*a))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+        run_pipeline(self.CFG)
+        assert calls == ["spectral_correct", (2, 6, 8, 8), "spectral_correct", (2, 6, 2, 4, 4),
+                         "_diosi_reconstruct", (2, 6, 2, 2, 2), (2, 6, 2, 4, 4)]
 
     def test_a_programming_error_propagates(self, monkeypatch):
         # only calibration and reconstruction checks make a trial fail
@@ -607,10 +622,11 @@ class TestCli:
         "calib-unknown-label",
     ])
     def test_malformed_input_is_reported(self, command, case, tmp_path):
-        n = 3 if command == "tomo3q" else 2
+        scheme = three_qubit_scheme() if command == "tomo3q" else two_qubit_scheme()
+        n = scheme.nqubits
         good = [[0.99, 0.02], [0.01, 0.98]]
         counts, calib = tmp_path / "counts.json", tmp_path / "calib.json"
-        counts.write_text(json.dumps({"Z" * n: {"0" * n: 10}}))
+        counts.write_text(json.dumps({label: {"0" * n: 10} for label in scheme.labels}))
         calib.write_text(json.dumps({f"q{q}": good for q in "ABC"[:n]}))
         bad, text = {
             "empty-table": (counts, json.dumps({"Z" * n: {}})),
@@ -683,8 +699,9 @@ class TestCli:
     ], ids=["3q-missing", "3q-wrong-length", "3q-first-in-setting-order", "2q-missing",
             "2q-wrong-length"])
     def test_counts_file_without_the_scheme_tables(self, command, tables, message, calibrated,
-                                                   tmp_path, capsys):
-        # the settings are checked in setting order, after both files are read
+                                                   tmp_path):
+        # a malformed counts file, as README's exit codes call it (exit 1): the
+        # settings are checked in setting order, before the calibration file is read
         scheme = three_qubit_scheme() if command == "tomo3q" else two_qubit_scheme()
         n = scheme.nqubits
         obj = {label: {format(m, f"0{n}b"): 10 + m for m in range(2**n)}
@@ -695,8 +712,9 @@ class TestCli:
         counts.write_text(json.dumps(obj))
         calib.write_text(json.dumps({f"q{q}": [[0.9, 0.1], [0.1, 0.9]] for q in "ABC"[:n]}))
         argv = [command, str(counts), "--out", str(out)] + (["--calib", str(calib)] * calibrated)
-        assert main(argv) == EXIT_RECONSTRUCTION
-        assert capsys.readouterr().err == f"reconstruction failed: {message}\n"
+        with pytest.raises(SystemExit) as exc:  # a string code: exit status 1
+            main(argv)
+        assert exc.value.code == f"cannot read {counts}: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["tomo3q", "tomo2q"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtomo.circuits import w_vector
 from wtomo.io import reconstruction_to_json_dict
@@ -158,6 +160,21 @@ class TestSolvePhases:
         res = diosi_reconstruct(marginal_pair_of(psi))
         assert abs(abs(np.vdot(psi, res.psi)) - 1.0) <= 1e-12
 
+    def test_rounding_level_branch_is_not_live(self):
+        # a pure rho_A rounds to a spectrum (1, ~1e-16): that branch carries no
+        # weight and needs no overlap, whatever its square root
+        m = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        alpha = _solve_phases(np.array([1.0, 2.5e-16]), m, None)
+        assert np.array_equal(alpha, [0.0, 0.0])
+
+    def test_one_live_branch_needs_no_overlap(self):
+        # (0.8|0> + 0.6|1>) ⊗ (|01> + |10>)/√2: rho_A is pure, so A's one live
+        # branch carries a global phase. rho_C and rho_AB are degenerate, their
+        # eigenvectors pair arbitrarily, and here that branch overlaps no C branch
+        psi = np.kron([0.8, 0.6], np.array([0, 1, 1, 0]) / np.sqrt(2)).astype(complex)
+        res = diosi_reconstruct(marginal_pair_of(psi))
+        assert abs(np.vdot(psi, res.psi)) >= 1 - 1e-10
+
     def test_real_nonnegative_state_gives_sign_factors(self, rng):
         # for a real, entrywise non-negative global state the solved branch
         # phase factors are +-1 (real) under the deterministic eigenvector
@@ -238,3 +255,70 @@ class TestDiosiReconstruct:
         psi = np.array(d["re"]) + 1j * np.array(d["im"])
         assert np.allclose(psi, res.psi)
         assert d["nqubits"] == 3
+
+
+def haar_unitary(rng):
+    """A Haar-random 2x2 unitary: QR of a complex Gaussian, columns rephased by R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def local_unitary(rng):
+    """U_A ⊗ U_B ⊗ U_C, each Haar-random."""
+    return np.kron(np.kron(haar_unitary(rng), haar_unitary(rng)), haar_unitary(rng))
+
+
+def with_pure_qubit(rng, position, weight):
+    """A Haar-random pure qubit at position (0, 1, 2 for A, B, C) times a pair
+    of Schmidt weights (1 - weight, weight) in Haar-random local bases."""
+    schmidt = np.array([np.sqrt(1 - weight), 0, 0, np.sqrt(weight)], dtype=complex)
+    pair = np.kron(haar_unitary(rng), haar_unitary(rng)) @ schmidt
+    psi = np.kron(random_pure(2, rng), pair).reshape(2, 2, 2)
+    return np.moveaxis(psi, 0, position).reshape(8)
+
+
+FAMILIES = {
+    "haar_gapped": lambda rng, weight: random_gapped_pure(rng),
+    "product": lambda rng, weight: np.kron(np.kron(random_pure(2, rng), random_pure(2, rng)),
+                                           random_pure(2, rng)),
+    "pure_a": lambda rng, weight: with_pure_qubit(rng, 0, weight),
+    # rho_C is degenerate, but A has one live branch, whose phase is global
+    "pure_a_maximal": lambda rng, weight: with_pure_qubit(rng, 0, 0.5),
+    "pure_c": lambda rng, weight: with_pure_qubit(rng, 2, weight),
+}
+
+# Schmidt weights of the entangled pair: entangled, and gapped away from the
+# degenerate (maximally entangled) spectrum
+WEIGHTS = st.floats(min_value=0.02, max_value=0.45)
+SEEDS = st.integers(min_value=0, max_value=2**63)
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+class TestLocalUnitaryProperty:
+    """States whose marginals determine them reconstruct exactly and
+    covariantly, diosi(U psi) = U diosi(psi) up to a phase, for Haar-random
+    local U = U_A ⊗ U_B ⊗ U_C; states whose marginals do not are rejected."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @PROPERTY
+    @given(seed=SEEDS, weight=WEIGHTS)
+    def test_determined_families_reconstruct_covariantly(self, family, seed, weight):
+        rng = np.random.default_rng(seed)
+        psi = FAMILIES[family](rng, weight)
+        u = local_unitary(rng)
+        res, res_u = (diosi_reconstruct(marginal_pair_of(v)) for v in (psi, u @ psi))
+        assert abs(np.vdot(psi, res.psi)) >= 1 - 1e-10
+        assert abs(np.vdot(u @ psi, res_u.psi)) >= 1 - 1e-10
+        assert abs(np.vdot(u @ res.psi, res_u.psi)) >= 1 - 1e-10
+
+    @PROPERTY
+    @given(seed=SEEDS, weight=WEIGHTS)
+    def test_a_pure_qubit_at_b_is_rejected(self, seed, weight):
+        # rho_AB and rho_BC are product across B and lose the A-C coherence,
+        # so every relative phase of the A-C pair has the same marginals
+        rng = np.random.default_rng(seed)
+        psi = with_pure_qubit(rng, 1, weight)
+        u = local_unitary(rng)
+        for v in (psi, u @ psi):
+            with pytest.raises(UnderdeterminedPhaseError):
+                diosi_reconstruct(marginal_pair_of(v))
