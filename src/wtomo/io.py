@@ -59,6 +59,9 @@ def density_from_json_dict(d: dict) -> np.ndarray:
     for key in ("nqubits", "re", "im"):
         if key not in d:
             raise ValueError(f"density file has no {key!r}")
+    n = d["nqubits"]
+    if type(n) is not int or not 1 <= n <= 3:  # a bool is an int; a large n costs 2**n
+        raise ValueError(f"nqubits must be an integer from 1 to 3, got {n!r}")
     re, im = np.array(d["re"], dtype=float), np.array(d["im"], dtype=float)
     if re.shape != im.shape:
         raise ValueError(f"'re' has shape {re.shape} but 'im' has shape {im.shape}")
@@ -69,7 +72,7 @@ def density_from_json_dict(d: dict) -> np.ndarray:
         raise ValueError(
             f"file holds a state vector of {rho.size} amplitudes, not a density matrix"
         )
-    dim = 2 ** int(d["nqubits"])
+    dim = 2**n
     if rho.shape != (dim, dim):
         raise ValueError(f"matrix shape {rho.shape} inconsistent with nqubits")
     return rho

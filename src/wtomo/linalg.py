@@ -86,6 +86,17 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., ::-1], v[..., ::-1]
 
 
+def kron_qubits(fs: np.ndarray) -> np.ndarray:
+    """Kronecker product fs[..., 0] ⊗ fs[..., 1] ⊗ ... of per-qubit matrices
+    fs (..., n, 2, 2), qubit 0 most significant, as a map (..., 2**n, 2**n)."""
+    out = np.ones((*fs.shape[:-3], 1, 1))
+    for k in range(fs.shape[-3]):
+        d = 2 * out.shape[-1]
+        out = np.einsum("...ij,...kl->...ikjl", out, fs[..., k, :, :])
+        out = out.reshape(*fs.shape[:-3], d, d)
+    return out
+
+
 def nqubits_of(rho: np.ndarray) -> int:
     """Qubit count of a vector, a matrix or a stack of matrices (last axis)."""
     dim = rho.shape[-1]

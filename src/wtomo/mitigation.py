@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import eig_hermitian, first_true, flag
+from .linalg import eig_hermitian, first_true, flag, kron_qubits
 
 
 def mitigation_matrix(fs) -> np.ndarray:
@@ -14,14 +14,14 @@ def mitigation_matrix(fs) -> np.ndarray:
     fs = np.asarray(fs, dtype=float)
     if fs.ndim < 3 or fs.shape[-2:] != (2, 2):
         raise ValueError(f"expected calibration matrices (..., n, 2, 2), got shape {fs.shape}")
-    return _mitigation_matrix(fs, None)
+    return kron_qubits(_calibration_inverses(fs, None))
 
 
-def _mitigation_matrix(fs: np.ndarray, errors: dict | None) -> np.ndarray:
-    """mitigation_matrix that flags (``linalg.flag``) each member of the stack
-    with an unusable calibration matrix, one that is not column-stochastic
-    (a non-finite entry counts as such) or is numerically singular; such a
-    member gets the identity map."""
+def _calibration_inverses(fs: np.ndarray, errors: dict | None) -> np.ndarray:
+    """The inverses (..., n, 2, 2) of the per-qubit calibration matrices fs.
+    Flags (``linalg.flag``) each member of the stack with an unusable matrix,
+    one that is not column-stochastic (a non-finite entry counts as such) or
+    is numerically singular; such a member's matrices all invert to the identity."""
     in_range = ((fs >= -1e-12) & (fs <= 1 + 1e-12)).all(axis=(-2, -1))  # False for NaN
     fs_in_range = np.where(in_range[..., None, None], fs, np.eye(2))  # sum and det stay finite
     not_stochastic = ~in_range | (np.abs(fs_in_range.sum(axis=-2) - 1.0).max(axis=-1) > 1e-9)
@@ -30,13 +30,7 @@ def _mitigation_matrix(fs: np.ndarray, errors: dict | None) -> np.ndarray:
     flag(errors, failing, lambda k: ValueError("calibration matrix is " + (
         "not column-stochastic" if not_stochastic[k][first_true(bad[k])]  # its first bad one
         else "numerically singular")))
-    inv = np.linalg.inv(np.where(failing[..., None, None, None], np.eye(2), fs))
-    out = inv[..., 0, :, :]
-    for k in range(1, fs.shape[-3]):
-        d = 2 * out.shape[-1]
-        out = np.einsum("...ij,...kl->...ikjl", out, inv[..., k, :, :])
-        out = out.reshape(*fs.shape[:-3], d, d)
-    return out
+    return np.linalg.inv(np.where(failing[..., None, None, None], np.eye(2), fs))
 
 
 def mitigate(m: np.ndarray, p: np.ndarray) -> np.ndarray:

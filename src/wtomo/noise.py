@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import MeasurementSetting
+from .linalg import kron_qubits
 
 RNG_ALGORITHM = (
     "numpy PCG64 (default_rng), one stream per trial keyed [seed, trial], "
@@ -63,10 +64,8 @@ class ReadoutModel:
 
     def confusion_matrix(self) -> np.ndarray:
         """Tensor product of per-qubit calibration matrices."""
-        f = np.eye(1)
-        for q in self.qubits:
-            f = np.kron(f, q.calibration_matrix())
-        return f
+        fs = np.array([q.calibration_matrix() for q in self.qubits]).reshape(-1, 2, 2)
+        return kron_qubits(fs)
 
 
 def exact_probs(rho: np.ndarray, s: MeasurementSetting) -> np.ndarray:
@@ -81,10 +80,10 @@ def exact_probs(rho: np.ndarray, s: MeasurementSetting) -> np.ndarray:
 
 
 def apply_readout_noise(p: np.ndarray, model: ReadoutModel) -> np.ndarray:
-    """Forward confusion: p' = (F_A ⊗ F_B ⊗ ...) p."""
-    if 2 ** len(model.qubits) != len(p):
+    """Forward confusion: p' = (F_A ⊗ F_B ⊗ ...) p, for p (..., d) row by row."""
+    if 2 ** len(model.qubits) != np.shape(p)[-1]:
         raise ValueError("readout model does not cover all measured qubits")
-    return model.confusion_matrix() @ p
+    return (model.confusion_matrix() @ np.asarray(p)[..., None])[..., 0]
 
 
 def outcome_distribution(p: np.ndarray) -> np.ndarray:

@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import prepare_w, three_qubit_settings, two_qubit_settings
-from .linalg import outer, partial_trace
+from .linalg import kron_qubits, outer, partial_trace
 from .metrics import fidelity_pure
-from .mitigation import _mitigation_matrix, mitigate, spectral_correct
+from .mitigation import _calibration_inverses, mitigate, spectral_correct
 from .noise import (
     MAX_SHOTS,
     ReadoutModel,
@@ -111,55 +111,49 @@ def _noisy_probs(model: ReadoutModel | None):
         else:
             rho = partial_trace(rho_w, qubits)
             settings = three_qubit_settings() if width == 8 else two_qubit_settings()
-            probs = [exact_probs(rho, s) for s in settings]
+            probs = np.array([exact_probs(rho, s) for s in settings])
             if model is not None:
-                probs = [apply_readout_noise(p, model.subset(qubits)) for p in probs]
-            tables.append(np.array(probs))
+                probs = apply_readout_noise(probs, model.subset(qubits))
+            tables.append(probs)
     dists = tuple(outcome_distribution(table) for table in tables)
     for a in (psi_w, *tables, *dists):
         a.setflags(write=False)
     return psi_w, tuple(tables), dists
 
 
-def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
-    """Run the trials of results as one batch, filling each result in place.
-
-    Trial t samples its circuits from its own stream [seed, t]; every later
-    stage runs once on the (pass, trial[, pair]) stacks of all the trials. A
-    failing trial gets its first error (see the module docstring).
-    """
+def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
+    """All trials as one batch (see the module docstring); ``io.write_outputs``
+    writes them as a run directory."""
     psi_w, tables, dists = _noisy_probs(cfg.noise)
     if cfg.exact:
+        counts = None
         p3, pab, pbc, calibration = [
-            np.broadcast_to(table, (len(results), *table.shape)) for table in tables]
+            np.broadcast_to(table, (cfg.trials, *table.shape)) for table in tables]
     else:
-        counts = sample_counts(dists, cfg.shots, cfg.seed, [r.trial_id for r in results])
-        for r, c in zip(results, counts[0]):  # the 3q settings
-            r.counts = c
+        counts = sample_counts(dists, cfg.shots, cfg.seed, list(range(cfg.trials)))
         p3, pab, pbc, calibration = [counts_to_probs(c) for c in counts]
     # row 2q + b of the calibration group is column b of qubit q's matrix
-    f_hats = calibration.reshape(len(results), 3, 2, 2).swapaxes(-1, -2)
-    for r, f in zip(results, f_hats):
-        r.calibration = f
+    f_hats = calibration.reshape(cfg.trials, 3, 2, 2).swapaxes(-1, -2)
     if cfg.exact and cfg.noise is None:
         eps_b = 1e-8
     else:
         # base experimental tolerance plus a shot-noise allowance
         eps_b = EPS_B + (0.0 if cfg.exact else 2.0 / np.sqrt(cfg.shots))
 
-    # Pass 0 is unmitigated, pass 1 mitigated. The 3q map checks every qubit's
-    # matrix, so it alone flags calibration errors, which fail pass 1.
+    # Pass 0 is unmitigated, pass 1 mitigated. The 3q and AB/BC maps compose one
+    # checked stack of per-qubit inverses; a calibration error fails pass 1.
     found: dict = {}  # (t,): a calibration error
-    m3 = _mitigation_matrix(f_hats, found)
+    inverses = _calibration_inverses(f_hats, found)
     errors = {(1, *k): exc for k, exc in found.items()}  # (pass, t): its first error
-    f_full = f_parts = np.full((2, len(results)), np.nan)
+    f_full = f_parts = np.full((2, cfg.trials), np.nan)
     matrices, recon = {}, None
     if cfg.scheme in ("full3q", "both"):
+        m3 = kron_qubits(inverses)
         matrices["rho_full"] = spectral_correct(reconstruct_3q(np.stack([p3, mitigate(m3, p3)])))
         f_full = fidelity_pure(psi_w, matrices["rho_full"])
     if cfg.scheme in ("parts2q", "both"):
         p2 = np.stack([pab, pbc], axis=1)  # (trial, pair AB|BC, 7, 4)
-        m2 = _mitigation_matrix(np.stack([f_hats[:, :2], f_hats[:, 1:]], axis=1), {})  # m3's checks
+        m2 = kron_qubits(np.stack([inverses[:, :2], inverses[:, 1:]], axis=1))
         rho_2q = spectral_correct(reconstruct_2q(np.stack([p2, mitigate(m2, p2)])))
         recon = _diosi_reconstruct(MarginalPair(rho_2q[:, :, 0], rho_2q[:, :, 1], eps_b), errors)
         matrices.update(rho_ab=rho_2q[:, :, 0], rho_bc=rho_2q[:, :, 1], rho_parts=recon.rho)
@@ -168,7 +162,10 @@ def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
     written = int(cfg.mitigate)
     # a copy of the written pass, so the trials' views do not keep both alive
     matrices = {name: m[written].copy() for name, m in matrices.items()}
-    for t, r in enumerate(results):
+    results = []
+    for t in range(cfg.trials):
+        r = TrialResult(t, counts=None if counts is None else counts[0][t],  # the 3q settings
+                        calibration=f_hats[t])
         for p in (0, 1):  # a trial keeps the passes before its first error
             if (exc := errors.get((p, t))) is not None:
                 r.error = f"{type(exc).__name__}: {exc}"
@@ -183,11 +180,5 @@ def _run_batch(cfg: ExperimentConfig, results: list[TrialResult]) -> None:
                         "truncated_mass": {k: float(v[p, t])
                                            for k, v in recon.truncated_mass.items()},
                     }
-
-
-def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
-    """All trials as one batch (see the module docstring); ``io.write_outputs``
-    writes them as a run directory."""
-    results = [TrialResult(trial_id=t) for t in range(cfg.trials)]
-    _run_batch(cfg, results)
+        results.append(r)
     return results

@@ -12,7 +12,8 @@ stacks, (rho_A, rho_C) and (rho_BC, rho_AB), with one eig_hermitian call
 each (see _top2), and the phases come from one contraction over the shared
 qubit B (see _phase_matrix). States whose single-party spectra are
 degenerate (GHZ-like), or whose branches the overlaps do not link, are not
-determined by their marginals and are rejected rather than guessed.
+determined by their marginals and are rejected rather than guessed; a
+degenerate rho_A beside a pure rho_C is the pure rho_AB times rho_C.
 
 Each check flags (``linalg.flag``) the failing pairs of a stack in a dict of
 errors, and the other pairs come out as alone; with None, the first raises.
@@ -224,13 +225,19 @@ def _diosi_reconstruct(pair: MarginalPair, errors: dict | None) -> Reconstructio
             "input too mixed for a pure-state hypothesis"
         ))
     m = _phase_matrix(lam_a, lam_c, vec_a, vec_c, vec_ab, vec_bc)
-    alpha = _solve_phases(lam_a, m, errors)
+    # a degenerate rho_A beside one live C branch (the mirror of a lone A branch) is
+    # that branch alone: no phase to solve, and C's spectrum fails no _solve_phases check
+    lone_c = ((np.abs(lam_a[..., 0] - lam_a[..., 1]) <= DEGENERACY_GAP)
+              & (lam_c[..., 1] <= LIVE_WEIGHT))[..., None]
+    alpha = _solve_phases(np.where(lone_c, lam_c, lam_a), m, errors)
     weights = np.exp(1j * alpha) * np.sqrt(lam_a)
     lead = alpha.shape[:-1]
     psi = np.zeros((*lead, 8), dtype=complex)
     for i in range(2):  # the two Schmidt branches |i;A> ⊗ |i;BC>
         branch = vec_a[..., :, None, i] * vec_bc[..., None, :, i]
         psi += weights[..., i, None] * branch.reshape(*lead, 8)
+    lone = vec_ab[..., :, None, 0] * vec_c[..., None, :, 0]  # |0;AB> ⊗ |0;C>
+    psi = np.where(lone_c, lone.reshape(*lead, 8), psi)
     psi /= vector_norm(psi)[..., None]
     psi = _fix_vector_gauge(psi)
     rho = outer(psi)

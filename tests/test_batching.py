@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from wtomo.circuits import w_vector
-from wtomo.linalg import eig_hermitian, is_hermitian, outer, partial_trace
+from wtomo.linalg import eig_hermitian, is_hermitian, kron_qubits, outer, partial_trace
 from wtomo.metrics import fidelity_pure
-from wtomo.mitigation import _mitigation_matrix, mitigation_matrix, spectral_correct
+from wtomo.mitigation import _calibration_inverses, mitigation_matrix, spectral_correct
 from wtomo.tomography import reconstruct_3q, three_qubit_scheme
 from wtomo.wholeparts import (
     InconsistentMarginalsError,
@@ -78,7 +78,7 @@ def test_mitigation_stack_flags_only_the_bad_member():
     good, other = [[0.9, 0.1], [0.1, 0.9]], [[0.95, 0.2], [0.05, 0.8]]
     fs = np.array([[good, other], [good, [[0.9, 0.2], [0.2, 0.9]]], [other, good]])
     errors = {}
-    maps = _mitigation_matrix(fs, errors)
+    maps = kron_qubits(_calibration_inverses(fs, errors))
     assert list(errors) == [(1,)]
     assert str(errors[(1,)]) == "calibration matrix is not column-stochastic"
     assert np.array_equal(maps[1], np.eye(4))

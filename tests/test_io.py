@@ -202,6 +202,20 @@ def test_density_file(tmp_path):
     assert np.array_equal(io.load_density(path, 1), rho)
 
 
+@pytest.mark.parametrize("literal, shown", [
+    ("null", "None"), ("[3]", "[3]"), ("1e400", "inf"), ("3.5", "3.5"), ("true", "True"),
+    ("0", "0"), ("4", "4"), ("100000000", "100000000"), ('"3"', "'3'"),
+], ids=["null", "list", "overflow", "fraction", "bool", "zero", "four", "huge", "string"])
+def test_density_file_nqubits_is_checked(literal, shown, tmp_path):
+    # nqubits is checked before 2**nqubits is computed: no TypeError,
+    # OverflowError or silent coercion, and no huge integer for 100000000
+    path = tmp_path / "rho.json"
+    path.write_text(f'{{"nqubits": {literal}, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}}')
+    with pytest.raises(ValueError) as exc:
+        io.load_density(path, 1)
+    assert str(exc.value) == f"nqubits must be an integer from 1 to 3, got {shown}"
+
+
 def test_calibration_file(tmp_path):
     f = np.array([[0.75, 0.5], [0.25, 0.5]])
     path = tmp_path / "calibration.json"

@@ -226,6 +226,15 @@ class TestBatching:
         assert calls == ["spectral_correct", (2, 6, 8, 8), "spectral_correct", (2, 6, 2, 4, 4),
                          "_diosi_reconstruct", (2, 6, 2, 2, 2), (2, 6, 2, 4, 4)]
 
+    def test_calibration_is_inverted_once_per_batch(self, monkeypatch):
+        # the 3q map and the AB/BC maps are all composed from one checked
+        # (trial, qubit) stack of inverses
+        shapes = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
+        run_pipeline(self.CFG)
+        assert shapes == [(6, 3, 2, 2)]
+
     def test_a_programming_error_propagates(self, monkeypatch):
         # only calibration and reconstruction checks make a trial fail
         def broken(rho):
@@ -298,16 +307,23 @@ class TestBatching:
         cfg = ExperimentConfig(shots=2000, trials=3, seed=2**64 + 3, scheme="both", mitigate=True)
         assert report_csv_text(cfg, run_pipeline(cfg)) == golden.read_text()
 
-    def test_golden_run_directory(self, tmp_path):
-        # every file of a small passing run: report, metadata, and per trial the
-        # four density files, the counts file and the calibration file
-        golden = Path(__file__).parent / "data" / "golden_run_seed1234_2x2000"
-        cfg = ExperimentConfig(shots=2000, trials=2, seed=1234, scheme="both", mitigate=True)
+    # every file of a small passing run: report, metadata, and per trial the
+    # four density files, the calibration file and (when sampled) the counts
+    # file; the exact run pins the noisy tables and the maps that mitigate them
+    GOLDEN_RUNS = {
+        "golden_run_seed1234_2x2000": (ExperimentConfig(shots=2000, trials=2, seed=1234), 6),
+        "golden_run_exact_2trials": (ExperimentConfig(trials=2, exact=True), 5),
+    }
+
+    @pytest.mark.parametrize("name", GOLDEN_RUNS)
+    def test_golden_run_directory(self, name, tmp_path):
+        golden = Path(__file__).parent / "data" / name
+        cfg, trial_files = self.GOLDEN_RUNS[name]
         out = tmp_path / "run"
         write_outputs(cfg, run_pipeline(cfg), out)
         files = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
         assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
-        assert len(files) == 2 + 2 * 6
+        assert len(files) == 2 + 2 * trial_files
         for f in files:
             assert (out / f).read_bytes() == (golden / f).read_bytes(), f
 
@@ -812,6 +828,18 @@ class TestCli:
             main([a.format(f=f, out=out) for a in command])
         assert exc.value.code == f"cannot read {f}: " + message.format(n=dim)
         assert not out.exists()
+
+    @pytest.mark.parametrize("literal, shown", [("null", "None"), ("[3]", "[3]"), ("1e400", "inf")],
+                             ids=["null", "list", "overflow"])
+    def test_density_file_nqubits_is_reported(self, literal, shown, tmp_path):
+        # each once ended in a TypeError or OverflowError traceback
+        f = tmp_path / "rho.json"
+        d = density_to_json_dict(np.eye(8) / 8)
+        f.write_text(json.dumps(d).replace('"nqubits": 3', f'"nqubits": {literal}'))
+        with pytest.raises(SystemExit) as exc:  # a string code: exit status 1
+            main(["fidelity", str(f)])
+        assert exc.value.code == (
+            f"cannot read {f}: nqubits must be an integer from 1 to 3, got {shown}")
 
     @pytest.mark.parametrize("failing, code", [(1, EXIT_PARTIAL), (2, EXIT_RECONSTRUCTION)])
     def test_failed_trials_set_the_exit_code(self, failing, code, tmp_path, monkeypatch, capsys):

@@ -285,6 +285,8 @@ FAMILIES = {
     # rho_C is degenerate, but A has one live branch, whose phase is global
     "pure_a_maximal": lambda rng, weight: with_pure_qubit(rng, 0, 0.5),
     "pure_c": lambda rng, weight: with_pure_qubit(rng, 2, weight),
+    # rho_A is degenerate, but C has one live branch: the state is |0;AB> ⊗ |0;C>
+    "pure_c_maximal": lambda rng, weight: with_pure_qubit(rng, 2, 0.5),
 }
 
 # Schmidt weights of the entangled pair: entangled, and gapped away from the
