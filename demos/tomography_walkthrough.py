@@ -13,8 +13,8 @@ from wtomo import (
     fidelity_pure,
     outer,
     prepare_w,
-    reconstruct_3q,
-    three_qubit_settings,
+    reconstruct,
+    tomography_scheme,
     w_vector,
 )
 
@@ -31,7 +31,8 @@ rho = outer(psi)
 
 # 2. Measure. Each setting is a fixed unitary applied before a computational-
 # basis readout; 17 settings suffice to expose every matrix element.
-settings = three_qubit_settings()
+scheme = tomography_scheme(3)
+settings = scheme.settings
 print(f"{len(settings)} measurement settings: {', '.join(s.label for s in settings)}\n")
 
 # The data of the scheme is one (17, 8) array: row i is the outcome table of
@@ -43,6 +44,6 @@ print("  " + "  ".join(f"{p:.4f}" for p in tables[0]) + "\n")
 
 # 3. Reconstruct. Every element of rho is a signed linear combination of
 # outcome probabilities; with exact tables the round trip is exact.
-rho_hat = reconstruct_3q(tables)
+rho_hat = reconstruct(scheme, tables)
 print(f"round-trip max entry error: {np.abs(rho_hat - rho).max():.2e}")
 print(f"fidelity vs W: {fidelity_pure(w_vector(), rho_hat):.12f}")

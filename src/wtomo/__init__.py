@@ -7,13 +7,7 @@ of the global pure state from two bipartite marginals, and fidelity
 reporting against published reference matrices.
 """
 
-from .circuits import (
-    MeasurementSetting,
-    prepare_w,
-    three_qubit_settings,
-    two_qubit_settings,
-    w_vector,
-)
+from .circuits import MeasurementSetting, prepare_w, w_vector
 from .linalg import eig_hermitian, outer, partial_trace
 from .metrics import fidelity_pure
 from .mitigation import mitigation_matrix, spectral_correct
@@ -24,13 +18,7 @@ from .noise import (
     exact_probs,
 )
 from .pipeline import ExperimentConfig, run_pipeline
-from .tomography import (
-    TomographyScheme,
-    reconstruct_2q,
-    reconstruct_3q,
-    three_qubit_scheme,
-    two_qubit_scheme,
-)
+from .tomography import TomographyScheme, reconstruct, tomography_scheme
 from .wholeparts import (
     DegenerateSpectrumError,
     MarginalPair,
@@ -60,13 +48,9 @@ __all__ = [
     "outer",
     "partial_trace",
     "prepare_w",
-    "reconstruct_2q",
-    "reconstruct_3q",
+    "reconstruct",
     "run_pipeline",
     "spectral_correct",
-    "three_qubit_scheme",
-    "three_qubit_settings",
-    "two_qubit_scheme",
-    "two_qubit_settings",
+    "tomography_scheme",
     "w_vector",
 ]

@@ -12,7 +12,6 @@ matrix elements assigned to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,28 +91,6 @@ class MeasurementSetting:
         if self.cnot is None:
             return local
         return local @ cnot_matrix(*self.cnot, self.nqubits)
-
-
-THREE_QUBIT_LABELS = (
-    "ZZZ",
-    "XZZ", "ZXZ", "ZZX",
-    "YZZ", "ZYZ", "ZZY",
-    "CXZZ_AB", "CZXZ_BC", "CZZX_AC",
-    "CYZZ_AB", "CZYZ_BC", "CZZY_AC",
-    "CXXZ_BC", "CYYZ_BC", "CXYZ_BC", "CYXZ_BC",
-)
-
-TWO_QUBIT_LABELS = ("ZZ", "XZ", "ZX", "ZY", "YZ", "CXZ_AB", "CYZ_AB")
-
-
-@lru_cache(maxsize=None)
-def three_qubit_settings() -> tuple[MeasurementSetting, ...]:
-    return tuple(MeasurementSetting.from_label(l, 3) for l in THREE_QUBIT_LABELS)
-
-
-@lru_cache(maxsize=None)
-def two_qubit_settings() -> tuple[MeasurementSetting, ...]:
-    return tuple(MeasurementSetting.from_label(l, 2) for l in TWO_QUBIT_LABELS)
 
 
 def w_vector() -> np.ndarray:

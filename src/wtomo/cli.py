@@ -30,7 +30,7 @@ from .metrics import fidelity_pure
 from .mitigation import mitigate, mitigation_matrix, spectral_correct
 from .noise import MAX_SHOTS, ReadoutModel, counts_to_probs
 from .pipeline import ExperimentConfig, run_pipeline
-from .tomography import reconstruct_2q, reconstruct_3q
+from .tomography import reconstruct, tomography_scheme
 from .wholeparts import EPS_B, TRACE_TOL, MarginalPair, ReconstructionError, diosi_reconstruct
 
 EXIT_OK = 0
@@ -160,7 +160,7 @@ def _cmd_tomo(args, nqubits: int) -> int:
         p = mitigate(_read(lambda path: mitigation_matrix(io.load_calibration(path, nqubits)),
                            args.calib), p)
     try:
-        rho = reconstruct_3q(p) if nqubits == 3 else reconstruct_2q(p)
+        rho = reconstruct(tomography_scheme(nqubits), p)
         if args.correct:
             rho = spectral_correct(rho)
     except ValueError as exc:

@@ -24,7 +24,7 @@ import numpy as np
 from .circuits import QUBIT_NAMES
 from .linalg import HERMITICITY_TOL, is_hermitian
 from .noise import MAX_SHOTS, RNG_ALGORITHM, QubitReadout, ReadoutModel
-from .tomography import three_qubit_scheme, two_qubit_scheme
+from .tomography import tomography_scheme
 
 if TYPE_CHECKING:
     from .pipeline import ExperimentConfig, TrialResult
@@ -110,7 +110,7 @@ def counts_file_dict(
     ``np.random.default_rng(obj["seed"])`` replays the trial's draws.
     """
     nqubits = np.shape(counts)[-1].bit_length() - 1
-    scheme = three_qubit_scheme() if nqubits == 3 else two_qubit_scheme()
+    scheme = tomography_scheme(nqubits)
     obj: dict = {}
     for label, c in zip(scheme.labels, counts, strict=True):
         obj[label] = {format(m, f"0{nqubits}b"): int(c[m]) for m in range(len(c)) if c[m]}
@@ -155,7 +155,7 @@ def load_counts_file(path, nqubits: int) -> np.ndarray:
         if not c.any():
             raise ValueError(f"table {label!r} has no counts")
         counts[label] = c
-    scheme = three_qubit_scheme() if nqubits == 3 else two_qubit_scheme()
+    scheme = tomography_scheme(nqubits)
     for label in scheme.labels:  # the first bad one in setting order
         if label not in counts:
             raise ValueError(f"missing probability table for setting {label}")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import prepare_w, three_qubit_settings, two_qubit_settings
+from .circuits import prepare_w
 from .linalg import kron_qubits, outer, partial_trace
 from .metrics import fidelity_pure
 from .mitigation import _calibration_inverses, mitigate, spectral_correct
@@ -39,7 +39,7 @@ from .noise import (
     outcome_distribution,
     sample_counts,
 )
-from .tomography import reconstruct_2q, reconstruct_3q
+from .tomography import reconstruct, tomography_scheme
 from .wholeparts import EPS_B, MarginalPair, _diosi_reconstruct
 
 
@@ -110,7 +110,7 @@ def _noisy_probs(model: ReadoutModel | None):
                 for q in qubits]))
         else:
             rho = partial_trace(rho_w, qubits)
-            settings = three_qubit_settings() if width == 8 else two_qubit_settings()
+            settings = tomography_scheme(len(qubits)).settings
             probs = np.array([exact_probs(rho, s) for s in settings])
             if model is not None:
                 probs = apply_readout_noise(probs, model.subset(qubits))
@@ -148,13 +148,13 @@ def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
     f_full = f_parts = np.full((2, cfg.trials), np.nan)
     matrices, recon = {}, None
     if cfg.scheme in ("full3q", "both"):
-        m3 = kron_qubits(inverses)
-        matrices["rho_full"] = spectral_correct(reconstruct_3q(np.stack([p3, mitigate(m3, p3)])))
+        p3 = np.stack([p3, mitigate(kron_qubits(inverses), p3)])  # (pass, trial, 17, 8)
+        matrices["rho_full"] = spectral_correct(reconstruct(tomography_scheme(3), p3))
         f_full = fidelity_pure(psi_w, matrices["rho_full"])
     if cfg.scheme in ("parts2q", "both"):
         p2 = np.stack([pab, pbc], axis=1)  # (trial, pair AB|BC, 7, 4)
         m2 = kron_qubits(np.stack([inverses[:, :2], inverses[:, 1:]], axis=1))
-        rho_2q = spectral_correct(reconstruct_2q(np.stack([p2, mitigate(m2, p2)])))
+        rho_2q = spectral_correct(reconstruct(tomography_scheme(2), np.stack([p2, mitigate(m2, p2)])))
         recon = _diosi_reconstruct(MarginalPair(rho_2q[:, :, 0], rho_2q[:, :, 1], eps_b), errors)
         matrices.update(rho_ab=rho_2q[:, :, 0], rho_bc=rho_2q[:, :, 1], rho_parts=recon.rho)
         f_parts = fidelity_pure(psi_w, recon.rho)

@@ -1,11 +1,13 @@
 """Density-matrix reconstruction from per-setting probability tables.
 
-A scheme's data is one array p (..., L, d) of outcome tables, row i for
-setting i in ``scheme.settings`` order (L = 17 settings of d = 8 outcomes for
-three qubits, 7 of 4 for two); labels name the rows only in files (``io``).
-Each scheme is derived once into two real arrays over the d² real parameters
-x of the density matrix: ``measurement`` maps x to the flattened tables p,
-and ``reconstruction`` maps p back to x. The reconstruction weights are not
+``SCHEMES`` holds the paper's two schemes by qubit count, and
+``tomography_scheme(n)`` derives the one for n qubits. A scheme's data is one
+array p (..., L, d) of outcome tables, row i for setting i in
+``scheme.settings`` order (L = 17 settings of d = 8 outcomes for three qubits,
+7 of 4 for two); labels name the rows only in files (``io``). Each scheme is
+derived once into two real arrays over the d² real parameters x of the
+density matrix: ``measurement`` maps x to the flattened tables p, and
+``reconstruction`` maps p back to x. The reconstruction weights are not
 hardcoded: row k is the exact linear inversion of the measurement rows of
 the settings assigned to parameter k. This makes every sign a derivation
 output, pinned by the round-trip property reconstruct(exact_probs(rho)) == rho.
@@ -23,29 +25,35 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import (
-    MeasurementSetting,
-    three_qubit_settings,
-    two_qubit_settings,
-)
+from .circuits import MeasurementSetting
 
 RULE_RESIDUAL_TOL = 1e-10
 
-# bit-flip mask (row XOR col) -> labels of the assigned settings, (re, im)
-_ASSIGN_3Q = {
-    0b100: (("XZZ",), ("YZZ",)),
-    0b010: (("ZXZ",), ("ZYZ",)),
-    0b001: (("ZZX",), ("ZZY",)),
-    0b110: (("CXZZ_AB",), ("CYZZ_AB",)),
-    0b011: (("CZXZ_BC",), ("CZYZ_BC",)),
-    0b101: (("CZZX_AC",), ("CZZY_AC",)),
-    0b111: (("CXXZ_BC", "CYYZ_BC"), ("CXYZ_BC", "CYXZ_BC")),
-}
-
-_ASSIGN_2Q = {
-    0b10: (("XZ",), ("YZ",)),
-    0b01: (("ZX",), ("ZY",)),
-    0b11: (("CXZ_AB",), ("CYZ_AB",)),
+# qubit count -> (name, setting labels in scheme order, the all-Z setting
+# first, and the assignment: bit-flip mask (row XOR col) -> labels of the
+# settings assigned to the element's (re, im))
+SCHEMES = {
+    3: ("ThreeQubit17", (
+        "ZZZ",
+        "XZZ", "ZXZ", "ZZX",
+        "YZZ", "ZYZ", "ZZY",
+        "CXZZ_AB", "CZXZ_BC", "CZZX_AC",
+        "CYZZ_AB", "CZYZ_BC", "CZZY_AC",
+        "CXXZ_BC", "CYYZ_BC", "CXYZ_BC", "CYXZ_BC",
+    ), {
+        0b100: (("XZZ",), ("YZZ",)),
+        0b010: (("ZXZ",), ("ZYZ",)),
+        0b001: (("ZZX",), ("ZZY",)),
+        0b110: (("CXZZ_AB",), ("CYZZ_AB",)),
+        0b011: (("CZXZ_BC",), ("CZYZ_BC",)),
+        0b101: (("CZZX_AC",), ("CZZY_AC",)),
+        0b111: (("CXXZ_BC", "CYYZ_BC"), ("CXYZ_BC", "CYXZ_BC")),
+    }),
+    2: ("TwoQubit7", ("ZZ", "XZ", "ZX", "ZY", "YZ", "CXZ_AB", "CYZ_AB"), {
+        0b10: (("XZ",), ("YZ",)),
+        0b01: (("ZX",), ("ZY",)),
+        0b11: (("CXZ_AB",), ("CYZ_AB",)),
+    }),
 }
 
 
@@ -121,13 +129,13 @@ def derive_scheme(
 
 
 @lru_cache(maxsize=None)
-def three_qubit_scheme() -> TomographyScheme:
-    return derive_scheme("ThreeQubit17", three_qubit_settings(), _ASSIGN_3Q)
-
-
-@lru_cache(maxsize=None)
-def two_qubit_scheme() -> TomographyScheme:
-    return derive_scheme("TwoQubit7", two_qubit_settings(), _ASSIGN_2Q)
+def tomography_scheme(nqubits: int) -> TomographyScheme:
+    """The scheme of ``SCHEMES`` for nqubits qubits, derived on first use."""
+    if nqubits not in SCHEMES:
+        raise ValueError(f"tomography schemes are for 2 or 3 qubits, not {nqubits!r}")
+    name, labels, assignment = SCHEMES[nqubits]
+    settings = tuple(MeasurementSetting.from_label(label, nqubits) for label in labels)
+    return derive_scheme(name, settings, assignment)
 
 
 def _assemble(x: np.ndarray, dim: int) -> np.ndarray:
@@ -152,12 +160,3 @@ def reconstruct(scheme: TomographyScheme, p: np.ndarray) -> np.ndarray:
     x = scheme.reconstruction @ np.reshape(p, (*np.shape(p)[:-2], -1, 1))
     return _assemble(x[..., 0], dim)
 
-
-def reconstruct_3q(p: np.ndarray) -> np.ndarray:
-    """Three-qubit reconstruction from the (..., 17, 8) tables."""
-    return reconstruct(three_qubit_scheme(), p)
-
-
-def reconstruct_2q(p: np.ndarray) -> np.ndarray:
-    """Two-qubit reconstruction from the (..., 7, 4) tables."""
-    return reconstruct(two_qubit_scheme(), p)

@@ -8,20 +8,14 @@ under five minutes.
 import numpy as np
 import pytest
 
-from wtomo.circuits import (
-    MeasurementSetting,
-    prepare_w,
-    three_qubit_settings,
-    two_qubit_settings,
-    w_vector,
-)
+from wtomo.circuits import MeasurementSetting, prepare_w, w_vector
 from wtomo.io import write_outputs
 from wtomo.linalg import outer, partial_trace
 from wtomo.metrics import fidelity_pure
 from wtomo.mitigation import mitigation_matrix, spectral_correct
 from wtomo.noise import ReadoutModel, apply_readout_noise, exact_probs
 from wtomo.pipeline import ExperimentConfig, run_pipeline
-from wtomo.tomography import reconstruct_2q, reconstruct_3q
+from wtomo.tomography import reconstruct, tomography_scheme
 from wtomo.wholeparts import DegenerateSpectrumError, MarginalPair, diosi_reconstruct
 from wtomo import fixtures
 
@@ -40,11 +34,11 @@ def test_criterion_1_roundtrip_tomography():
     worst3 = worst2 = 0.0
     for _ in range(100):
         rho3 = random_density(8, rng)
-        t3 = np.array([exact_probs(rho3, s) for s in three_qubit_settings()])
-        worst3 = max(worst3, np.abs(reconstruct_3q(t3) - rho3).max())
+        t3 = np.array([exact_probs(rho3, s) for s in tomography_scheme(3).settings])
+        worst3 = max(worst3, np.abs(reconstruct(tomography_scheme(3), t3) - rho3).max())
         rho2 = random_density(4, rng)
-        t2 = np.array([exact_probs(rho2, s) for s in two_qubit_settings()])
-        worst2 = max(worst2, np.abs(reconstruct_2q(t2) - rho2).max())
+        t2 = np.array([exact_probs(rho2, s) for s in tomography_scheme(2).settings])
+        worst2 = max(worst2, np.abs(reconstruct(tomography_scheme(2), t2) - rho2).max())
     ok = worst3 <= 1e-10 and worst2 <= 1e-10
     report(
         "criterion 1 round-trip tomography (100 random states per scheme)",

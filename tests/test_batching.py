@@ -10,7 +10,7 @@ from wtomo.circuits import w_vector
 from wtomo.linalg import eig_hermitian, is_hermitian, kron_qubits, outer, partial_trace
 from wtomo.metrics import fidelity_pure
 from wtomo.mitigation import _calibration_inverses, mitigation_matrix, spectral_correct
-from wtomo.tomography import reconstruct_3q, three_qubit_scheme
+from wtomo.tomography import reconstruct, tomography_scheme
 from wtomo.wholeparts import (
     InconsistentMarginalsError,
     MarginalPair,
@@ -88,12 +88,12 @@ def test_mitigation_stack_flags_only_the_bad_member():
 
 @pytest.mark.parametrize("n", SIZES)
 def test_reconstruct_stack(n, rng):
-    scheme = three_qubit_scheme()
+    scheme = tomography_scheme(3)
     p = rng.random((n, len(scheme.labels), 8))
     p /= p.sum(axis=-1, keepdims=True)
-    stacked = reconstruct_3q(p)
+    stacked = reconstruct(tomography_scheme(3), p)
     for k in range(n):
-        assert np.array_equal(stacked[k], reconstruct_3q(p[k]))
+        assert np.array_equal(stacked[k], reconstruct(tomography_scheme(3), p[k]))
 
 
 @pytest.mark.parametrize("n", SIZES)

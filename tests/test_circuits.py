@@ -5,16 +5,13 @@ from wtomo.circuits import (
     H,
     I2,
     MeasurementSetting,
-    THREE_QUBIT_LABELS,
-    TWO_QUBIT_LABELS,
     cnot_matrix,
     lift,
     prepare_w,
     rx,
-    three_qubit_settings,
-    two_qubit_settings,
     w_vector,
 )
+from wtomo.tomography import tomography_scheme
 
 
 def is_unitary(u, tol=1e-12):
@@ -45,11 +42,11 @@ class TestGates:
 
 class TestSettings:
     def test_labels_unique_and_fixed(self):
-        assert len(set(THREE_QUBIT_LABELS)) == 17
-        assert len(set(TWO_QUBIT_LABELS)) == 7
+        assert len(set(tomography_scheme(3).labels)) == 17
+        assert len(set(tomography_scheme(2).labels)) == 7
 
     def test_all_unitary(self):
-        for s in three_qubit_settings() + two_qubit_settings():
+        for s in tomography_scheme(3).settings + tomography_scheme(2).settings:
             assert is_unitary(s.unitary()), s.label
 
     def test_identity_setting(self):
@@ -81,11 +78,11 @@ class TestSettings:
         # (H x I x I) CNOT_AB on the W state: the outcome statistics must
         # determine Re rho_{010;100} = 1/3 (checked via the scheme's row)
         from wtomo.noise import exact_probs
-        from wtomo.tomography import real_parameters, three_qubit_scheme
+        from wtomo.tomography import real_parameters
 
-        scheme = three_qubit_scheme()
+        scheme = tomography_scheme(3)
         rho_w = np.outer(w_vector(), w_vector().conj())
-        p = np.concatenate([exact_probs(rho_w, s) for s in three_qubit_settings()])
+        p = np.concatenate([exact_probs(rho_w, s) for s in tomography_scheme(3).settings])
         row = scheme.reconstruction[real_parameters(8).index(("re", 0b010, 0b100))]
         assert {scheme.labels[j // 8] for j in np.flatnonzero(row)} == {"CXZZ_AB"}
         assert abs(row @ p - 1 / 3) <= 1e-12

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from wtomo import io
-from wtomo.circuits import THREE_QUBIT_LABELS
 from wtomo.noise import QubitReadout, ReadoutModel
 from wtomo.pipeline import ExperimentConfig, Fidelities, TrialResult
+from wtomo.tomography import tomography_scheme
 from wtomo.wholeparts import ReconstructionResult
 
 MODEL = ReadoutModel((QubitReadout(0.25, 0.5),) * 3)
@@ -140,7 +140,7 @@ METADATA_FILE = """{
 
 # every setting's table reads {"001": 3, "100": 7}; labels sort before "noise"
 COUNTS_FILE = "{\n" + "".join(
-    f' "{label}": {{\n  "001": 3,\n  "100": 7\n }},\n' for label in sorted(THREE_QUBIT_LABELS)
+    f' "{label}": {{\n  "001": 3,\n  "100": 7\n }},\n' for label in sorted(tomography_scheme(3).labels)
 ) + """ "noise": {
   "qA": {
    "p01": 0.25,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wtomo.circuits import TWO_QUBIT_LABELS, MeasurementSetting, three_qubit_settings, w_vector
+from wtomo.circuits import MeasurementSetting, w_vector
 from wtomo.io import (
     counts_file_dict,
     load_counts_file,
@@ -22,6 +22,7 @@ from wtomo.noise import (
     sample_counts,
 )
 from wtomo.pipeline import ExperimentConfig, _noisy_probs, run_pipeline
+from wtomo.tomography import tomography_scheme
 
 
 def sample_shots_per_flip(
@@ -59,7 +60,7 @@ class TestExactProbs:
 
     def test_probabilities_normalized_for_all_settings(self):
         rho = outer(w_vector())
-        for s in three_qubit_settings():
+        for s in tomography_scheme(3).settings:
             p = exact_probs(rho, s)
             assert p.min() >= 0
             assert abs(p.sum() - 1.0) <= 1e-12
@@ -193,7 +194,7 @@ class TestCountsFile:
 
     def test_largest_count_loads(self, tmp_path):
         path = tmp_path / "counts.json"
-        obj = {s.label: {"000": 1} for s in three_qubit_settings()}
+        obj = {s.label: {"000": 1} for s in tomography_scheme(3).settings}
         obj["ZZZ"] = {"000": 2**63 - 1, "111": 1}
         path.write_text(json.dumps(obj))
         assert load_counts_file(path, 3)[0].tolist() == [2**63 - 1, 0, 0, 0, 0, 0, 0, 1]
@@ -202,7 +203,7 @@ class TestCountsFile:
         # (7, 4) tables are the two-qubit settings in order, with 2-bit strings
         counts = np.arange(1, 29).reshape(7, 4)
         obj = counts_file_dict(counts, 4, 0, None)
-        assert list(obj)[:7] == list(TWO_QUBIT_LABELS)
+        assert list(obj)[:7] == list(tomography_scheme(2).labels)
         assert obj["CYZ_AB"] == {"00": 25, "01": 26, "10": 27, "11": 28}
         with pytest.raises(ValueError):
             counts_file_dict(np.ones((16, 8), dtype=int), 4, 0, None)

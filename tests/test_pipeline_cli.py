@@ -13,8 +13,6 @@ from wtomo import cli, pipeline
 from wtomo.circuits import (
     MeasurementSetting,
     prepare_w,
-    three_qubit_settings,
-    two_qubit_settings,
     w_vector,
 )
 from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, build_parser, main
@@ -39,7 +37,7 @@ from wtomo.noise import (
     outcome_distribution,
 )
 from wtomo.pipeline import ExperimentConfig, run_pipeline
-from wtomo.tomography import three_qubit_scheme, two_qubit_scheme
+from wtomo.tomography import tomography_scheme
 from wtomo.wholeparts import MarginalPair, ReconstructionError, diosi_reconstruct
 
 
@@ -107,7 +105,7 @@ class TestRunTrial:
     def test_setting_unitaries_are_built_once_per_noise_model(self, monkeypatch):
         # 17 + 7 + 7 settings, however many trials; the schemes are derived first
         # so that only the pipeline's own calls are counted
-        three_qubit_scheme(), two_qubit_scheme()
+        tomography_scheme(3), tomography_scheme(2)
         labels = []
         unitary = MeasurementSetting.unitary
         monkeypatch.setattr(
@@ -136,8 +134,8 @@ class TestRunTrial:
         model = ReadoutModel.ibm_osaka()
         _, tables, dists = pipeline._noisy_probs(model)
         rho_w, groups = outer(prepare_w()), []
-        for qubits, settings in (([0, 1, 2], three_qubit_settings()),
-                                 ([0, 1], two_qubit_settings()), ([1, 2], two_qubit_settings())):
+        for qubits, settings in (([0, 1, 2], tomography_scheme(3).settings),
+                                 ([0, 1], tomography_scheme(2).settings), ([1, 2], tomography_scheme(2).settings)):
             rho, sub = partial_trace(rho_w, qubits), model.subset(qubits)
             groups.append([apply_readout_noise(exact_probs(rho, s), sub) for s in settings])
         groups.append([q.calibration_matrix()[:, prep] for q in model.qubits for prep in (0, 1)])
@@ -587,7 +585,7 @@ class TestCli:
         ab, bc = tmp_path / "ab.json", tmp_path / "bc.json"
         save_density(partial_trace(rho, [0, 1]), ab)
         save_density(partial_trace(rho, [1, 2]), bc)
-        scheme = two_qubit_scheme() if command == "tomo2q" else three_qubit_scheme()
+        scheme = tomography_scheme(2 if command == "tomo2q" else 3)
         counts = tmp_path / "counts.json"
         counts.write_text(json.dumps({label: {"0" * scheme.nqubits: 10}
                                       for label in scheme.labels}))
@@ -638,7 +636,7 @@ class TestCli:
         "calib-unknown-label",
     ])
     def test_malformed_input_is_reported(self, command, case, tmp_path):
-        scheme = three_qubit_scheme() if command == "tomo3q" else two_qubit_scheme()
+        scheme = tomography_scheme(3 if command == "tomo3q" else 2)
         n = scheme.nqubits
         good = [[0.99, 0.02], [0.01, 0.98]]
         counts, calib = tmp_path / "counts.json", tmp_path / "calib.json"
@@ -696,7 +694,7 @@ class TestCli:
         # a complete 17-table file in which one table is no sample of shots;
         # a zero-sum table once ended in a 0/0 RuntimeWarning and exit 3, a
         # count beyond int64 in an OverflowError traceback
-        obj = {label: {"000": 10, "111": 5} for label in three_qubit_scheme().labels}
+        obj = {label: {"000": 10, "111": 5} for label in tomography_scheme(3).labels}
         obj["XZZ"] = table
         counts, out = tmp_path / "counts.json", tmp_path / "out.json"
         counts.write_text(json.dumps(obj))
@@ -718,7 +716,7 @@ class TestCli:
                                                    tmp_path):
         # a malformed counts file, as README's exit codes call it (exit 1): the
         # settings are checked in setting order, before the calibration file is read
-        scheme = three_qubit_scheme() if command == "tomo3q" else two_qubit_scheme()
+        scheme = tomography_scheme(3 if command == "tomo3q" else 2)
         n = scheme.nqubits
         obj = {label: {format(m, f"0{n}b"): 10 + m for m in range(2**n)}
                for label in scheme.labels if label != tables.get("drop")}
@@ -738,15 +736,15 @@ class TestCli:
                                                                monkeypatch):
         # a RuntimeError (e.g. a built-in scheme that fails to derive) is no
         # "reconstruction failed" of the input: it ends the command
-        scheme = three_qubit_scheme() if command == "tomo3q" else two_qubit_scheme()
+        scheme = tomography_scheme(3 if command == "tomo3q" else 2)
         n = scheme.nqubits
         counts, out = tmp_path / "counts.json", tmp_path / "out.json"
         counts.write_text(json.dumps({label: {"0" * n: 10, "1" * n: 5} for label in scheme.labels}))
 
-        def broken(p):
+        def broken(scheme, p):
             raise RuntimeError("measurement map is numerically singular")
 
-        monkeypatch.setattr(cli, "reconstruct_3q" if n == 3 else "reconstruct_2q", broken)
+        monkeypatch.setattr(cli, "reconstruct", broken)
         with pytest.raises(RuntimeError, match="numerically singular"):
             main([command, str(counts), "--out", str(out)])
         assert not out.exists()

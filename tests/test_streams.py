@@ -15,10 +15,11 @@ and ``TrialResult.calibration`` for the 6 calibration circuits.
 import numpy as np
 import pytest
 
-from wtomo.circuits import three_qubit_settings, w_vector
+from wtomo.circuits import w_vector
 from wtomo.linalg import outer
 from wtomo.noise import QubitReadout, ReadoutModel, apply_readout_noise, exact_probs
 from wtomo.pipeline import ExperimentConfig, run_pipeline
+from wtomo.tomography import tomography_scheme
 
 # strong readout noise, so that every outcome of every circuit is frequent
 MODEL = ReadoutModel((QubitReadout(0.2, 0.1), QubitReadout(0.15, 0.25), QubitReadout(0.3, 0.2)))
@@ -35,7 +36,7 @@ def draws():
     counts3 = np.stack([r.counts for r in results])
     calib = np.rint(np.stack([r.calibration for r in results]) * CFG.shots).astype(int)
     rho = outer(w_vector())
-    dists = [apply_readout_noise(exact_probs(rho, s), MODEL) for s in three_qubit_settings()]
+    dists = [apply_readout_noise(exact_probs(rho, s), MODEL) for s in tomography_scheme(3).settings]
     counts = list(counts3.swapaxes(0, 1))
     for q, qubit in enumerate(MODEL.qubits):
         for prep in (0, 1):

@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from wtomo.circuits import three_qubit_settings, two_qubit_settings, w_vector
+from wtomo.circuits import w_vector
 from wtomo.io import density_from_json_dict, density_to_json_dict, load_density, save_density
 from wtomo.linalg import outer, partial_trace
 from wtomo.noise import exact_probs
 from wtomo.tomography import (
-    _ASSIGN_2Q,
-    _ASSIGN_3Q,
+    SCHEMES,
     _assemble,
     derive_scheme,
     real_parameters,
-    reconstruct_2q,
-    reconstruct_3q,
-    three_qubit_scheme,
-    two_qubit_scheme,
+    reconstruct,
+    tomography_scheme,
 )
 
 from conftest import random_density
@@ -40,10 +37,10 @@ class TestSchemes:
     def test_rule_counts(self):
         # 8 diagonal + 2 * 28 off-diagonal real parameters for 3 qubits,
         # read from 17 (resp. 7) settings of 8 (resp. 4) outcomes each
-        assert three_qubit_scheme().reconstruction.shape == (8 + 2 * 28, 17 * 8)
-        assert two_qubit_scheme().reconstruction.shape == (4 + 2 * 6, 7 * 4)
-        assert three_qubit_scheme().measurement.shape == (17 * 8, 64)
-        assert two_qubit_scheme().measurement.shape == (7 * 4, 16)
+        assert tomography_scheme(3).reconstruction.shape == (8 + 2 * 28, 17 * 8)
+        assert tomography_scheme(2).reconstruction.shape == (4 + 2 * 6, 7 * 4)
+        assert tomography_scheme(3).measurement.shape == (17 * 8, 64)
+        assert tomography_scheme(2).measurement.shape == (7 * 4, 16)
 
     def test_every_element_covered(self):
         params = real_parameters(8)
@@ -54,15 +51,15 @@ class TestSchemes:
                 assert ("re", r, c) in params
                 assert ("im", r, c) in params
         # every parameter is read from at least one outcome
-        assert np.abs(three_qubit_scheme().reconstruction).max(axis=1).min() > 0
+        assert np.abs(tomography_scheme(3).reconstruction).max(axis=1).min() > 0
 
     def test_diagonal_uses_all_z_only(self):
-        for scheme, label in ((three_qubit_scheme(), "ZZZ"), (two_qubit_scheme(), "ZZ")):
+        for scheme, label in ((tomography_scheme(3), "ZZZ"), (tomography_scheme(2), "ZZ")):
             for k in range(2**scheme.nqubits):
                 assert row_settings(scheme, k) == {label}
 
     def test_single_setting_per_offdiagonal_except_antidiagonal(self):
-        scheme = three_qubit_scheme()
+        scheme = tomography_scheme(3)
         for k, part, r, c in offdiagonal_rows(scheme):
             labels = row_settings(scheme, k)
             if r ^ c == 0b111:
@@ -71,7 +68,7 @@ class TestSchemes:
                 assert len(labels) == 1, (part, r, c, labels)
 
     def test_antidiagonal_setting_pairs(self):
-        scheme = three_qubit_scheme()
+        scheme = tomography_scheme(3)
         for k, part, r, c in offdiagonal_rows(scheme):
             if r ^ c != 0b111:
                 continue
@@ -83,80 +80,80 @@ class TestSchemes:
     def test_coefficients_are_half_integers(self):
         # derivation recovers the exact analytic weights (+-1/2, +-1/4, 1):
         # every weight is a multiple of 1/4
-        for scheme in (three_qubit_scheme(), two_qubit_scheme()):
+        for scheme in (tomography_scheme(3), tomography_scheme(2)):
             w = scheme.reconstruction
             assert np.abs(4 * w - np.round(4 * w)).max() <= 1e-9
 
     def test_reconstruction_inverts_measurement(self):
-        for scheme in (three_qubit_scheme(), two_qubit_scheme()):
+        for scheme in (tomography_scheme(3), tomography_scheme(2)):
             n = scheme.measurement.shape[1]
             assert np.abs(scheme.reconstruction @ scheme.measurement - np.eye(n)).max() <= 1e-12
 
 
 class TestDerivation:
     def test_antidiagonal_needs_both_settings(self):
-        assignment = dict(_ASSIGN_3Q)
-        assignment[0b111] = (("CXXZ_BC",), _ASSIGN_3Q[0b111][1])
+        assignment = dict(SCHEMES[3][2])
+        assignment[0b111] = (("CXXZ_BC",), SCHEMES[3][2][0b111][1])
         with pytest.raises(RuntimeError, match=r"\('CXXZ_BC',\) cannot determine re rho\[0,7\]"):
-            derive_scheme("broken", three_qubit_settings(), assignment)
+            derive_scheme("broken", tomography_scheme(3).settings, assignment)
 
     def test_setting_that_hides_the_element_is_rejected(self):
-        assignment = dict(_ASSIGN_3Q)
-        assignment[0b110] = (("XZZ",), _ASSIGN_3Q[0b110][1])
+        assignment = dict(SCHEMES[3][2])
+        assignment[0b110] = (("XZZ",), SCHEMES[3][2][0b110][1])
         with pytest.raises(RuntimeError, match=r"\('XZZ',\) cannot determine re rho\[0,6\]"):
-            derive_scheme("broken", three_qubit_settings(), assignment)
+            derive_scheme("broken", tomography_scheme(3).settings, assignment)
 
     def test_incomplete_settings_are_singular(self):
         with pytest.raises(RuntimeError, match="numerically singular"):
-            derive_scheme("broken", two_qubit_settings()[:6], _ASSIGN_2Q)
+            derive_scheme("broken", tomography_scheme(2).settings[:6], SCHEMES[2][2])
 
 
 class TestRoundTrip:
     def test_w_state_exact(self):
         rho = outer(w_vector())
-        got = reconstruct_3q(tables_for(rho, three_qubit_settings()))
+        got = reconstruct(tomography_scheme(3), tables_for(rho, tomography_scheme(3).settings))
         assert np.abs(got - rho).max() <= 1e-12
 
     def test_w_marginals_exact(self):
         rho = outer(w_vector())
         for keep in ([0, 1], [1, 2]):
             marg = partial_trace(rho, keep)
-            got = reconstruct_2q(tables_for(marg, two_qubit_settings()))
+            got = reconstruct(tomography_scheme(2), tables_for(marg, tomography_scheme(2).settings))
             assert np.abs(got - marg).max() <= 1e-12
 
     def test_random_states_both_schemes(self, rng):
         for _ in range(25):
             rho3 = random_density(8, rng)
-            got3 = reconstruct_3q(tables_for(rho3, three_qubit_settings()))
+            got3 = reconstruct(tomography_scheme(3), tables_for(rho3, tomography_scheme(3).settings))
             assert np.abs(got3 - rho3).max() <= 1e-10
             rho2 = random_density(4, rng)
-            got2 = reconstruct_2q(tables_for(rho2, two_qubit_settings()))
+            got2 = reconstruct(tomography_scheme(2), tables_for(rho2, tomography_scheme(2).settings))
             assert np.abs(got2 - rho2).max() <= 1e-10
 
     def test_output_hermitian_unit_trace_on_noisy_input(self, rng):
-        tables = tables_for(outer(w_vector()), three_qubit_settings())
+        tables = tables_for(outer(w_vector()), tomography_scheme(3).settings)
         noisy = np.clip(tables + rng.normal(0, 0.01, size=tables.shape), 0, None)
-        rho = reconstruct_3q(noisy / noisy.sum(axis=-1, keepdims=True))
+        rho = reconstruct(tomography_scheme(3), noisy / noisy.sum(axis=-1, keepdims=True))
         assert np.abs(rho - rho.conj().T).max() <= 1e-12
         assert abs(np.trace(rho) - 1.0) <= 1e-12
 
     def test_missing_table_raises(self):
-        tables = tables_for(outer(w_vector()), three_qubit_settings())
+        tables = tables_for(outer(w_vector()), tomography_scheme(3).settings)
         with pytest.raises(ValueError, match=r"ThreeQubit17 takes tables \(\.\.\., 17, 8\) "
                            r"in setting order, got shape \(16, 8\)"):
-            reconstruct_3q(tables[:16])
+            reconstruct(tomography_scheme(3), tables[:16])
 
     def test_wrong_length_table_raises(self):
-        tables = tables_for(partial_trace(outer(w_vector()), [0, 1]), two_qubit_settings())
+        tables = tables_for(partial_trace(outer(w_vector()), [0, 1]), tomography_scheme(2).settings)
         with pytest.raises(ValueError, match=r"TwoQubit7 takes tables \(\.\.\., 7, 4\) "
                            r"in setting order, got shape \(3, 7, 2\)"):
-            reconstruct_2q(np.stack([tables[:, :2]] * 3))
+            reconstruct(tomography_scheme(2), np.stack([tables[:, :2]] * 3))
 
     def test_a_dict_of_tables_is_rejected(self):
-        tables = tables_for(outer(w_vector()), three_qubit_settings())
-        labels = [s.label for s in three_qubit_settings()]
+        tables = tables_for(outer(w_vector()), tomography_scheme(3).settings)
+        labels = [s.label for s in tomography_scheme(3).settings]
         with pytest.raises(ValueError, match=r"got shape \(\)"):
-            reconstruct_3q(dict(zip(labels, tables)))
+            reconstruct(tomography_scheme(3), dict(zip(labels, tables)))
 
 
 def lsq_fit(scheme, tables):
@@ -171,20 +168,20 @@ class TestLsqReconstruct:
     because each setting's outcome operators sum to the identity."""
 
     def test_agrees_with_closed_form_on_exact_data(self, rng):
-        scheme = two_qubit_scheme()
+        scheme = tomography_scheme(2)
         rho = random_density(4, rng)
-        tables = tables_for(rho, two_qubit_settings())
+        tables = tables_for(rho, tomography_scheme(2).settings)
         assert np.abs(lsq_fit(scheme, tables) - rho).max() <= 1e-9
 
     def test_three_qubit_exact(self, rng):
-        scheme = three_qubit_scheme()
+        scheme = tomography_scheme(3)
         rho = random_density(8, rng)
-        tables = tables_for(rho, three_qubit_settings())
+        tables = tables_for(rho, tomography_scheme(3).settings)
         assert np.abs(lsq_fit(scheme, tables) - rho).max() <= 1e-8
 
     def test_output_constraints_on_noisy_data(self, rng):
-        scheme = two_qubit_scheme()
-        tables = tables_for(random_density(4, rng), two_qubit_settings())
+        scheme = tomography_scheme(2)
+        tables = tables_for(random_density(4, rng), tomography_scheme(2).settings)
         noisy = np.clip(tables + rng.normal(0, 0.02, tables.shape), 0, None)
         rho = lsq_fit(scheme, noisy / noisy.sum(axis=-1, keepdims=True))
         assert np.abs(rho - rho.conj().T).max() <= 1e-10
