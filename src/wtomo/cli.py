@@ -197,7 +197,7 @@ def _cmd_diosi(args) -> int:
 def _cmd_fidelity(args) -> int:
     rho = _read(io.load_density, args.state, 3)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-6:
+    if abs(tr - 1.0) > TRACE_TOL:  # as diosi renormalizes, but silently
         rho = rho / tr
     try:
         f = fidelity_pure(w_vector(), rho)

@@ -47,6 +47,18 @@ def _read_object(path, holds: str) -> dict:
     return obj
 
 
+def _numbers(obj, holds: str) -> np.ndarray:
+    """obj, nested lists of JSON numbers, as a float array; a bool, a string, a
+    ragged list or an integer beyond a float raises ValueError(holds)."""
+    try:
+        a = np.array(obj, dtype=object)  # ragged lists stay list entries
+        if all(type(v) in (int, float) for v in a.flat):  # bool is an int subclass
+            return a.astype(float)
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(holds)
+
+
 # density files: {"nqubits": n, "re": [[..]], "im": [[..]]}
 
 
@@ -62,7 +74,7 @@ def density_from_json_dict(d: dict) -> np.ndarray:
     n = d["nqubits"]
     if type(n) is not int or not 1 <= n <= 3:  # a bool is an int; a large n costs 2**n
         raise ValueError(f"nqubits must be an integer from 1 to 3, got {n!r}")
-    re, im = np.array(d["re"], dtype=float), np.array(d["im"], dtype=float)
+    re, im = (_numbers(d[key], f"{key!r} is not an array of numbers") for key in ("re", "im"))
     if re.shape != im.shape:
         raise ValueError(f"'re' has shape {re.shape} but 'im' has shape {im.shape}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):  # json reads NaN and Infinity
@@ -186,11 +198,8 @@ def load_calibration(path, nqubits: int) -> np.ndarray:
     obj = _read_object(path, "a calibration file holds a JSON object of matrices")
     fs = {}
     for label, mat in obj.items():
-        try:
-            fs[label] = np.array(mat, dtype=float)
-        except (TypeError, ValueError):  # ragged, or not numbers
-            raise ValueError(f"calibration matrix {label!r} is not a 2x2 array of numbers "
-                             "[[f00, f01], [f10, f11]]") from None
+        fs[label] = _numbers(mat, f"calibration matrix {label!r} is not a 2x2 array of "
+                                  "numbers [[f00, f01], [f10, f11]]")
     if len(fs) != nqubits:
         raise ValueError(f"need {nqubits} calibration matrices, found {len(fs)}")
     fs = list(_by_qubit(fs, "calibration file").values())

@@ -140,7 +140,8 @@ METADATA_FILE = """{
 
 # every setting's table reads {"001": 3, "100": 7}; labels sort before "noise"
 COUNTS_FILE = "{\n" + "".join(
-    f' "{label}": {{\n  "001": 3,\n  "100": 7\n }},\n' for label in sorted(tomography_scheme(3).labels)
+    f' "{label}": {{\n  "001": 3,\n  "100": 7\n }},\n'
+    for label in sorted(tomography_scheme(3).labels)
 ) + """ "noise": {
   "qA": {
    "p01": 0.25,
@@ -236,8 +237,14 @@ LAYOUT = r"calibration matrix '{}' is not a 2x2 array of numbers \[\[f00, f01\],
     ([[[1, 0], [0, 1]], "x"], LAYOUT.format("qB")),
     ([{"a": 1}, [[1, 0], [0, 1]]], LAYOUT.format("qA")),
     ([[[1, 0], [0, 1]], [[1, 0], [0, 1]], [[0.5, 0.5], [0.5]]], LAYOUT.format("qC")),
+    # numpy's float conversion once read true as 1.0 and "0.99" as 0.99, and
+    # raised OverflowError for an integer beyond a float
+    ([[[1, 0], [0, 1]], [[True, 0], [0, 1]]], LAYOUT.format("qB")),
+    ([[[1, 0], [0, 1]], [[1, False], [0, 1]]], LAYOUT.format("qB")),
+    ([[[1, 0], [0, 1]], [["0.99", 0.02], [0.01, 0.98]]], LAYOUT.format("qB")),
+    ([[[1, 0], [0, 1]], [[10**400, 0], [0, 1]]], LAYOUT.format("qB")),
 ], ids=["count", "3x3", "vector", "count-before-shape", "ragged", "not-numbers", "object",
-        "unreadable-before-count"])
+        "unreadable-before-count", "true", "false", "string", "huge-int"])
 def test_calibration_file_is_checked(matrices, message, tmp_path):
     # each matrix is read as numbers, then the qubit count, the labels and
     # each matrix's shape
@@ -245,6 +252,19 @@ def test_calibration_file_is_checked(matrices, message, tmp_path):
     path.write_text(json.dumps({f"q{'ABCDEF'[k]}": m for k, m in enumerate(matrices)}))
     with pytest.raises(ValueError, match=message):
         io.load_calibration(path, 2)
+
+
+@pytest.mark.parametrize("key, entry", [("re", "0.5"), ("re", True), ("im", False),
+                                        ("im", 10**400)],
+                         ids=["re-string", "re-bool", "im-bool", "im-huge-int"])
+def test_density_entries_are_json_numbers(key, entry, tmp_path):
+    path = tmp_path / "rho.json"
+    d = io.density_to_json_dict(np.eye(2) / 2)
+    d[key][0][0] = entry
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError) as exc:
+        io.load_density(path, 1)
+    assert str(exc.value) == f"{key!r} is not an array of numbers"
 
 
 FS = [[[0.9, 0.2], [0.1, 0.8]], [[0.95, 0.3], [0.05, 0.7]], [[0.99, 0.4], [0.01, 0.6]]]

@@ -29,6 +29,7 @@ from wtomo.io import (
     write_outputs,
 )
 from wtomo.linalg import flag, outer, partial_trace
+from wtomo.metrics import fidelity_pure
 from wtomo.noise import (
     QubitReadout,
     ReadoutModel,
@@ -134,8 +135,8 @@ class TestRunTrial:
         model = ReadoutModel.ibm_osaka()
         _, tables, dists = pipeline._noisy_probs(model)
         rho_w, groups = outer(prepare_w()), []
-        for qubits, settings in (([0, 1, 2], tomography_scheme(3).settings),
-                                 ([0, 1], tomography_scheme(2).settings), ([1, 2], tomography_scheme(2).settings)):
+        full, pair = tomography_scheme(3).settings, tomography_scheme(2).settings
+        for qubits, settings in (([0, 1, 2], full), ([0, 1], pair), ([1, 2], pair)):
             rho, sub = partial_trace(rho_w, qubits), model.subset(qubits)
             groups.append([apply_readout_noise(exact_probs(rho, s), sub) for s in settings])
         groups.append([q.calibration_matrix()[:, prep] for q in model.qubits for prep in (0, 1)])
@@ -526,6 +527,40 @@ class TestCli:
             save_reconstruction(diosi_reconstruct(pair), expected)
         assert out.read_bytes() == expected.read_bytes()
 
+    def test_diosi_renormalizes_as_from_the_divided_files(self, tmp_path, capsys):
+        rho = outer(w_vector())
+        scaled = [tmp_path / "ab.json", tmp_path / "bc.json"]
+        divided = [tmp_path / "ab_divided.json", tmp_path / "bc_divided.json"]
+        for keep, path, div in zip(([0, 1], [1, 2]), scaled, divided, strict=True):
+            save_density(0.98 * partial_trace(rho, keep), path)
+            marginal = load_density(path, 2)
+            save_density(marginal / np.trace(marginal).real, div)
+        outs = tmp_path / "psi.json", tmp_path / "psi_divided.json"
+        for files, out in zip((scaled, divided), outs, strict=True):
+            argv = ["diosi", *map(str, files), "--eps-b", "1e-8", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().err.splitlines() == [
+                f"{path} has trace 0.9800; renormalizing to 1" for path in files if files is scaled]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("scale", [0.98, 1 + 1e-8], ids=["0.98", "1+1e-8"])
+    def test_fidelity_renormalizes_beyond_the_trace_tolerance(self, scale, tmp_path, capsys,
+                                                              monkeypatch):
+        # a trace off by more than TRACE_TOL is divided out, as diosi does
+        rho = 0.9 * outer(w_vector()) + 0.1 * np.eye(8) / 8
+        state, divided = tmp_path / "state.json", tmp_path / "divided.json"
+        save_density(scale * rho, state)
+        save_density(scale * rho / np.trace(scale * rho).real, divided)
+        seen = []
+        monkeypatch.setattr(cli, "fidelity_pure",
+                            lambda psi, r: seen.append(np.trace(r).real) or fidelity_pure(psi, r))
+        printed = []
+        for path in (state, divided):
+            assert main(["fidelity", str(path)]) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] == f"{fidelity_pure(w_vector(), rho):.6f}\n"
+        assert seen[0] == pytest.approx(1.0, abs=1e-15)
+
     def test_diosi_failure_exit_code(self, tmp_path, capsys):
         # GHZ marginals: degenerate spectrum -> reconstruction exit code
         ghz = np.zeros(8, dtype=complex)
@@ -633,7 +668,7 @@ class TestCli:
         "empty-table", "counts-not-object", "ragged-bitstrings", "short-bitstring",
         "not-a-bitstring", "long-bitstring", "calib-qubit-count", "calib-singular",
         "calib-not-object", "calib-not-2x2", "calib-ragged", "calib-not-numbers", "calib-nan",
-        "calib-unknown-label",
+        "calib-unknown-label", "calib-bools", "calib-strings",
     ])
     def test_malformed_input_is_reported(self, command, case, tmp_path):
         scheme = tomography_scheme(3 if command == "tomo3q" else 2)
@@ -659,6 +694,12 @@ class TestCli:
             "calib-ragged": (calib, json.dumps({"qA": good, "qB": [[0.5, 0.5], [0.5]],
                                                 "qC": good})),
             "calib-not-numbers": (calib, json.dumps({"qA": good, "qB": "x", "qC": good})),
+            # JSON true/false and numeric strings, which numpy once read as numbers
+            "calib-bools": (calib, json.dumps({"qA": good, "qB": [[True, False], [False, True]],
+                                               "qC": good})),
+            "calib-strings": (calib, json.dumps({"qA": good, "qB": [["0.99", "0.02"],
+                                                                    ["0.01", "0.98"]],
+                                                 "qC": good})),
             # json writes NaN, which every comparison of a range check lets through
             "calib-nan": (calib, json.dumps({"qA": [[float("nan"), 0.02], [0.01, 0.98]],
                                              **{f"q{q}": good for q in "ABC"[1:n]}})),
@@ -669,7 +710,7 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:  # a string code: exit status 1
             main([command, str(counts), "--calib", str(calib), "--out", str(out)])
         assert str(exc.value.code).startswith(f"cannot read {bad}: ")
-        if case in ("calib-ragged", "calib-not-numbers"):
+        if case in ("calib-ragged", "calib-not-numbers", "calib-bools", "calib-strings"):
             assert str(exc.value.code).endswith(
                 ": calibration matrix 'qB' is not a 2x2 array of numbers [[f00, f01], [f10, f11]]"
             )
@@ -791,6 +832,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([a.format(f=f, out=out) for a in command])
         assert exc.value.code == message.format(f=f)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, entry", [
+        (["fidelity", "{f}"], "re", str), (["fidelity", "{f}"], "im", bool),
+        (["diosi", "{f}", "{f}", "--out", "{out}"], "re", bool),
+    ], ids=["fidelity-string-re", "fidelity-bool-im", "diosi-bool-re"])
+    def test_density_file_of_non_numbers_is_reported(self, command, key, entry, tmp_path):
+        # numpy's float conversion once read these, and fidelity printed 0.992535
+        f, out = tmp_path / "rho.json", tmp_path / "out.json"
+        rho = outer(w_vector())
+        d = density_to_json_dict(rho if command[0] == "fidelity" else partial_trace(rho, [0, 1]))
+        d[key] = [[entry(v) for v in row] for row in d[key]]
+        f.write_text(json.dumps(d))
+        with pytest.raises(SystemExit) as exc:  # a string code: exit status 1
+            main([a.format(f=f, out=out) for a in command])
+        assert exc.value.code == f"cannot read {f}: {key!r} is not an array of numbers"
         assert not out.exists()
 
     def test_fidelity_of_a_diosi_state_file_is_reported(self, tmp_path):

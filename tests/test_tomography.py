@@ -34,6 +34,19 @@ def offdiagonal_rows(scheme):
 
 
 class TestSchemes:
+    def test_one_scheme_per_qubit_count(self):
+        for n, name, count in ((3, "ThreeQubit17", 17), (2, "TwoQubit7", 7)):
+            scheme = tomography_scheme(n)
+            assert scheme is tomography_scheme(n)  # derived once
+            assert (scheme.name, scheme.nqubits, len(scheme.settings)) == (name, n, count)
+            assert scheme.labels == SCHEMES[n][1]
+
+    @pytest.mark.parametrize("nqubits", [0, 1, 4])
+    def test_other_qubit_counts_are_rejected(self, nqubits):
+        with pytest.raises(ValueError) as exc:
+            tomography_scheme(nqubits)
+        assert str(exc.value) == f"tomography schemes are for 2 or 3 qubits, not {nqubits}"
+
     def test_rule_counts(self):
         # 8 diagonal + 2 * 28 off-diagonal real parameters for 3 qubits,
         # read from 17 (resp. 7) settings of 8 (resp. 4) outcomes each
@@ -123,11 +136,11 @@ class TestRoundTrip:
 
     def test_random_states_both_schemes(self, rng):
         for _ in range(25):
-            rho3 = random_density(8, rng)
-            got3 = reconstruct(tomography_scheme(3), tables_for(rho3, tomography_scheme(3).settings))
+            rho3, scheme3 = random_density(8, rng), tomography_scheme(3)
+            got3 = reconstruct(scheme3, tables_for(rho3, scheme3.settings))
             assert np.abs(got3 - rho3).max() <= 1e-10
-            rho2 = random_density(4, rng)
-            got2 = reconstruct(tomography_scheme(2), tables_for(rho2, tomography_scheme(2).settings))
+            rho2, scheme2 = random_density(4, rng), tomography_scheme(2)
+            got2 = reconstruct(scheme2, tables_for(rho2, scheme2.settings))
             assert np.abs(got2 - rho2).max() <= 1e-10
 
     def test_output_hermitian_unit_trace_on_noisy_input(self, rng):
