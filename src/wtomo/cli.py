@@ -31,7 +31,7 @@ from .mitigation import mitigate, mitigation_matrix, spectral_correct
 from .noise import MAX_SHOTS, ReadoutModel, counts_to_probs
 from .pipeline import ExperimentConfig, run_pipeline
 from .tomography import reconstruct, tomography_scheme
-from .wholeparts import EPS_B, TRACE_TOL, MarginalPair, ReconstructionError, diosi_reconstruct
+from .wholeparts import EPS_B, MarginalPair, ReconstructionError, diosi_reconstruct, unit_trace
 
 EXIT_OK = 0
 EXIT_FIXTURE_MISMATCH = 2
@@ -174,12 +174,11 @@ def _cmd_tomo(args, nqubits: int) -> int:
 def _cmd_diosi(args) -> int:
     rhos = []
     for path in (args.rho_ab, args.rho_bc):
-        rho = _read(io.load_density, path, 2)
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > TRACE_TOL:  # as MarginalPair would, but without its warning
-            print(f"{path} has trace {tr:.4f}; renormalizing to 1", file=sys.stderr)
-            rho = rho / tr
-        rhos.append(rho)
+        rho = _read(io.load_density, path, 2)  # its trace is positive
+        unit = unit_trace(rho)
+        if unit is not rho:
+            print(f"{path} has trace {np.trace(rho).real:.4f}; renormalizing to 1", file=sys.stderr)
+        rhos.append(unit)
     pair = MarginalPair(*rhos, args.eps_b)
     try:
         result = diosi_reconstruct(pair)
@@ -195,10 +194,7 @@ def _cmd_diosi(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    rho = _read(io.load_density, args.state, 3)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:  # as diosi renormalizes, but silently
-        rho = rho / tr
+    rho = unit_trace(_read(io.load_density, args.state, 3))  # its trace is positive
     try:
         f = fidelity_pure(w_vector(), rho)
     except ValueError as exc:  # <W|rho|W> outside [0, 1]

@@ -60,6 +60,12 @@ class ExperimentConfig:
     scheme: str = "both"  # full3q | parts2q | both
 
     def __post_init__(self):
+        # a float or bool would run, then be written as given
+        for name in ("shots", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # JSON writes no numpy integer
         if self.trials < 1 or self.shots < 1:
             raise ValueError("trials and shots must be >= 1")
         if self.shots > MAX_SHOTS:

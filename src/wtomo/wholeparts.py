@@ -21,7 +21,6 @@ errors, and the other pairs come out as alone; with None, the first raises.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,18 @@ LIVE_WEIGHT = 1e-12  # a branch of smaller weight is rounding (a pure rho_A read
 MIN_KEPT_MASS = 0.8
 TRACE_TOL = 1e-10  # a marginal whose trace is further from 1 is renormalized
 EPS_B = 0.05  # base tolerance on the shared-qubit gap of experimental marginals
+
+
+def unit_trace(rho: np.ndarray) -> np.ndarray:
+    """rho, or each matrix of a stack, divided by its trace where that trace is
+    further than TRACE_TOL from 1; rho itself when no trace is. Raises
+    ValueError for a trace that is not a positive number (zero, negative, NaN)."""
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    bad = ~(tr > 0)
+    if bad.any():
+        raise ValueError(f"trace {tr[first_true(bad)]:g} is not positive")
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    return np.where(off[..., None, None], rho / tr[..., None, None], rho) if off.any() else rho
 
 
 class ReconstructionError(Exception):
@@ -63,28 +74,24 @@ class MarginalPair:
 
     eps_b bounds the allowed disagreement between the two estimates of the
     shared qubit B (``EPS_B`` for experimental inputs, 1e-10 for exact).
-    rho_ab and rho_bc may be stacks (..., 4, 4) of pairs sharing eps_b.
+    rho_ab and rho_bc may be stacks (..., 4, 4) of pairs sharing eps_b, of
+    one shape; each marginal is stored as ``unit_trace`` gives it.
     """
 
     rho_ab: np.ndarray
     rho_bc: np.ndarray
     eps_b: float
 
-    def normalized(self) -> "MarginalPair":
-        out = []
-        for name, rho in (("rho_ab", self.rho_ab), ("rho_bc", self.rho_bc)):
-            tr = np.trace(rho, axis1=-2, axis2=-1).real
-            off = np.abs(tr - 1.0) > TRACE_TOL
-            if off.any():
-                warnings.warn(f"{name} has trace {tr[first_true(off)]:.4f}; renormalizing to 1")
-                rho = np.where(off[..., None, None], rho / tr[..., None, None], rho)
-            out.append(rho)
-        return MarginalPair(out[0], out[1], self.eps_b)
-
     def __post_init__(self):
         if not (np.isfinite(self.eps_b) and self.eps_b >= 0):
             # a NaN would pass every shared-qubit consistency check
             raise ValueError(f"eps_b must be a finite number >= 0, got {self.eps_b}")
+        shapes = np.shape(self.rho_ab), np.shape(self.rho_bc)
+        if shapes[0] != shapes[1] or shapes[0][-2:] != (4, 4):
+            raise ValueError(f"rho_ab and rho_bc must be (..., 4, 4) stacks of one shape, "
+                             f"got {shapes[0]} and {shapes[1]}")
+        for name in ("rho_ab", "rho_bc"):
+            object.__setattr__(self, name, unit_trace(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -212,7 +219,6 @@ def diosi_reconstruct(pair: MarginalPair) -> ReconstructionResult:
 
 def _diosi_reconstruct(pair: MarginalPair, errors: dict | None) -> ReconstructionResult:
     """diosi_reconstruct whose checks flag failing pairs in errors (see the module docstring)."""
-    pair = pair.normalized()
     _, _, (lam_a, lam_c), (vec_a, vec_c) = _top2(
         np.stack(_single_party_marginals(pair, errors), axis=-3)
     )

@@ -5,6 +5,7 @@ from wtomo.circuits import (
     H,
     I2,
     MeasurementSetting,
+    X,
     cnot_matrix,
     lift,
     prepare_w,
@@ -21,6 +22,10 @@ def is_unitary(u, tol=1e-12):
 class TestGates:
     def test_lift_single_qubit(self):
         assert np.allclose(lift(H, 0, 1), H)
+
+    def test_lift_rejects_an_out_of_range_qubit(self):
+        with pytest.raises(ValueError, match="^qubit 3 out of range for 3 qubits$"):
+            lift(X, 3, 3)
 
     def test_rx_half_pi(self):
         expected = np.array([[1, -1j], [-1j, 1]]) / np.sqrt(2)

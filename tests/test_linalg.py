@@ -156,6 +156,8 @@ class TestPartialTrace:
             partial_trace(rho, [])
         with pytest.raises(ValueError):
             partial_trace(rho, [2])
+        with pytest.raises(ValueError, match=r"not a qubit-register operator: shape \(3, 3\)"):
+            partial_trace(np.eye(3) / 3, [0])
 
 
 class TestOuter:

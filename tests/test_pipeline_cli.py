@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,19 @@ class TestConfig:
             ExperimentConfig(noise=ReadoutModel.ibm_osaka().subset([0, 1]))
         with pytest.raises(ValueError, match="shots must be <= 9223372036854775807"):
             ExperimentConfig(shots=2**63)
+
+    @pytest.mark.parametrize("field", ["shots", "trials", "seed"])
+    @pytest.mark.parametrize("value", [2000.5, 2000.0, True, np.float64(3), "2000", None])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        # shots=2000.5 once drew 2000 counts per circuit and wrote 2000.5 to
+        # report.csv, and shots=True ran a 1-shot experiment
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = ExperimentConfig(shots=np.int64(2000), trials=np.uint8(2), seed=np.uint64(2**64 - 1))
+        assert [(type(v), v) for v in (cfg.shots, cfg.trials, cfg.seed)] == [
+            (int, 2000), (int, 2), (int, 2**64 - 1)]
 
 
 class TestRunTrial:
@@ -326,6 +340,16 @@ class TestBatching:
         for f in files:
             assert (out / f).read_bytes() == (golden / f).read_bytes(), f
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint16])
+    def test_numpy_integer_config_writes_the_golden_run(self, kind, tmp_path):
+        # an np.int64 seed once ran the pipeline, then failed the JSON write
+        # after report.csv, leaving a half-written run directory
+        golden = Path(__file__).parent / "data" / "golden_run_seed1234_2x2000"
+        cfg = ExperimentConfig(shots=kind(2000), trials=kind(2), seed=kind(1234))
+        write_outputs(cfg, run_pipeline(cfg), tmp_path)
+        for f in (p.relative_to(golden) for p in golden.rglob("*") if p.is_file()):
+            assert (tmp_path / f).read_bytes() == (golden / f).read_bytes(), f
+
 
 class TestDeterminism:
     def test_report_bytes_identical(self, tmp_path):
@@ -520,9 +544,11 @@ class TestCli:
         assert proc.stderr.splitlines() == [
             f"{path} has trace 0.9800; renormalizing to 1" for path in (ab, bc)
         ]
-        # the state is the one the library writes when it renormalizes itself
+        # the state is the one the library writes when it renormalizes itself,
+        # which it does without a Python warning
         expected = tmp_path / "expected.json"
-        with pytest.warns(UserWarning, match="renormalizing"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             pair = MarginalPair(load_density(ab, 2), load_density(bc, 2), 0.0642)
             save_reconstruction(diosi_reconstruct(pair), expected)
         assert out.read_bytes() == expected.read_bytes()
@@ -651,7 +677,7 @@ class TestCli:
         assert exc.value.code == f"cannot write {taken}: {os.strerror(errno.EEXIST)}"
         assert taken.read_text() == "kept"
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.01", "1e400"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.01", "1e400", "abc"])
     def test_diosi_rejects_eps_b_that_is_not_finite_and_non_negative(self, value, tmp_path,
                                                                       capsys):
         # a NaN eps_b would pass the shared-qubit consistency check
@@ -660,7 +686,8 @@ class TestCli:
             main(["diosi", "ab.json", "bc.json", "--eps-b", value, "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument --eps-b: expected a finite float >= 0, got '{value}'" in err
+        reason = "invalid float value:" if value == "abc" else "expected a finite float >= 0, got"
+        assert f"argument --eps-b: {reason} '{value}'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["tomo3q", "tomo2q"])

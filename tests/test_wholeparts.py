@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,7 +46,7 @@ def random_gapped_pure(rng, gap=0.05):
 
 class TestSinglePartyMarginals:
     def test_w_state(self):
-        pair = marginal_pair_of(w_vector()).normalized()
+        pair = marginal_pair_of(w_vector())
         for rho in _single_party_marginals(pair, None):
             assert np.abs(rho - np.diag([2 / 3, 1 / 3])).max() <= 1e-12
 
@@ -51,7 +54,7 @@ class TestSinglePartyMarginals:
         pair = MarginalPair(np.diag([1.0, 0, 0, 0]).astype(complex),
                             np.diag([0, 0, 0, 1.0]).astype(complex), eps_b=0.05)
         with pytest.raises(InconsistentMarginalsError):
-            _single_party_marginals(pair.normalized(), None)
+            _single_party_marginals(pair, None)
 
     @pytest.mark.parametrize("eps_b", [np.nan, np.inf, -0.01])
     def test_eps_b_must_be_finite_and_non_negative(self, eps_b):
@@ -59,29 +62,66 @@ class TestSinglePartyMarginals:
         with pytest.raises(ValueError, match="eps_b must be a finite number >= 0"):
             MarginalPair(rho, rho, eps_b)
 
-    def test_unnormalized_inputs_warn_and_renormalize(self):
+    def test_unnormalized_inputs_renormalize_without_warning(self):
         pair = marginal_pair_of(w_vector())
-        scaled = MarginalPair(0.98 * pair.rho_ab, 0.98 * pair.rho_bc, 1e-6)
-        with pytest.warns(UserWarning):
-            rho_a, _ = _single_party_marginals(scaled.normalized(), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = MarginalPair(0.98 * pair.rho_ab, 0.98 * pair.rho_bc, 1e-6)
+            rho_a, _ = _single_party_marginals(scaled, None)
         assert abs(np.trace(rho_a) - 1.0) <= 1e-12
+        ab = 0.98 * pair.rho_ab
+        assert np.array_equal(scaled.rho_ab, ab / np.trace(ab).real)
+
+
+class TestMarginalPair:
+    """A pair is trace-normalized and shape-checked when it is made."""
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan])
+    def test_a_trace_that_is_not_positive_is_rejected(self, scale):
+        # -rho_AB, -rho_BC were once divided by their trace -1 and gave W at fidelity 1
+        pair = marginal_pair_of(w_vector())
+        with pytest.raises(ValueError, match=f"^trace {scale:g} is not positive$"):
+            MarginalPair(scale * pair.rho_ab, scale * pair.rho_bc, 0.1)
+        with pytest.raises(ValueError, match=f"^trace {scale:g} is not positive$"):
+            MarginalPair(np.stack([pair.rho_ab] * 2),
+                         np.stack([pair.rho_bc, scale * pair.rho_bc]), 0.1)
+
+    def test_unit_trace_divides_only_past_the_tolerance(self):
+        rho = marginal_pair_of(w_vector()).rho_ab
+        near = (1 + 0.5 * wholeparts.TRACE_TOL) * rho
+        assert wholeparts.unit_trace(near) is near
+        stack = np.stack([near, 0.98 * rho, (1 + 1e-8) * rho])
+        out = wholeparts.unit_trace(stack)
+        assert np.array_equal(out[0], near)
+        for k in (1, 2):
+            assert np.array_equal(out[k], stack[k] / np.trace(stack[k]).real)
+
+    @pytest.mark.parametrize("ab_shape, bc_shape", [
+        ((8, 8), (8, 8)), ((2, 2), (2, 2)), ((2, 4, 4), (4, 4)), ((4, 4), (3, 4, 4)), ((4,), (4,)),
+    ], ids=str)
+    def test_marginals_must_be_4x4_stacks_of_one_shape(self, ab_shape, bc_shape):
+        ab, bc = np.zeros(ab_shape), np.zeros(bc_shape)  # shapes are checked before traces
+        message = (f"^rho_ab and rho_bc must be \\(..., 4, 4\\) stacks of one shape, "
+                   f"got {re.escape(str(ab_shape))} and {re.escape(str(bc_shape))}$")
+        with pytest.raises(ValueError, match=message):
+            MarginalPair(ab, bc, 0.1)
 
 
 class TestPurifyStructures:
     """The matched spectral data of the purification: _top2 and _phase_matrix."""
 
     def test_w_state_spectra(self):
-        lam_a, lam_c, *_ = matched_spectra(marginal_pair_of(w_vector()).normalized())
+        lam_a, lam_c, *_ = matched_spectra(marginal_pair_of(w_vector()))
         assert np.allclose(lam_a, [2 / 3, 1 / 3], atol=1e-12)
         assert np.allclose(lam_c, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_phase_matrix_margins_are_the_spectra(self, rng):
         # for a pure state, |m[i, k]| is the weight branch i of the A split
         # shares with branch k of the C split: rows sum to lam_a, columns to lam_c
-        *_, m = matched_spectra(marginal_pair_of(w_vector()).normalized())
+        *_, m = matched_spectra(marginal_pair_of(w_vector()))
         assert np.abs(np.abs(m) - [[1 / 3, 1 / 3], [1 / 3, 0]]).max() <= 1e-12
         for _ in range(20):
-            lam_a, lam_c, _, m = matched_spectra(marginal_pair_of(random_gapped_pure(rng)).normalized())
+            lam_a, lam_c, _, m = matched_spectra(marginal_pair_of(random_gapped_pure(rng)))
             assert np.abs(np.abs(m).sum(axis=1) - lam_a).max() <= 1e-12
             assert np.abs(np.abs(m).sum(axis=0) - lam_c).max() <= 1e-12
 
@@ -91,7 +131,7 @@ class TestPurifyStructures:
         # C[k, i, j] = <i;A j;B | k;AB> in a random orthonormal basis |j;B> of
         # qubit B, one vdot of a Kronecker product per entry, then the sum over j
         for _ in range(20):
-            pair = marginal_pair_of(random_gapped_pure(rng)).normalized()
+            pair = marginal_pair_of(random_gapped_pure(rng))
             a, c, ab, bc = (
                 np.column_stack([_fix_vector_gauge(v) for v in eig_hermitian(rho)[1][:, :2].T])
                 for rho in (*_single_party_marginals(pair, None), pair.rho_ab, pair.rho_bc)
@@ -134,7 +174,7 @@ class TestSolvePhases:
     def test_ghz_degenerate_spectrum_raises(self):
         ghz = np.zeros(8, dtype=complex)
         ghz[0] = ghz[7] = 1 / np.sqrt(2)
-        lam_a, _, _, m = matched_spectra(marginal_pair_of(ghz).normalized())
+        lam_a, _, _, m = matched_spectra(marginal_pair_of(ghz))
         with pytest.raises(DegenerateSpectrumError):
             _solve_phases(lam_a, m, None)
 
@@ -184,7 +224,7 @@ class TestSolvePhases:
             psi /= np.linalg.norm(psi)
             if spectral_gap(psi) <= 0.05:
                 continue
-            lam_a, _, _, m = matched_spectra(marginal_pair_of(psi).normalized())
+            lam_a, _, _, m = matched_spectra(marginal_pair_of(psi))
             alpha = _solve_phases(lam_a, m, None)
             factors = np.exp(1j * alpha)
             assert np.abs(factors.imag).max() <= 1e-6
