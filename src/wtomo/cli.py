@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -28,8 +27,8 @@ from . import fixtures, io
 from .circuits import w_vector
 from .metrics import fidelity_pure
 from .mitigation import mitigate, mitigation_matrix, spectral_correct
-from .noise import MAX_SHOTS, ReadoutModel, counts_to_probs
-from .pipeline import ExperimentConfig, run_pipeline
+from .noise import ReadoutModel, counts_to_probs
+from .pipeline import RUN_SCHEMES, ExperimentConfig, run_pipeline
 from .tomography import reconstruct, tomography_scheme
 from .wholeparts import EPS_B, MarginalPair, ReconstructionError, diosi_reconstruct, unit_trace
 
@@ -63,41 +62,19 @@ def _parse_noise(spec: str) -> ReadoutModel | None:
     return _read(io.load_readout_model, spec, 3)
 
 
-def _int_in(low: int, high: int | None = None):
-    """argparse type: an integer no smaller than low and, given high, no larger."""
-
-    def integer(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as "invalid integer value"
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"expected an integer <= {high}, got {text!r}")
-        return value
-
-    return integer
-
-
-def _non_negative_float(text: str) -> float:
-    """argparse type: a finite float no smaller than 0."""
-    try:
-        value = float(text)
-    except ValueError:  # worded as argparse words it for type=float
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite float >= 0, got {text!r}")
-    return value
-
-
 def _cmd_pipeline(args) -> int:
-    cfg = ExperimentConfig(
-        shots=args.shots,
-        trials=args.trials,
-        seed=args.seed,
-        noise=_parse_noise(args.noise),
-        mitigate=args.mitigate,
-        exact=args.exact,
-        scheme=args.scheme,
-    )
+    try:  # the config checks the settings; a bad one is an argument error
+        cfg = ExperimentConfig(
+            shots=args.shots,
+            trials=args.trials,
+            seed=args.seed,
+            noise=_parse_noise(args.noise),
+            mitigate=args.mitigate,
+            exact=args.exact,
+            scheme=args.scheme,
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
     _write(lambda _, out: out.mkdir(parents=True, exist_ok=True), None, args.out)
     results = run_pipeline(cfg)
     _write(functools.partial(io.write_outputs, cfg), results, args.out)
@@ -148,9 +125,8 @@ def _cmd_fixtures(args) -> int:
     print(f"  residuals: ab {result.residual_ab:.4f}, bc {result.residual_bc:.4f}")
 
     # informational: the published full-tomography matrix is noisy as printed
-    w = w_vector()
-    overlap = np.real(np.vdot(w, fixtures.REF_RHO_FULL @ w))
-    print(f"  fidelity(W, full-tomography reference) = {np.sqrt(max(overlap, 0)):.4f}")
+    f_full = fidelity_pure(w_vector(), fixtures.REF_RHO_FULL)
+    print(f"  fidelity(W, full-tomography reference) = {f_full:.4f}")
     return EXIT_OK if ok else EXIT_FIXTURE_MISMATCH
 
 
@@ -177,9 +153,13 @@ def _cmd_diosi(args) -> int:
         rho = _read(io.load_density, path, 2)  # its trace is positive
         unit = unit_trace(rho)
         if unit is not rho:
-            print(f"{path} has trace {np.trace(rho).real:.4f}; renormalizing to 1", file=sys.stderr)
+            print(f"{path} has trace {np.trace(rho).real:.12g}; renormalizing to 1",
+                  file=sys.stderr)
         rhos.append(unit)
-    pair = MarginalPair(*rhos, args.eps_b)
+    try:  # the pair checks eps_b; a bad one is an argument error
+        pair = MarginalPair(*rhos, args.eps_b)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     try:
         result = diosi_reconstruct(pair)
     except ReconstructionError as exc:
@@ -213,15 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pipeline", help="run the simulated experiment")
-    p.add_argument("--shots", type=_int_in(1, MAX_SHOTS), default=20000)
-    p.add_argument("--trials", type=_int_in(1), default=5)
-    p.add_argument("--seed", type=_int_in(0), default=1234)
+    p.add_argument("--shots", type=int, default=ExperimentConfig.shots)
+    p.add_argument("--trials", type=int, default=ExperimentConfig.trials)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--noise", default="table3", help='noise file, "table3" or "none"')
-    p.add_argument("--mitigate", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--exact", action="store_true", help="analytic probabilities, no sampling")
-    p.add_argument("--scheme", choices=("full3q", "parts2q", "both"), default="both")
+    p.add_argument("--mitigate", action=argparse.BooleanOptionalAction,
+                   default=ExperimentConfig.mitigate)
+    p.add_argument("--exact", action="store_true", default=ExperimentConfig.exact,
+                   help="analytic probabilities, no sampling")
+    p.add_argument("--scheme", choices=RUN_SCHEMES, default=ExperimentConfig.scheme)
     p.add_argument("--out", type=Path, default=Path("wtomo_out"))
-    p.set_defaults(func=_cmd_pipeline)
+    p.set_defaults(func=_cmd_pipeline, usage_error=p.error)
 
     p = sub.add_parser("fixtures", help="regression checks against published matrices")
     p.set_defaults(func=_cmd_fixtures)
@@ -238,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diosi", help="whole-from-parts reconstruction")
     p.add_argument("rho_ab", help="density-matrix JSON for qubits AB")
     p.add_argument("rho_bc", help="density-matrix JSON for qubits BC")
-    p.add_argument("--eps-b", type=_non_negative_float, default=EPS_B)
+    p.add_argument("--eps-b", type=float, default=EPS_B)
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_cmd_diosi)
+    p.set_defaults(func=_cmd_diosi, usage_error=p.error)
 
     p = sub.add_parser("fidelity", help="fidelity of a state file vs the W state")
     p.add_argument("state", help="density-matrix JSON")

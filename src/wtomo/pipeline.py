@@ -48,6 +48,9 @@ from .wholeparts import EPS_B, MarginalPair, _diosi_reconstruct
 # then qubit A, B, C each prepared in |0> then |1> and read alone.
 LAYOUT = ((8, (0, 1, 2)), (4, (0, 1)), (4, (1, 2)), (2, (0, 1, 2)))
 
+# The routes a run can take: the 17-setting full scheme, the 7-setting marginals, or both.
+RUN_SCHEMES = ("full3q", "parts2q", "both")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -57,23 +60,27 @@ class ExperimentConfig:
     noise: ReadoutModel | None = field(default_factory=ReadoutModel.ibm_osaka)
     mitigate: bool = True
     exact: bool = False  # analytic probabilities, no sampling
-    scheme: str = "both"  # full3q | parts2q | both
+    scheme: str = "both"  # one of RUN_SCHEMES
 
     def __post_init__(self):
-        # a float or bool would run, then be written as given
+        # a float, bool or string would run, then be written as given
         for name in ("shots", "trials", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # JSON writes no numpy integer
-        if self.trials < 1 or self.shots < 1:
-            raise ValueError("trials and shots must be >= 1")
+        for name in ("mitigate", "exact"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
+            object.__setattr__(self, name, bool(value))  # JSON writes no numpy bool
+        for name, low in (("shots", 1), ("trials", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.shots > MAX_SHOTS:
-            raise ValueError(f"shots must be <= {MAX_SHOTS} (2**63 - 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.scheme not in ("full3q", "parts2q", "both"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"shots must be <= {MAX_SHOTS} (2**63 - 1), got {self.shots}")
+        if self.scheme not in RUN_SCHEMES:
+            raise ValueError(f"scheme must be one of {RUN_SCHEMES}, got {self.scheme!r}")
         if self.noise is not None and len(self.noise.qubits) != 3:
             raise ValueError(f"noise model covers {len(self.noise.qubits)} qubits, not 3")
 

@@ -50,15 +50,20 @@ class TestConfig:
         assert cfg.mitigate and cfg.scheme == "both"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # the CLI prints these messages, so each names the field and the value
+        with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
             ExperimentConfig(trials=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^shots must be >= 1, got -3$"):
+            ExperimentConfig(shots=-3)
+        with pytest.raises(ValueError, match=r"^scheme must be one of \('full3q', 'parts2q', "
+                                             r"'both'\), got 'everything'$"):
             ExperimentConfig(scheme="everything")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             ExperimentConfig(seed=-1)
         with pytest.raises(ValueError, match="2 qubits"):
             ExperimentConfig(noise=ReadoutModel.ibm_osaka().subset([0, 1]))
-        with pytest.raises(ValueError, match="shots must be <= 9223372036854775807"):
+        with pytest.raises(ValueError, match=r"^shots must be <= 9223372036854775807 "
+                                             r"\(2\*\*63 - 1\), got 9223372036854775808$"):
             ExperimentConfig(shots=2**63)
 
     @pytest.mark.parametrize("field", ["shots", "trials", "seed"])
@@ -68,6 +73,20 @@ class TestConfig:
         # report.csv, and shots=True ran a 1-shot experiment
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("mitigate", "no"), ("mitigate", 2), ("mitigate", 0.5), ("mitigate", None),
+        ("exact", "yes"), ("exact", 1),
+    ])
+    def test_switches_must_be_bools(self, field, value):
+        # mitigate=0.5 once wrote the unmitigated matrices and recorded 0.5, and
+        # mitigate="no" failed only after the whole batch had run
+        with pytest.raises(TypeError, match=f"^{field} must be a bool, got "):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_bools_are_stored_as_bool(self):
+        cfg = ExperimentConfig(mitigate=np.False_, exact=np.True_)
+        assert [(type(v), v) for v in (cfg.mitigate, cfg.exact)] == [(bool, False), (bool, True)]
 
     def test_numpy_integers_are_stored_as_int(self):
         cfg = ExperimentConfig(shots=np.int64(2000), trials=np.uint8(2), seed=np.uint64(2**64 - 1))
@@ -542,7 +561,7 @@ class TestCli:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "UserWarning" not in proc.stderr and ".py:" not in proc.stderr
         assert proc.stderr.splitlines() == [
-            f"{path} has trace 0.9800; renormalizing to 1" for path in (ab, bc)
+            f"{path} has trace 0.98; renormalizing to 1" for path in (ab, bc)
         ]
         # the state is the one the library writes when it renormalizes itself,
         # which it does without a Python warning
@@ -554,20 +573,23 @@ class TestCli:
         assert out.read_bytes() == expected.read_bytes()
 
     def test_diosi_renormalizes_as_from_the_divided_files(self, tmp_path, capsys):
+        # the note prints enough digits that a renormalized trace never reads as 1
         rho = outer(w_vector())
-        scaled = [tmp_path / "ab.json", tmp_path / "bc.json"]
-        divided = [tmp_path / "ab_divided.json", tmp_path / "bc_divided.json"]
-        for keep, path, div in zip(([0, 1], [1, 2]), scaled, divided, strict=True):
-            save_density(0.98 * partial_trace(rho, keep), path)
-            marginal = load_density(path, 2)
-            save_density(marginal / np.trace(marginal).real, div)
-        outs = tmp_path / "psi.json", tmp_path / "psi_divided.json"
-        for files, out in zip((scaled, divided), outs, strict=True):
-            argv = ["diosi", *map(str, files), "--eps-b", "1e-8", "--out", str(out)]
-            assert main(argv) == EXIT_OK
-            assert capsys.readouterr().err.splitlines() == [
-                f"{path} has trace 0.9800; renormalizing to 1" for path in files if files is scaled]
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+        for scale, shown in ((0.98, "0.98"), (1 + 1e-8, "1.00000001")):
+            scaled = [tmp_path / "ab.json", tmp_path / "bc.json"]
+            divided = [tmp_path / "ab_divided.json", tmp_path / "bc_divided.json"]
+            for keep, path, div in zip(([0, 1], [1, 2]), scaled, divided, strict=True):
+                save_density(scale * partial_trace(rho, keep), path)
+                marginal = load_density(path, 2)
+                save_density(marginal / np.trace(marginal).real, div)
+            outs = tmp_path / "psi.json", tmp_path / "psi_divided.json"
+            for files, out in zip((scaled, divided), outs, strict=True):
+                argv = ["diosi", *map(str, files), "--eps-b", "1e-8", "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                assert capsys.readouterr().err.splitlines() == [
+                    f"{path} has trace {shown}; renormalizing to 1"
+                    for path in files if files is scaled]
+            assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("scale", [0.98, 1 + 1e-8], ids=["0.98", "1+1e-8"])
     def test_fidelity_renormalizes_beyond_the_trace_tolerance(self, scale, tmp_path, capsys,
@@ -599,23 +621,29 @@ class TestCli:
                    "--out", str(tmp_path / "psi.json")])
         assert rc == 3
 
-    @pytest.mark.parametrize("flag", ["--shots", "--trials"])
-    def test_pipeline_rejects_non_positive_count(self, flag, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--shots", 0, ">= 1"),
+        ("--trials", 0, ">= 1"),
+        ("--seed", -1, ">= 0"),
+        # numpy's multinomial once failed on these with an OverflowError traceback
+        ("--shots", 2**63, f"<= {2**63 - 1} (2**63 - 1)"),
+        ("--shots", 10**20, f"<= {2**63 - 1} (2**63 - 1)"),
+    ], ids=["shots=0", "trials=0", "seed=-1", "shots=2**63", "shots=10**20"])
+    def test_pipeline_rejects_a_setting_out_of_range(self, flag, value, reason, tmp_path,
+                                                     capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["pipeline", flag, "0", "--out", str(tmp_path / "run")])
+            main(["pipeline", flag, str(value), "--out", str(tmp_path / "run")])
         assert exc.value.code == 2
-        assert f"argument {flag}: expected an integer >= 1, got '0'" in capsys.readouterr().err
+        field = flag.removeprefix("--")
+        assert (f"wtomo pipeline: error: {field} must be {reason}, got {value}"
+                in capsys.readouterr().err.splitlines())
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("shots", [2**63, 10**20])
-    def test_pipeline_rejects_shots_beyond_int64(self, shots, tmp_path, capsys):
-        # numpy's multinomial once failed on them with an OverflowError traceback
-        with pytest.raises(SystemExit) as exc:
-            main(["pipeline", "--shots", str(shots), "--out", str(tmp_path / "run")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument --shots: expected an integer <= {2**63 - 1}, got '{shots}'" in err
-        assert not (tmp_path / "run").exists()
+    def test_pipeline_takes_every_default_from_the_config(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda cfg: seen.append(cfg) or [])
+        main(["pipeline", "--out", str(tmp_path / "run")])
+        assert seen == [ExperimentConfig()]
 
     def test_pipeline_runs_at_the_largest_shots(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -680,14 +708,20 @@ class TestCli:
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.01", "1e400", "abc"])
     def test_diosi_rejects_eps_b_that_is_not_finite_and_non_negative(self, value, tmp_path,
                                                                       capsys):
-        # a NaN eps_b would pass the shared-qubit consistency check
-        out = tmp_path / "psi.json"
+        # a NaN eps_b would pass the shared-qubit consistency check; the pair
+        # checks it once both files are read, argparse only that it is a float
+        rho = outer(w_vector())
+        ab, bc, out = tmp_path / "ab.json", tmp_path / "bc.json", tmp_path / "psi.json"
+        save_density(partial_trace(rho, [0, 1]), ab)
+        save_density(partial_trace(rho, [1, 2]), bc)
         with pytest.raises(SystemExit) as exc:
-            main(["diosi", "ab.json", "bc.json", "--eps-b", value, "--out", str(out)])
+            main(["diosi", str(ab), str(bc), "--eps-b", value, "--out", str(out)])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        reason = "invalid float value:" if value == "abc" else "expected a finite float >= 0, got"
-        assert f"argument --eps-b: {reason} '{value}'" in err
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == ("wtomo diosi: error: argument --eps-b: invalid float value: 'abc'"
+                           if value == "abc" else
+                           f"wtomo diosi: error: eps_b must be a finite number >= 0, "
+                           f"got {float(value)}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["tomo3q", "tomo2q"])
