@@ -63,12 +63,13 @@ def _parse_noise(spec: str) -> ReadoutModel | None:
 
 
 def _cmd_pipeline(args) -> int:
+    noise = _parse_noise(args.noise)
     try:  # the config checks the settings; a bad one is an argument error
         cfg = ExperimentConfig(
             shots=args.shots,
             trials=args.trials,
             seed=args.seed,
-            noise=_parse_noise(args.noise),
+            noise=noise,
             mitigate=args.mitigate,
             exact=args.exact,
             scheme=args.scheme,

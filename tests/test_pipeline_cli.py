@@ -656,8 +656,10 @@ class TestCli:
     @pytest.mark.parametrize("command", [
         ["tomo3q", "{missing}", "--out", "{out}"],
         ["tomo2q", "{missing}", "--out", "{out}"],
-        ["diosi", "{missing}", "{missing}", "--out", "{out}"],
+        # the library checks eps_b and the settings after the files are read
+        ["diosi", "{missing}", "{missing}", "--eps-b", "nan", "--out", "{out}"],
         ["fidelity", "{missing}"],
+        ["pipeline", "--noise", "{missing}", "--shots", "0", "--out", "{out}"],
     ], ids=lambda c: c[0])
     def test_missing_input_file_is_reported(self, command, tmp_path):
         missing = tmp_path / "absent.json"
