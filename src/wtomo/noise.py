@@ -101,16 +101,30 @@ def sample_counts(
     dists: list[np.ndarray], shots: int, seed: int, trials: list[int]
 ) -> list[np.ndarray]:
     """One (T, R, d) counts stack per (R, d) distribution of dists. Trial t
-    draws the groups in order from its own stream ``default_rng([seed, t])``,
-    each in one multinomial call whose rows numpy draws in order, so its
-    counts do not depend on the other trials. numpy rejects a negative seed
-    or t (``ValueError: expected non-negative integer``)."""
-    counts = [np.empty((len(trials), *dist.shape), dtype=np.int64) for dist in dists]
+    draws every row in one multinomial call from its own stream
+    ``default_rng([seed, t])``, so its counts do not depend on the other
+    trials. numpy rejects a negative seed or t (``ValueError: expected
+    non-negative integer``).
+
+    The call's table stacks the groups in order, each row right-aligned: a
+    d-outcome row fills the last d columns and zeros lead it. numpy draws a
+    row as a chain of binomials, and a binomial with p == 0 returns 0
+    without drawing while the remaining mass stays exactly 1.0. So the
+    leading zeros draw nothing, and every count is the one that row-by-row
+    calls over each group's own outcomes give. The stacks returned are
+    views of one (T, R_total, width) counts block."""
+    width = max(dist.shape[-1] for dist in dists)
+    table = np.zeros((sum(len(dist) for dist in dists), width))
+    blocks, start = [], 0
+    for dist in dists:
+        rows, d = dist.shape
+        table[start:start + rows, width - d:] = dist
+        blocks.append((slice(start, start + rows), slice(width - d, None)))
+        start += rows
+    counts = np.empty((len(trials), *table.shape), dtype=np.int64)
     for i, t in enumerate(trials):
-        rng = np.random.default_rng([seed, t])
-        for c, dist in zip(counts, dists):
-            c[i] = rng.multinomial(shots, dist)
-    return counts
+        counts[i] = np.random.default_rng([seed, t]).multinomial(shots, table)
+    return [counts[:, rows, cols] for rows, cols in blocks]
 
 
 def counts_to_probs(counts: np.ndarray) -> np.ndarray:

@@ -81,6 +81,8 @@ class ExperimentConfig:
             raise ValueError(f"shots must be <= {MAX_SHOTS} (2**63 - 1), got {self.shots}")
         if self.scheme not in RUN_SCHEMES:
             raise ValueError(f"scheme must be one of {RUN_SCHEMES}, got {self.scheme!r}")
+        if self.noise is not None and not isinstance(self.noise, ReadoutModel):
+            raise TypeError(f"noise must be a ReadoutModel or None, got {self.noise!r}")
         if self.noise is not None and len(self.noise.qubits) != 3:
             raise ValueError(f"noise model covers {len(self.noise.qubits)} qubits, not 3")
 

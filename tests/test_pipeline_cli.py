@@ -84,6 +84,13 @@ class TestConfig:
         with pytest.raises(TypeError, match=f"^{field} must be a bool, got "):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", ["table3", {"qA": {"p01": 0.0, "p10": 0.0}},
+                                       ReadoutModel.ibm_osaka().qubits])
+    def test_noise_must_be_a_readout_model(self, value):
+        # noise="table3" once failed with AttributeError: 'str' object has no attribute 'qubits'
+        with pytest.raises(TypeError, match="^noise must be a ReadoutModel or None, got "):
+            ExperimentConfig(noise=value)
+
     def test_numpy_bools_are_stored_as_bool(self):
         cfg = ExperimentConfig(mitigate=np.False_, exact=np.True_)
         assert [(type(v), v) for v in (cfg.mitigate, cfg.exact)] == [(bool, False), (bool, True)]
