@@ -3,10 +3,11 @@ confusion and finite-shot sampling.
 
 All sampling uses numpy's PCG64 generator; a fixed seed gives a bit-for-bit
 reproducible stream. In a simulated run trial t draws from one stream,
-``default_rng([seed, t])``: its four circuit groups (``pipeline.LAYOUT``)
-in order, each as one multinomial over its own outcomes whose rows numpy
-draws in order (``sample_counts``). So no two trials share a stream, and
-``RNG_ALGORITHM`` names this keying rule.
+``default_rng([seed, t])``: the rows of its four circuit groups
+(``pipeline.LAYOUT``) in order, in one multinomial call over a table that
+right-aligns each row, whose leading zeros draw nothing (``sample_counts``).
+So no two trials share a stream, and ``RNG_ALGORITHM`` names this keying
+rule.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@ setting, optional mitigation, reconstruction, and fidelity reporting.
 
 Each trial mirrors one hardware run: four circuit groups (``LAYOUT``), the
 17 three-qubit settings, 7 two-qubit settings per marginal and 6
-calibration circuits, each one table at its own width. Trial t draws its
-groups in order from one stream keyed [seed, t] (``noise.sample_counts``),
-so a fixed configuration reproduces byte-identical reports and no two
-trials share a stream.
+calibration circuits, each one table at its own width. Trial t draws all
+its circuits in one multinomial call from one stream keyed [seed, t]
+(``noise.sample_counts``), so a fixed configuration reproduces
+byte-identical reports and no two trials share a stream.
 
 The trials of a run form one batch: after sampling, every stage runs once
 on stacks with leading axes (pass, trial), pass 0 unmitigated and pass 1
@@ -147,6 +147,9 @@ def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
     else:
         counts = sample_counts(dists, cfg.shots, cfg.seed, list(range(cfg.trials)))
         p3, pab, pbc, calibration = [counts_to_probs(c) for c in counts]
+        # a copy of the 3q settings' counts: the trials' views of the stack
+        # would keep every group's counts alive
+        counts = counts[0].copy()
     # row 2q + b of the calibration group is column b of qubit q's matrix
     f_hats = calibration.reshape(cfg.trials, 3, 2, 2).swapaxes(-1, -2)
     if cfg.exact and cfg.noise is None:
@@ -179,8 +182,7 @@ def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
     matrices = {name: m[written].copy() for name, m in matrices.items()}
     results = []
     for t in range(cfg.trials):
-        r = TrialResult(t, counts=None if counts is None else counts[0][t],  # the 3q settings
-                        calibration=f_hats[t])
+        r = TrialResult(t, counts=None if counts is None else counts[t], calibration=f_hats[t])
         for p in (0, 1):  # a trial keeps the passes before its first error
             if (exc := errors.get((p, t))) is not None:
                 r.error = f"{type(exc).__name__}: {exc}"

@@ -51,6 +51,19 @@ class TestFidelityPure:
                 with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
                     fidelity_pure(e0, arg)
 
+    def test_roundoff_window_is_1e_12(self):
+        # <psi|rho|psi> within 1e-12 outside [0, 1] is roundoff and is clamped; 5e-12 is not
+        w, e0 = w_vector(), np.eye(8, dtype=complex)[0]
+
+        def low(x):  # <e0|rho|e0> = x
+            return np.diag([x, 1 - x, 0, 0, 0, 0, 0, 0]).astype(complex)
+
+        assert fidelity_pure(w, (1 + 5e-13) * outer(w)) == 1.0
+        assert fidelity_pure(e0, low(-5e-13)) == 0.0
+        for psi, rho in ((w, (1 + 5e-12) * outer(w)), (e0, low(-5e-12))):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                fidelity_pure(psi, rho)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fidelity_pure(w_vector(), np.eye(4) / 4)

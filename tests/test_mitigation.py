@@ -69,6 +69,16 @@ class TestCheckCalibrationMatrix:
         with pytest.raises(ValueError, match="not column-stochastic"):
             mitigation_matrix([np.array([[0.9, 0.2], [0.2, 0.9]])])
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_column_sum_tolerance(self, sign):
+        # a column sum within 1e-9 of 1 is roundoff and is accepted; 5e-9 off is not
+        def f(off):
+            return np.array([[0.99, 0.02], [0.01 + sign * off, 0.98]])
+
+        assert np.array_equal(mitigation_matrix([f(5e-10)]), np.linalg.inv(f(5e-10)))
+        with pytest.raises(ValueError, match="not column-stochastic"):
+            mitigation_matrix([f(5e-9)])
+
     def test_singular(self):
         with pytest.raises(ValueError, match="numerically singular"):
             mitigation_matrix([np.full((2, 2), 0.5)])

@@ -233,6 +233,27 @@ class TestCountsFile:
             load_counts_file(path, 3)
 
 
+@pytest.fixture
+def rng_calls(monkeypatch):
+    """Every key given to np.random.default_rng, each with the (table, counts)
+    of its generator's multinomial calls."""
+    calls = []
+    make = np.random.default_rng
+
+    class Recorded:
+        def __init__(self, key):
+            self.rng, self.draws = make(key), []
+            calls.append((key, self.draws))
+
+        def multinomial(self, n, pvals):
+            out = self.rng.multinomial(n, pvals)
+            self.draws.append((np.array(pvals), out.copy()))
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", Recorded)
+    return calls
+
+
 def replay(dists, shots, key):
     """Each group's counts drawn row by row, in order, from default_rng(key)."""
     rng = np.random.default_rng(key)
@@ -278,14 +299,36 @@ class TestSampleCircuits:
 
     @pytest.mark.parametrize("shots", [1, 2**62, 2**63 - 1])
     def test_groups_replay_row_by_row_at_extreme_shots(self, shots):
-        # one multinomial call per group equals row-by-row draws from the same
-        # stream, and every row is a sample of shots, at numpy's int64 limit too
+        # one multinomial call per trial over the right-aligned table equals
+        # row-by-row draws over each group's own outcomes from the same stream,
+        # and every row is a sample of shots, at numpy's int64 limit too
         dists = _noisy_probs(ReadoutModel.ibm_osaka())[2]
         counts = sample_counts(dists, shots, 1234, [0, 1])
         for i, t in enumerate((0, 1)):
             for c, r in zip(counts, replay(dists, shots, [1234, t])):
                 assert np.array_equal(c[i], r), t
         assert all((c.sum(axis=-1) == shots).all() for c in counts)
+
+    @pytest.mark.parametrize("shots", [1, 2**62, 2**63 - 1])
+    def test_one_generator_and_one_multinomial_call_per_trial(self, shots, rng_calls):
+        # trial t makes one generator [seed, t] and one multinomial call over a
+        # (37, 8) table whose rows are right-aligned: the leading zero columns
+        # draw no count, and the last d columns are the group's counts
+        dists = _noisy_probs(ReadoutModel.ibm_osaka())[2]
+        counts = sample_counts(dists, shots, 1234, [0, 1, 2])
+        assert [key for key, _ in rng_calls] == [[1234, t] for t in (0, 1, 2)]
+        for i, (_, draws) in enumerate(rng_calls):
+            [(table, out)] = draws
+            assert table.shape == out.shape == (37, 8)
+            start = 0
+            for c, dist in zip(counts, dists):
+                rows, d = dist.shape
+                group = slice(start, start + rows)
+                assert not table[group, :8 - d].any() and not out[group, :8 - d].any()
+                assert np.array_equal(table[group, 8 - d:], dist)
+                assert np.array_equal(out[group, 8 - d:], c[i])
+                start += rows
+            assert start == 37
 
     def test_outcome_distribution_is_what_sample_shots_draws_from(self):
         p = np.array([[0.25, 0.25, 0.5, 1e-12], [0.1, 0.2, 0.3, 0.4]])

@@ -348,10 +348,12 @@ class TestBatching:
 
     # every file of a small passing run: report, metadata, and per trial the
     # four density files, the calibration file and (when sampled) the counts
-    # file; the exact run pins the noisy tables and the maps that mitigate them
+    # file; the exact run pins the noisy tables and the maps that mitigate them,
+    # and the int64 run the counts at numpy's limit on shots
     GOLDEN_RUNS = {
         "golden_run_seed1234_2x2000": (ExperimentConfig(shots=2000, trials=2, seed=1234), 6),
         "golden_run_exact_2trials": (ExperimentConfig(trials=2, exact=True), 5),
+        "golden_run_int64shots_2trials": (ExperimentConfig(shots=2**63 - 1, trials=2), 6),
     }
 
     @pytest.mark.parametrize("name", GOLDEN_RUNS)
