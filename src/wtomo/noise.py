@@ -113,7 +113,7 @@ def sample_counts(
     without drawing while the remaining mass stays exactly 1.0. So the
     leading zeros draw nothing, and every count is the one that row-by-row
     calls over each group's own outcomes give. The stacks returned are
-    views of one (T, R_total, width) counts block."""
+    views of one counts block, (T, 37, 8) for ``pipeline.LAYOUT``."""
     width = max(dist.shape[-1] for dist in dists)
     table = np.zeros((sum(len(dist) for dist in dists), width))
     blocks, start = [], 0
