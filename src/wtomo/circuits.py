@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import kron_qubits
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -41,10 +43,7 @@ def lift(u: np.ndarray, qubit: int, nqubits: int) -> np.ndarray:
     """Embed a single-qubit gate into the full register (qubit 0 = MSB)."""
     if not 0 <= qubit < nqubits:
         raise ValueError(f"qubit {qubit} out of range for {nqubits} qubits")
-    out = np.eye(1, dtype=complex)
-    for q in range(nqubits):
-        out = np.kron(out, u if q == qubit else I2)
-    return out
+    return kron_qubits(np.array([u if q == qubit else I2 for q in range(nqubits)]))
 
 
 def cnot_matrix(control: int, target: int, nqubits: int) -> np.ndarray:
@@ -85,9 +84,7 @@ class MeasurementSetting:
         return cls(label=label, nqubits=nqubits, basis=label, cnot=None)
 
     def unitary(self) -> np.ndarray:
-        local = np.eye(1, dtype=complex)
-        for c in self.basis:
-            local = np.kron(local, BASIS_CHANGE[c])
+        local = kron_qubits(np.array([BASIS_CHANGE[c] for c in self.basis]))
         if self.cnot is None:
             return local
         return local @ cnot_matrix(*self.cnot, self.nqubits)

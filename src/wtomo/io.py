@@ -2,6 +2,11 @@
 scheme's tables are one (L, d) array in setting order (``tomography``);
 setting labels, bitstrings and qubit names exist only in these files.
 
+The API is one reader and at most one writer per format, the functions the
+CLI and a run directory use: ``save_density`` and ``load_density``,
+``load_counts_file``, ``save_calibration`` and ``load_calibration``,
+``load_readout_model``, ``save_reconstruction`` and ``write_outputs``.
+
 JSON files are written with indent 1, sorted keys and a trailing newline.
 Complex arrays are stored as two real arrays "re" and "im" (row-major). A
 reader raises ``ValueError`` (or ``OSError``, ``KeyError``) for a file it
@@ -30,11 +35,6 @@ if TYPE_CHECKING:
     from .pipeline import ExperimentConfig, TrialResult
     from .wholeparts import ReconstructionResult
 
-REPORT_HEADER = (
-    "trial,shots,f_full_unmitigated,f_full_mitigated,"
-    "f_parts_unmitigated,f_parts_mitigated"
-)
-
 
 def _write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
@@ -62,12 +62,19 @@ def _numbers(obj, holds: str) -> np.ndarray:
 # density files: {"nqubits": n, "re": [[..]], "im": [[..]]}
 
 
-def density_to_json_dict(rho: np.ndarray) -> dict:
-    n = rho.shape[0].bit_length() - 1
-    return {"nqubits": n, "re": np.real(rho).tolist(), "im": np.imag(rho).tolist()}
+def _complex_object(a: np.ndarray) -> dict:
+    """{"nqubits", "re", "im"} of a matrix or vector of 2**nqubits rows."""
+    n = a.shape[0].bit_length() - 1
+    return {"nqubits": n, "re": np.real(a).tolist(), "im": np.imag(a).tolist()}
 
 
-def density_from_json_dict(d: dict) -> np.ndarray:
+def save_density(rho: np.ndarray, path) -> None:
+    _write_json(path, _complex_object(rho))
+
+
+def load_density(path, nqubits: int) -> np.ndarray:
+    """An nqubits Hermitian density matrix with positive trace from a density file."""
+    d = _read_object(path, "a density file holds a JSON object")
     for key in ("nqubits", "re", "im"):
         if key not in d:
             raise ValueError(f"density file has no {key!r}")
@@ -84,20 +91,8 @@ def density_from_json_dict(d: dict) -> np.ndarray:
         raise ValueError(
             f"file holds a state vector of {rho.size} amplitudes, not a density matrix"
         )
-    dim = 2**n
-    if rho.shape != (dim, dim):
+    if rho.shape != (2**n, 2**n):
         raise ValueError(f"matrix shape {rho.shape} inconsistent with nqubits")
-    return rho
-
-
-def save_density(rho: np.ndarray, path) -> None:
-    _write_json(path, density_to_json_dict(rho))
-
-
-def load_density(path, nqubits: int) -> np.ndarray:
-    """An nqubits Hermitian density matrix with positive trace from a density file."""
-    rho = density_from_json_dict(_read_object(path, "a density file holds a JSON object"))
-    n = rho.shape[0].bit_length() - 1
     if n != nqubits:
         raise ValueError(f"density matrix is for {n} qubits, not {nqubits}")
     tr = np.trace(rho).real
@@ -108,28 +103,8 @@ def load_density(path, nqubits: int) -> np.ndarray:
     return rho
 
 
-# counts files: {label -> {bitstring -> count}, "shots", "seed", "noise"}
-
-
-def counts_file_dict(
-    counts: np.ndarray, shots: int, seed: int | list[int], model: ReadoutModel | None
-) -> dict:
-    """Counts-file object of the counts (L, d) of the three- or two-qubit
-    scheme (by d), in setting order; zero counts are left out.
-
-    seed is the key of the stream the counts were drawn from; the pipeline
-    writes its trial's stream key [seed, trial], so
-    ``np.random.default_rng(obj["seed"])`` replays the trial's draws.
-    """
-    nqubits = np.shape(counts)[-1].bit_length() - 1
-    scheme = tomography_scheme(nqubits)
-    obj: dict = {}
-    for label, c in zip(scheme.labels, counts, strict=True):
-        obj[label] = {format(m, f"0{nqubits}b"): int(c[m]) for m in range(len(c)) if c[m]}
-    obj["shots"] = int(shots)
-    obj["seed"] = np.asarray(seed).tolist()
-    obj["noise"] = readout_model_to_json_dict(model) if model is not None else None
-    return obj
+# counts files: {label -> {bitstring -> count}, "shots", "seed", "noise"}, written
+# by write_outputs
 
 
 def load_counts_file(path, nqubits: int) -> np.ndarray:
@@ -209,17 +184,13 @@ def load_calibration(path, nqubits: int) -> np.ndarray:
     return np.array(fs)
 
 
-# noise-model files: {"qA": {"p01": .., "p10": ..}, ...}, read by label
+# noise-model files: {"qA": {"p01": .., "p10": ..}, ...}, read by label; the
+# "noise" of a counts file and of run_metadata.json's "config"
 
 
-def readout_model_to_json_dict(model: ReadoutModel) -> dict:
-    return {
-        f"q{QUBIT_NAMES[i]}": {"p01": q.p01, "p10": q.p10}
-        for i, q in enumerate(model.qubits)
-    }
-
-
-def readout_model_from_json_dict(d: dict) -> ReadoutModel:
+def load_readout_model(path, nqubits: int) -> ReadoutModel:
+    """A readout model of nqubits qubits from a noise-model file."""
+    d = _read_object(path, "a noise-model file holds a JSON object of qubits")
     qubits = []
     for label, v in _by_qubit(d, "noise model").items():
         if not isinstance(v, dict):
@@ -232,13 +203,7 @@ def readout_model_from_json_dict(d: dict) -> ReadoutModel:
         if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in (p01, p10)):
             raise ValueError(f"qubit {label!r}: p01 {p01!r}, p10 {p10!r} are not numbers")
         qubits.append(QubitReadout(p01, p10))
-    return ReadoutModel(tuple(qubits))
-
-
-def load_readout_model(path, nqubits: int) -> ReadoutModel:
-    """A readout model of nqubits qubits from a noise-model file."""
-    d = _read_object(path, "a noise-model file holds a JSON object of qubits")
-    model = readout_model_from_json_dict(d)
+    model = ReadoutModel(tuple(qubits))
     if len(model.qubits) != nqubits:
         raise ValueError(f"noise model covers {len(model.qubits)} qubits, not {nqubits}")
     return model
@@ -247,43 +212,26 @@ def load_readout_model(path, nqubits: int) -> ReadoutModel:
 # the Diosi state file: psi as {"nqubits": 3, "re", "im"} plus its residuals
 
 
-def reconstruction_to_json_dict(result: ReconstructionResult) -> dict:
-    return {
-        "nqubits": 3,
-        "re": np.real(result.psi).tolist(),
-        "im": np.imag(result.psi).tolist(),
+def save_reconstruction(result: ReconstructionResult, path) -> None:
+    _write_json(path, {
+        **_complex_object(result.psi),
         "residual_ab": result.residual_ab,
         "residual_bc": result.residual_bc,
         "truncated_mass": result.truncated_mass,
-    }
-
-
-def save_reconstruction(result: ReconstructionResult, path) -> None:
-    _write_json(path, reconstruction_to_json_dict(result))
+    })
 
 
 # run directories
 
 
-def config_to_json_dict(cfg: ExperimentConfig) -> dict:
-    """The "config" object of run_metadata.json."""
-    return {
-        "shots": cfg.shots,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "noise": readout_model_to_json_dict(cfg.noise) if cfg.noise else None,
-        "mitigate": cfg.mitigate,
-        "exact": cfg.exact,
-        "scheme": cfg.scheme,
-        "rng": RNG_ALGORITHM,
-    }
-
-
-def report_csv_text(cfg: ExperimentConfig, results: list[TrialResult]) -> str:
-    """report.csv: one row per trial, fidelities to 6 decimals. A failed trial
-    reads "error" for its shots and keeps the fidelities of the passes it
-    completed; the others are empty."""
-    lines = [REPORT_HEADER]
+def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) -> None:
+    """Write a run directory (see the module docstring). In report.csv, one row
+    per trial, fidelities to 6 decimals: a failed trial reads "error" for its
+    shots and keeps the fidelities of the passes it completed; the others are
+    empty."""
+    out.mkdir(parents=True, exist_ok=True)
+    lines = ["trial,shots,f_full_unmitigated,f_full_mitigated,"
+             "f_parts_unmitigated,f_parts_mitigated"]
     for r in results:
         u, m = (
             (f"{p.f_full:.6f}", f"{p.f_parts:.6f}") if p is not None else ("", "")
@@ -291,28 +239,31 @@ def report_csv_text(cfg: ExperimentConfig, results: list[TrialResult]) -> str:
         )
         shots = cfg.shots if r.error is None and r.reports else "error"
         lines.append(f"{r.trial_id},{shots},{u[0]},{m[0]},{u[1]},{m[1]}")
-    return "\n".join(lines) + "\n"
-
-
-def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) -> None:
-    """Write a run directory (see the module docstring)."""
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.csv").write_text(report_csv_text(cfg, results))
+    (out / "report.csv").write_text("\n".join(lines) + "\n")
+    noise = None if cfg.noise is None else {  # a noise-model file's object
+        f"q{name}": {"p01": q.p01, "p10": q.p10} for name, q in zip(QUBIT_NAMES, cfg.noise.qubits)
+    }
     _write_json(out / "run_metadata.json", {
-        "config": config_to_json_dict(cfg),
+        "config": {"shots": cfg.shots, "trials": cfg.trials, "seed": cfg.seed, "noise": noise,
+                   "mitigate": cfg.mitigate, "exact": cfg.exact, "scheme": cfg.scheme,
+                   "rng": RNG_ALGORITHM},
         "errors": {r.trial_id: r.error for r in results if r.error},
     })
+    labels = tomography_scheme(3).labels
     for r in results:
         tdir = out / f"trial_{r.trial_id}"
         tdir.mkdir(exist_ok=True)
         for name, rho in r.matrices.items():
-            obj = density_to_json_dict(rho)
+            obj = _complex_object(rho)
             if name == "rho_parts":
                 obj.update(r.residuals)
             _write_json(tdir / f"{name}.json", obj)
+        # zero counts are left out; default_rng(seed) replays the trial's draws
         if r.counts is not None:
-            _write_json(tdir / "counts_3q.json", counts_file_dict(
-                r.counts, cfg.shots, [cfg.seed, r.trial_id], cfg.noise
-            ))
+            tables = {label: {format(k, "03b"): int(c) for k, c in enumerate(row) if c}
+                      for label, row in zip(labels, r.counts, strict=True)}
+            _write_json(tdir / "counts_3q.json", {
+                **tables, "shots": cfg.shots, "seed": [cfg.seed, r.trial_id], "noise": noise,
+            })
         if r.calibration is not None:
             save_calibration(r.calibration, tdir / "calibration.json")

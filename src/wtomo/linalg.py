@@ -107,7 +107,8 @@ def nqubits_of(rho: np.ndarray) -> int:
 
 
 def partial_trace(rho: np.ndarray, keep: list[int] | tuple[int, ...]) -> np.ndarray:
-    """Reduced density matrix on the kept qubits (order preserved).
+    """Reduced density matrix on the kept qubits, in register order:
+    keep [1, 0] gives the (0, 1) marginal.
 
     Qubit 0 is the most significant bit of the basis index.
     """

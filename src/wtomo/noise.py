@@ -40,6 +40,13 @@ class QubitReadout:
     p01: float
     p10: float
 
+    def __post_init__(self):
+        real = (int, float, np.integer, np.floating)  # bool is an int subclass
+        for name in ("p01", "p10"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+
     def calibration_matrix(self) -> np.ndarray:
         """Column-stochastic 2x2 matrix [[p(0|0), p(0|1)], [p(1|0), p(1|1)]]."""
         return np.array([[1 - self.p10, self.p01], [self.p10, 1 - self.p01]])
@@ -53,6 +60,8 @@ class ReadoutModel:
 
     def __post_init__(self):
         for q in self.qubits:
+            if not isinstance(q, QubitReadout):
+                raise TypeError(f"qubits must hold QubitReadout entries, got {q!r}")
             if not (0 <= q.p01 <= 1 and 0 <= q.p10 <= 1):
                 raise ValueError(f"confusion probabilities out of range: {q}")
 

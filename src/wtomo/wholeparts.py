@@ -12,8 +12,8 @@ stacks, (rho_A, rho_C) and (rho_BC, rho_AB), with one eig_hermitian call
 each (see _top2), and the phases come from one contraction over the shared
 qubit B (see _phase_matrix). States whose single-party spectra are
 degenerate (GHZ-like), or whose branches the overlaps do not link, are not
-determined by their marginals and are rejected rather than guessed; a
-degenerate rho_A beside a pure rho_C is the pure rho_AB times rho_C.
+determined by their marginals and are rejected rather than guessed; a pure
+rho_C makes the state the pure rho_AB times rho_C.
 
 Each check flags (``linalg.flag``) the failing pairs of a stack in a dict of
 errors, and the other pairs come out as alone; with None, the first raises.
@@ -83,6 +83,9 @@ class MarginalPair:
     eps_b: float
 
     def __post_init__(self):
+        real = (int, float, np.integer, np.floating)  # bool is an int subclass
+        if isinstance(self.eps_b, bool) or not isinstance(self.eps_b, real):
+            raise TypeError(f"eps_b must be a real number, got {self.eps_b!r}")
         if not (np.isfinite(self.eps_b) and self.eps_b >= 0):
             # a NaN would pass every shared-qubit consistency check
             raise ValueError(f"eps_b must be a finite number >= 0, got {self.eps_b}")
@@ -231,10 +234,9 @@ def _diosi_reconstruct(pair: MarginalPair, errors: dict | None) -> Reconstructio
             "input too mixed for a pure-state hypothesis"
         ))
     m = _phase_matrix(lam_a, lam_c, vec_a, vec_c, vec_ab, vec_bc)
-    # a degenerate rho_A beside one live C branch (the mirror of a lone A branch) is
-    # that branch alone: no phase to solve, and C's spectrum fails no _solve_phases check
-    lone_c = ((np.abs(lam_a[..., 0] - lam_a[..., 1]) <= DEGENERACY_GAP)
-              & (lam_c[..., 1] <= LIVE_WEIGHT))[..., None]
+    # a pure rho_C, one live C branch (the mirror of a lone A branch), is that branch
+    # alone: no phase to solve, and C's spectrum fails no _solve_phases check
+    lone_c = (lam_c[..., 1] <= LIVE_WEIGHT)[..., None]
     alpha = _solve_phases(np.where(lone_c, lam_c, lam_a), m, errors)
     weights = np.exp(1j * alpha) * np.sqrt(lam_a)
     lead = alpha.shape[:-1]

@@ -73,3 +73,23 @@ def test_every_public_default_has_a_caller():
             if p.default is not p.empty and p.name not in passed
         ]
     assert unused == []
+
+
+# one reader and at most one writer per file format: the functions the CLI
+# and a run directory use
+IO_API = {"save_density", "load_density", "load_counts_file", "save_calibration",
+          "load_calibration", "load_readout_model", "save_reconstruction", "write_outputs"}
+
+
+def test_io_names_only_the_files_the_cli_and_a_run_directory_use():
+    tree = ast.parse((ROOT / "src" / "wtomo" / "io.py").read_text())
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert sorted(name for name in defined if not name.startswith("_")) == sorted(IO_API)
+    used = set().union(*map(used_names, caller_trees()))
+    assert sorted(IO_API - used) == []

@@ -259,7 +259,8 @@ def test_calibration_file_is_checked(matrices, message, tmp_path):
                          ids=["re-string", "re-bool", "im-bool", "im-huge-int"])
 def test_density_entries_are_json_numbers(key, entry, tmp_path):
     path = tmp_path / "rho.json"
-    d = io.density_to_json_dict(np.eye(2) / 2)
+    io.save_density(np.eye(2) / 2, path)
+    d = json.loads(path.read_text())
     d[key][0][0] = entry
     path.write_text(json.dumps(d))
     with pytest.raises(ValueError) as exc:
@@ -269,6 +270,7 @@ def test_density_entries_are_json_numbers(key, entry, tmp_path):
 
 FS = [[[0.9, 0.2], [0.1, 0.8]], [[0.95, 0.3], [0.05, 0.7]], [[0.99, 0.4], [0.01, 0.6]]]
 NOISY = ReadoutModel((QubitReadout(0.1, 0.2), QubitReadout(0.3, 0.4), QubitReadout(0.5, 0.25)))
+NOISY_OBJECT = {f"q{name}": {"p01": q.p01, "p10": q.p10} for name, q in zip("ABC", NOISY.qubits)}
 
 
 def test_files_are_read_by_qubit_label(tmp_path):
@@ -276,8 +278,7 @@ def test_files_are_read_by_qubit_label(tmp_path):
     calibration, noise = tmp_path / "calibration.json", tmp_path / "noise.json"
     calibration.write_text(json.dumps({"qC": FS[2], "qA": FS[0], "qB": FS[1]}))
     assert np.array_equal(io.load_calibration(calibration, 3), FS)
-    d = io.readout_model_to_json_dict(NOISY)
-    noise.write_text(json.dumps({q: d[q] for q in ("qC", "qA", "qB")}))
+    noise.write_text(json.dumps({q: NOISY_OBJECT[q] for q in ("qC", "qA", "qB")}))
     assert io.load_readout_model(noise, 3) == NOISY
 
 
@@ -290,8 +291,7 @@ def test_qubit_labels_are_checked(labels, tmp_path):
     calibration.write_text(json.dumps(dict(zip(labels, FS))))
     with pytest.raises(ValueError, match="^calibration file " + message):
         io.load_calibration(calibration, 2)
-    d = io.readout_model_to_json_dict(NOISY)
-    noise.write_text(json.dumps(dict(zip(labels, d.values()))))
+    noise.write_text(json.dumps(dict(zip(labels, NOISY_OBJECT.values()))))
     with pytest.raises(ValueError, match="^noise model " + message):
         io.load_readout_model(noise, 2)
 
@@ -338,10 +338,11 @@ def test_run_directory(tmp_path):
     assert np.array_equal(io.load_counts_file(out / "trial_0" / "counts_3q.json", 3), good.counts)
     meta = json.loads((out / "trial_0" / "counts_3q.json").read_text())
     assert meta["shots"] == 10 and meta["seed"] == [7, 0]
-    assert io.readout_model_from_json_dict(meta["noise"]) == MODEL
+    (tmp_path / "noise.json").write_text(json.dumps(meta["noise"]))
+    assert io.load_readout_model(tmp_path / "noise.json", 3) == MODEL
     assert np.array_equal(io.load_density(out / "trial_0" / "rho_parts.json", 1), np.diag([1, 0]))
     parts = json.loads((out / "trial_0" / "rho_parts.json").read_text())
     assert {k: parts[k] for k in residuals} == residuals
     meta = json.loads((out / "run_metadata.json").read_text())
-    assert meta["config"] == io.config_to_json_dict(cfg)
+    assert meta["config"]["noise"] == json.loads(NOISE_FILE)
     assert meta["errors"] == {"1": "ReconstructionError: x"}

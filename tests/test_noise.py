@@ -1,15 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from wtomo.circuits import MeasurementSetting, w_vector
-from wtomo.io import (
-    counts_file_dict,
-    load_counts_file,
-    readout_model_from_json_dict,
-    readout_model_to_json_dict,
-)
+from wtomo.io import load_counts_file, load_readout_model, write_outputs
 from wtomo.linalg import outer
 from wtomo.noise import (
     IBM_OSAKA_READOUT,
@@ -21,8 +17,14 @@ from wtomo.noise import (
     outcome_distribution,
     sample_counts,
 )
-from wtomo.pipeline import ExperimentConfig, _noisy_probs, run_pipeline
+from wtomo.pipeline import ExperimentConfig, TrialResult, _noisy_probs, run_pipeline
 from wtomo.tomography import tomography_scheme
+
+
+def written_counts(tmp_path, cfg, counts):
+    """The counts_3q.json object write_outputs writes for counts as trial 0 of cfg."""
+    write_outputs(cfg, [TrialResult(0, counts=counts)], tmp_path / "run")
+    return json.loads((tmp_path / "run" / "trial_0" / "counts_3q.json").read_text())
 
 
 def sample_shots_per_flip(
@@ -108,14 +110,35 @@ class TestReadoutModel:
         sub = model.subset([1, 2])
         assert sub.qubits == model.qubits[1:]
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
+        # the "noise" of run_metadata.json's config is a noise-model file
         model = ReadoutModel.ibm_osaka()
-        again = readout_model_from_json_dict(readout_model_to_json_dict(model))
-        assert again == model
+        write_outputs(ExperimentConfig(noise=model), [], tmp_path / "run")
+        config = json.loads((tmp_path / "run" / "run_metadata.json").read_text())["config"]
+        (tmp_path / "noise.json").write_text(json.dumps(config["noise"]))
+        assert load_readout_model(tmp_path / "noise.json", 3) == model
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
             ReadoutModel((QubitReadout(1.5, 0.0),))
+
+    @pytest.mark.parametrize("p01, p10, message", [
+        (0.1, "a", "p10 must be a real number, got 'a'"),
+        (True, 0.0, "p01 must be a real number, got True"),
+        (None, 0.1, "p01 must be a real number, got None"),
+        (0.1, 1j, "p10 must be a real number, got 1j"),
+    ], ids=["string", "bool", "none", "complex"])
+    def test_probabilities_must_be_real_numbers(self, p01, p10, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            QubitReadout(p01, p10)
+
+    def test_integer_probabilities_are_valid(self):
+        model = ReadoutModel((QubitReadout(0, 1), QubitReadout(np.int64(1), np.float32(0.5))))
+        assert np.array_equal(model.confusion_matrix().sum(axis=0), np.ones(4))
+
+    def test_qubits_must_be_qubit_readouts(self):
+        with pytest.raises(TypeError, match="^qubits must hold QubitReadout entries, got 'x'$"):
+            ReadoutModel(("x",) * 3)
 
     def test_model_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -177,18 +200,18 @@ class TestCountsFile:
     def test_roundtrip(self, tmp_path):
         counts = np.arange(17 * 8).reshape(17, 8) % 7  # a zero in every row, none all zero
         model = ReadoutModel.ibm_osaka()
-        obj = counts_file_dict(counts, 600, 1234, model)
-        path = tmp_path / "counts.json"
-        path.write_text(json.dumps(obj))
-        assert obj["shots"] == 600 and obj["seed"] == 1234
-        assert obj["noise"] == readout_model_to_json_dict(model)
+        obj = written_counts(tmp_path, ExperimentConfig(shots=600, seed=1234, noise=model), counts)
+        assert obj["shots"] == 600 and obj["seed"] == [1234, 0]
+        (tmp_path / "noise.json").write_text(json.dumps(obj["noise"]))
+        assert load_readout_model(tmp_path / "noise.json", 3) == model
         # the reader skips shots, seed and noise, and returns the tables in setting order
+        path = tmp_path / "run" / "trial_0" / "counts_3q.json"
         assert np.array_equal(load_counts_file(path, 3), counts)
 
-    def test_zero_counts_omitted(self):
+    def test_zero_counts_omitted(self, tmp_path):
         counts = np.ones((17, 8), dtype=int)
         counts[0] = [0, 5, 0, 0, 7, 0, 0, 0]
-        obj = counts_file_dict(counts, 12, 0, None)
+        obj = written_counts(tmp_path, ExperimentConfig(shots=12, noise=None), counts)
         assert set(obj["ZZZ"]) == {"001", "100"}
         assert obj["noise"] is None
 
@@ -199,14 +222,16 @@ class TestCountsFile:
         path.write_text(json.dumps(obj))
         assert load_counts_file(path, 3)[0].tolist() == [2**63 - 1, 0, 0, 0, 0, 0, 0, 1]
 
-    def test_table_width_picks_the_scheme(self):
-        # (7, 4) tables are the two-qubit settings in order, with 2-bit strings
+    def test_two_qubit_tables_load_in_setting_order(self, tmp_path):
+        # 2-bit tables, listed in reverse, come back as the (7, 4) two-qubit settings in order
         counts = np.arange(1, 29).reshape(7, 4)
-        obj = counts_file_dict(counts, 4, 0, None)
-        assert list(obj)[:7] == list(tomography_scheme(2).labels)
-        assert obj["CYZ_AB"] == {"00": 25, "01": 26, "10": 27, "11": 28}
-        with pytest.raises(ValueError):
-            counts_file_dict(np.ones((16, 8), dtype=int), 4, 0, None)
+        labels = tomography_scheme(2).labels
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({
+            label: {format(k, "02b"): int(c) for k, c in enumerate(row)}
+            for label, row in reversed(list(zip(labels, counts)))
+        }))
+        assert np.array_equal(load_counts_file(path, 2), counts)
 
     @pytest.mark.parametrize("table, message", [
         ({"000": 5, "1111": 3}, "mixes bitstrings of lengths \\[3, 4\\]"),

@@ -18,12 +18,9 @@ from wtomo.circuits import (
 )
 from wtomo.cli import EXIT_OK, EXIT_PARTIAL, EXIT_RECONSTRUCTION, build_parser, main
 from wtomo.io import (
-    counts_file_dict,
-    density_to_json_dict,
+    load_counts_file,
     load_density,
-    readout_model_from_json_dict,
-    readout_model_to_json_dict,
-    report_csv_text,
+    load_readout_model,
     save_calibration,
     save_density,
     save_reconstruction,
@@ -187,6 +184,18 @@ class TestRunTrial:
                 assert np.array_equal(dist[j], outcome_distribution(row)), (g, j)
 
 
+def report_text(cfg, results, out):
+    """report.csv of the run directory write_outputs makes at out."""
+    write_outputs(cfg, results, out)
+    return (out / "report.csv").read_text()
+
+
+def density_object(rho, path):
+    """The density file save_density writes for rho at path, as its JSON object."""
+    save_density(rho, path)
+    return json.loads(path.read_text())
+
+
 def injecting(targets):
     """The pipeline's Diosi core, flagging each pair of a stack of any leading
     shape whose rho_ab is one of targets."""
@@ -229,7 +238,7 @@ class TestBatching:
             for name in r.matrices:
                 assert np.array_equal(r.matrices[name], one.matrices[name]), name
 
-    def test_a_failing_trial_fails_alone(self, monkeypatch):
+    def test_a_failing_trial_fails_alone(self, monkeypatch, tmp_path):
         # Diosi flags trial 2's mitigated AB marginal; the others come out as
         # in a clean run
         clean = run_pipeline(self.CFG)
@@ -240,7 +249,7 @@ class TestBatching:
                                               None, None, None]
         # the unmitigated pass of trial 2 ran before the failure and is kept
         u = clean[2].reports[False]
-        assert report_csv_text(self.CFG, results).splitlines()[3] == (
+        assert report_text(self.CFG, results, tmp_path).splitlines()[3] == (
             f"2,error,{u.f_full:.6f},,{u.f_parts:.6f},"
         )
         assert results[2].reports[False] == u
@@ -331,20 +340,20 @@ class TestBatching:
         assert errors[31].startswith(prefix) and errors[31].endswith(suffix)
         assert float(errors[31][len(prefix):-len(suffix)]) < 1e-15
 
-    def test_golden_report(self):
+    def test_golden_report(self, tmp_path):
         # report.csv of seed 1234, 20 trials, 2000 shots, both schemes, mitigated,
         # as written when sampling became one stream per trial
         golden = Path(__file__).parent / "data" / "report_seed1234_20x2000.csv"
         cfg = ExperimentConfig(shots=2000, trials=20, seed=1234, scheme="both", mitigate=True)
-        assert report_csv_text(cfg, run_pipeline(cfg)) == golden.read_text()
+        assert report_text(cfg, run_pipeline(cfg), tmp_path) == golden.read_text()
 
-    def test_golden_report_of_a_three_word_seed(self):
+    def test_golden_report_of_a_three_word_seed(self, tmp_path):
         # seed 2**64 + 3 spans three 32-bit words, so every stream key
         # [seed, t] is a multi-word key; report.csv as written when sampling
         # became one stream per trial
         golden = Path(__file__).parent / "data" / "report_seed2p64p3_3x2000.csv"
         cfg = ExperimentConfig(shots=2000, trials=3, seed=2**64 + 3, scheme="both", mitigate=True)
-        assert report_csv_text(cfg, run_pipeline(cfg)) == golden.read_text()
+        assert report_text(cfg, run_pipeline(cfg), tmp_path) == golden.read_text()
 
     # every file of a small passing run: report, metadata, and per trial the
     # four density files, the calibration file and (when sampled) the counts
@@ -391,9 +400,8 @@ class TestDeterminism:
     def test_different_seed_differs(self, tmp_path):
         base = ExperimentConfig(shots=3000, trials=1, seed=99)
         other = ExperimentConfig(shots=3000, trials=1, seed=100)
-        ra = run_pipeline(base)
-        rb = run_pipeline(other)
-        assert report_csv_text(base, ra) != report_csv_text(other, rb)
+        ra = report_text(base, run_pipeline(base), tmp_path / "a")
+        assert ra != report_text(other, run_pipeline(other), tmp_path / "b")
 
     def test_stream_keys_are_distinct(self, monkeypatch):
         # every trial draws from its own stream [seed, t]: one generator per
@@ -472,11 +480,13 @@ class TestOutputs:
             tdir = out / f"trial_{t}"
             obj = json.loads((tdir / "counts_3q.json").read_text())
             assert obj["seed"] == [1234, t]
-            model = readout_model_from_json_dict(obj["noise"])
+            noise = tmp_path / f"noise_{t}.json"
+            noise.write_text(json.dumps(obj["noise"]))
+            model = load_readout_model(noise, 3)
             rng = np.random.default_rng(obj["seed"])
             draws = [np.array([rng.multinomial(obj["shots"], row) for row in dist])
                      for dist in pipeline._noisy_probs(model)[2]]
-            assert obj == counts_file_dict(draws[0], obj["shots"], obj["seed"], model)
+            assert np.array_equal(load_counts_file(tdir / "counts_3q.json", 3), draws[0])
             calibration = draws[3].reshape(3, 2, 2).swapaxes(-1, -2) / obj["shots"]
             saved = tmp_path / f"calibration_{t}.json"
             save_calibration(calibration, saved)
@@ -914,7 +924,7 @@ class TestCli:
         # numpy's float conversion once read these, and fidelity printed 0.992535
         f, out = tmp_path / "rho.json", tmp_path / "out.json"
         rho = outer(w_vector())
-        d = density_to_json_dict(rho if command[0] == "fidelity" else partial_trace(rho, [0, 1]))
+        d = density_object(rho if command[0] == "fidelity" else partial_trace(rho, [0, 1]), f)
         d[key] = [[entry(v) for v in row] for row in d[key]]
         f.write_text(json.dumps(d))
         with pytest.raises(SystemExit) as exc:  # a string code: exit status 1
@@ -945,7 +955,7 @@ class TestCli:
     def test_density_file_names_its_missing_key_or_shapes(self, command, dim, drop, im, message,
                                                           tmp_path):
         f, out = tmp_path / "rho.json", tmp_path / "out.json"
-        d = density_to_json_dict(np.eye(dim) / dim)
+        d = density_object(np.eye(dim) / dim, f)
         if drop:
             del d[drop]
         if im is not None:
@@ -961,7 +971,7 @@ class TestCli:
     def test_density_file_nqubits_is_reported(self, literal, shown, tmp_path):
         # each once ended in a TypeError or OverflowError traceback
         f = tmp_path / "rho.json"
-        d = density_to_json_dict(np.eye(8) / 8)
+        d = density_object(np.eye(8) / 8, f)
         f.write_text(json.dumps(d).replace('"nqubits": 3', f'"nqubits": {literal}'))
         with pytest.raises(SystemExit) as exc:  # a string code: exit status 1
             main(["fidelity", str(f)])
@@ -1016,10 +1026,24 @@ class TestCli:
         assert exc.value.code == f"cannot read {noise}: {message}"
         assert not (tmp_path / "run").exists()
 
+    def test_a_noise_file_of_table_3_gives_the_golden_run(self, tmp_path):
+        # the default model read back from a noise-model file: the same run, byte for byte
+        golden = Path(__file__).parent / "data" / "golden_run_seed1234_2x2000"
+        noise, out = tmp_path / "noise.json", tmp_path / "run"
+        noise.write_text('{"qA": {"p01": 0.023, "p10": 0.008}, "qB": {"p01": 0.004, "p10": 0.009}, '
+                         '"qC": {"p01": 0.030, "p10": 0.034}}')
+        assert main(["pipeline", "--noise", str(noise), "--trials", "2", "--shots", "2000",
+                     "--seed", "1234", "--out", str(out)]) == EXIT_OK
+        files = sorted(p.relative_to(golden) for p in golden.rglob("*") if p.is_file())
+        assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
+        for f in files:
+            assert (out / f).read_bytes() == (golden / f).read_bytes(), f
+
     def test_noise_model_of_wrong_size_is_reported(self, tmp_path):
         noise = tmp_path / "noise.json"
         model = ReadoutModel.ibm_osaka().subset([0, 1])
-        noise.write_text(json.dumps(readout_model_to_json_dict(model)))
+        noise.write_text(json.dumps({f"q{name}": {"p01": q.p01, "p10": q.p10}
+                                     for name, q in zip("AB", model.qubits)}))
         with pytest.raises(SystemExit) as exc:
             main(["pipeline", "--noise", str(noise), "--out", str(tmp_path / "run")])
         assert exc.value.code == f"cannot read {noise}: noise model covers 2 qubits, not 3"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wtomo.circuits import w_vector
-from wtomo.io import density_from_json_dict, density_to_json_dict, load_density, save_density
+from wtomo.io import load_density, save_density
 from wtomo.linalg import outer, partial_trace
 from wtomo.noise import exact_probs
 from wtomo.tomography import (
@@ -208,12 +208,9 @@ class TestSerialization:
         save_density(rho, path)
         assert np.abs(load_density(path, 3) - rho).max() <= 1e-15
 
-    def test_dict_roundtrip(self, rng):
-        rho = random_density(4, rng)
-        assert np.allclose(density_from_json_dict(density_to_json_dict(rho)), rho)
-
-    def test_shape_mismatch_rejected(self):
-        d = density_to_json_dict(np.eye(4) / 4)
-        d["nqubits"] = 3
-        with pytest.raises(ValueError):
-            density_from_json_dict(d)
+    def test_shape_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "rho.json"
+        save_density(np.eye(4) / 4, path)
+        path.write_text(path.read_text().replace('"nqubits": 2', '"nqubits": 3'))
+        with pytest.raises(ValueError, match="inconsistent with nqubits"):
+            load_density(path, 3)

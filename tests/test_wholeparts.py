@@ -1,3 +1,4 @@
+import json
 import re
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtomo.circuits import w_vector
-from wtomo.io import reconstruction_to_json_dict
+from wtomo.io import save_reconstruction
 from wtomo.linalg import eig_hermitian, outer, partial_trace
 from wtomo import wholeparts
 from wtomo.wholeparts import (
@@ -61,6 +62,20 @@ class TestSinglePartyMarginals:
         rho = np.diag([1.0, 0, 0, 0]).astype(complex)
         with pytest.raises(ValueError, match="eps_b must be a finite number >= 0"):
             MarginalPair(rho, rho, eps_b)
+
+    @pytest.mark.parametrize("eps_b", [True, "0.1", None, 1j, np.True_],
+                             ids=["bool", "string", "none", "complex", "numpy-bool"])
+    def test_eps_b_must_be_a_real_number(self, eps_b):
+        # each once passed, or failed inside numpy with a message that named no field
+        rho = np.diag([1.0, 0, 0, 0]).astype(complex)
+        message = f"^eps_b must be a real number, got {re.escape(repr(eps_b))}$"
+        with pytest.raises(TypeError, match=message):
+            MarginalPair(rho, rho, eps_b)
+
+    @pytest.mark.parametrize("eps_b", [0, np.int64(1), np.float32(0.25)], ids=repr)
+    def test_integer_and_numpy_eps_b_are_numbers(self, eps_b):
+        rho = np.diag([1.0, 0, 0, 0]).astype(complex)
+        assert MarginalPair(rho, rho, eps_b).eps_b == eps_b
 
     def test_unnormalized_inputs_renormalize_without_warning(self):
         pair = marginal_pair_of(w_vector())
@@ -215,6 +230,23 @@ class TestSolvePhases:
         res = diosi_reconstruct(marginal_pair_of(psi))
         assert abs(np.vdot(psi, res.psi)) >= 1 - 1e-10
 
+    @pytest.mark.parametrize("eps, live", [(5e-13, False), (5e-12, True)],
+                             ids=["rounding", "live"])
+    def test_live_weight_bounds_a_live_branch(self, eps, live, rng):
+        # sqrt(1 - eps)|0>|f0> + sqrt(eps)|1>|f1> with f0 ⟂ f1: below LIVE_WEIGHT
+        # (1e-12) the weak A branch is rounding and needs no phase; above it the
+        # branch is live, and its overlaps, of order eps, are below
+        # PHASE_MAGNITUDE_FLOOR (1e-8), so its phase is not guessed
+        f0, f1 = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0].T
+        psi = np.sqrt(1 - eps) * np.kron([1, 0], f0) + np.sqrt(eps) * np.kron([0, 1], f1)
+        if live:
+            with pytest.raises(UnderdeterminedPhaseError,
+                               match="^no usable overlap constraint for branch 1$"):
+                diosi_reconstruct(marginal_pair_of(psi))
+        else:
+            res = diosi_reconstruct(marginal_pair_of(psi))
+            assert abs(abs(np.vdot(psi, res.psi)) - 1.0) <= 1e-12
+
     def test_real_nonnegative_state_gives_sign_factors(self, rng):
         # for a real, entrywise non-negative global state the solved branch
         # phase factors are +-1 (real) under the deterministic eigenvector
@@ -272,6 +304,17 @@ class TestDiosiReconstruct:
         res = diosi_reconstruct(marginal_pair_of(psi))
         assert abs(abs(np.vdot(psi, res.psi)) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("eps", [5e-13, 5e-12, 5e-10, 5e-8, 1e-4])
+    def test_a_pure_c_beside_a_weakly_entangled_pair(self, eps):
+        # (sqrt(1 - eps)|0>|chi0> + sqrt(eps)|1>|chi1>)_AB ⊗ |0>_C: rho_C is pure, so
+        # the state is |0;AB> ⊗ |0;C>. At 5e-12 and 5e-10 A's weak branch is live
+        # but overlaps no C branch above the floor, and the state was once rejected
+        ab = (np.sqrt(1 - eps) * np.kron([1, 0], [1, 0])
+              + np.sqrt(eps) * np.kron([0, 1], [0.6, 0.8]))
+        psi = np.kron(ab, [1, 0]).astype(complex)
+        res = diosi_reconstruct(marginal_pair_of(psi, eps_b=1e-8))
+        assert abs(abs(np.vdot(psi, res.psi)) - 1.0) <= 1e-12
+
     def test_two_eigendecompositions(self, monkeypatch, rng):
         # one stack of the two single-qubit marginals, one of the two pairs
         calls = []
@@ -289,11 +332,13 @@ class TestDiosiReconstruct:
         assert list(res.truncated_mass) == ["rho_bc", "rho_ab"]
         assert all(v <= 1e-10 for v in res.truncated_mass.values())
 
-    def test_json_dict(self, rng):
+    def test_state_file(self, tmp_path):
         res = diosi_reconstruct(marginal_pair_of(w_vector()))
-        d = reconstruction_to_json_dict(res)
+        path = tmp_path / "psi.json"
+        save_reconstruction(res, path)
+        d = json.loads(path.read_text())
         psi = np.array(d["re"]) + 1j * np.array(d["im"])
-        assert np.allclose(psi, res.psi)
+        assert np.array_equal(psi, res.psi)
         assert d["nqubits"] == 3
 
 
