@@ -59,9 +59,11 @@ class ReadoutModel:
     qubits: tuple[QubitReadout, ...]
 
     def __post_init__(self):
+        # a list would be accepted here, then fail to hash in a run
+        if not (isinstance(self.qubits, tuple)
+                and all(isinstance(q, QubitReadout) for q in self.qubits)):
+            raise TypeError(f"qubits must be a tuple of QubitReadout, got {self.qubits!r}")
         for q in self.qubits:
-            if not isinstance(q, QubitReadout):
-                raise TypeError(f"qubits must hold QubitReadout entries, got {q!r}")
             if not (0 <= q.p01 <= 1 and 0 <= q.p10 <= 1):
                 raise ValueError(f"confusion probabilities out of range: {q}")
 

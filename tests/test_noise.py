@@ -136,9 +136,12 @@ class TestReadoutModel:
         model = ReadoutModel((QubitReadout(0, 1), QubitReadout(np.int64(1), np.float32(0.5))))
         assert np.array_equal(model.confusion_matrix().sum(axis=0), np.ones(4))
 
-    def test_qubits_must_be_qubit_readouts(self):
-        with pytest.raises(TypeError, match="^qubits must hold QubitReadout entries, got 'x'$"):
-            ReadoutModel(("x",) * 3)
+    @pytest.mark.parametrize("qubits", [("x",) * 3, [QubitReadout(0.1, 0.2)] * 3, 5],
+                             ids=["strings", "list", "int"])
+    def test_qubits_must_be_a_tuple_of_qubit_readouts(self, qubits):
+        message = f"^qubits must be a tuple of QubitReadout, got {re.escape(repr(qubits))}$"
+        with pytest.raises(TypeError, match=message):
+            ReadoutModel(qubits)
 
     def test_model_size_mismatch(self):
         with pytest.raises(ValueError):
