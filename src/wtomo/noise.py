@@ -3,11 +3,11 @@ confusion and finite-shot sampling.
 
 All sampling uses numpy's PCG64 generator; a fixed seed gives a bit-for-bit
 reproducible stream. In a simulated run trial t draws from one stream,
-``default_rng([seed, t])``: the rows of its four circuit groups
-(``pipeline.LAYOUT``) in order, in one multinomial call over a table that
-right-aligns each row, whose leading zeros draw nothing (``sample_counts``).
-So no two trials share a stream, and ``RNG_ALGORITHM`` names this keying
-rule.
+``default_rng([seed, t])``: every circuit of the trial in one multinomial
+call over the (37, 8) table ``pipeline._noisy_probs`` builds once per noise
+model, one right-aligned row per circuit, whose leading zeros draw nothing
+(``sample_counts``). So no two trials share a stream, and ``RNG_ALGORITHM``
+names this keying rule.
 """
 
 from __future__ import annotations
@@ -109,34 +109,20 @@ def outcome_distribution(p: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def sample_counts(
-    dists: list[np.ndarray], shots: int, seed: int, trials: list[int]
-) -> list[np.ndarray]:
-    """One (T, R, d) counts stack per (R, d) distribution of dists. Trial t
-    draws every row in one multinomial call from its own stream
-    ``default_rng([seed, t])``, so its counts do not depend on the other
-    trials. numpy rejects a negative seed or t (``ValueError: expected
-    non-negative integer``).
+def sample_counts(dist: np.ndarray, shots: int, seed: int, trials: list[int]) -> np.ndarray:
+    """(T, R, d) counts of the (R, d) distribution dist. Trial t draws every
+    row in one multinomial call from its own stream ``default_rng([seed, t])``,
+    so its counts do not depend on the other trials. numpy rejects a negative
+    seed or t (``ValueError: expected non-negative integer``).
 
-    The call's table stacks the groups in order, each row right-aligned: a
-    d-outcome row fills the last d columns and zeros lead it. numpy draws a
-    row as a chain of binomials, and a binomial with p == 0 returns 0
-    without drawing while the remaining mass stays exactly 1.0. So the
-    leading zeros draw nothing, and every count is the one that row-by-row
-    calls over each group's own outcomes give. The stacks returned are
-    views of one counts block, (T, 37, 8) for ``pipeline.LAYOUT``."""
-    width = max(dist.shape[-1] for dist in dists)
-    table = np.zeros((sum(len(dist) for dist in dists), width))
-    blocks, start = [], 0
-    for dist in dists:
-        rows, d = dist.shape
-        table[start:start + rows, width - d:] = dist
-        blocks.append((slice(start, start + rows), slice(width - d, None)))
-        start += rows
-    counts = np.empty((len(trials), *table.shape), dtype=np.int64)
+    numpy draws a row as a chain of binomials, and a binomial with p == 0
+    returns 0 without drawing while the remaining mass stays exactly 1.0. So
+    zeros that lead a row draw nothing: a row right-aligned in a wider table
+    gets the counts a call over its own outcomes gives."""
+    counts = np.empty((len(trials), *dist.shape), dtype=np.int64)
     for i, t in enumerate(trials):
-        counts[i] = np.random.default_rng([seed, t]).multinomial(shots, table)
-    return [counts[:, rows, cols] for rows, cols in blocks]
+        counts[i] = np.random.default_rng([seed, t]).multinomial(shots, dist)
+    return counts
 
 
 def counts_to_probs(counts: np.ndarray) -> np.ndarray:

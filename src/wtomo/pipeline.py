@@ -1,12 +1,14 @@
 """End-to-end simulated experiment: calibration, noisy measurement of every
 setting, optional mitigation, reconstruction, and fidelity reporting.
 
-Each trial mirrors one hardware run: four circuit groups (``LAYOUT``), the
-17 three-qubit settings, 7 two-qubit settings per marginal and 6
-calibration circuits, each one table at its own width. Trial t draws all
-its circuits in one multinomial call from one stream keyed [seed, t]
+Each trial mirrors one hardware run: 37 circuits in four groups
+(``LAYOUT``), the 17 three-qubit settings, 7 two-qubit settings per
+marginal and 6 calibration circuits. ``_noisy_probs`` builds their (37, 8)
+table once per noise model, each group's rows right-aligned. Trial t draws
+all its circuits in one multinomial call from one stream keyed [seed, t]
 (``noise.sample_counts``), so a fixed configuration reproduces
-byte-identical reports and no two trials share a stream.
+byte-identical reports and no two trials share a stream. The stages read
+views of the (trial, 37, 8) block, each group over its own columns.
 
 The trials of a run form one batch: after sampling, every stage runs once
 on stacks with leading axes (pass, trial), pass 0 unmitigated and pass 1
@@ -110,46 +112,57 @@ def _noisy_probs(model: ReadoutModel | None):
     """The W state and the noisy outcome probabilities of every circuit of a trial.
 
     They depend on the noise model only, not on the trial, so every trial
-    shares one read-only copy. Returns (psi_w, tables, dists): per group of
-    ``LAYOUT`` the exact probabilities of its circuits, one row each, of
-    shapes (17, 8), (7, 4), (7, 4) and (6, 2), and the same as the sampler
-    draws from them (``noise.outcome_distribution``).
+    shares one read-only copy. Returns (psi_w, table, dist): the exact
+    probabilities of the 37 circuits, one row each, the groups of ``LAYOUT``
+    in order, and the same as the sampler draws from them
+    (``noise.outcome_distribution``). Both are (37, 8): a group of d outcomes
+    fills the last d columns, and zeros lead it (``noise.sample_counts``).
     """
     psi_w = prepare_w()
     rho_w = outer(psi_w)
-    tables = []
+    table, dist = np.zeros((2, 37, 8))
+    start = 0
     for width, qubits in LAYOUT:
         if width == 2:  # calibration: the columns of each qubit's matrix
-            tables.append(np.concatenate([
+            probs = np.concatenate([
                 np.eye(2) if model is None else model.qubits[q].calibration_matrix().T
-                for q in qubits]))
+                for q in qubits])
         else:
             rho = partial_trace(rho_w, qubits)
             settings = tomography_scheme(len(qubits)).settings
             probs = np.array([exact_probs(rho, s) for s in settings])
             if model is not None:
                 probs = apply_readout_noise(probs, model.subset(qubits))
-            tables.append(probs)
-    dists = tuple(outcome_distribution(table) for table in tables)
-    for a in (psi_w, *tables, *dists):
+        rows = slice(start, start + len(probs))
+        table[rows, -width:] = probs
+        dist[rows, -width:] = outcome_distribution(probs)
+        start = rows.stop
+    for a in (psi_w, table, dist):
         a.setflags(write=False)
-    return psi_w, tuple(tables), dists
+    return psi_w, table, dist
 
 
 def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
     """All trials as one batch (see the module docstring); ``io.write_outputs``
     writes them as a run directory."""
-    psi_w, tables, dists = _noisy_probs(cfg.noise)
+    psi_w, table, dist = _noisy_probs(cfg.noise)
     if cfg.exact:
-        counts = None
-        p3, pab, pbc, calibration = [
-            np.broadcast_to(table, (cfg.trials, *table.shape)) for table in tables]
+        block = np.broadcast_to(table, (cfg.trials, *table.shape))
     else:
-        counts = sample_counts(dists, cfg.shots, cfg.seed, list(range(cfg.trials)))
-        p3, pab, pbc, calibration = [counts_to_probs(c) for c in counts]
-        # a copy of the 3q settings' counts: the trials' views of the stack
+        block = sample_counts(dist, cfg.shots, cfg.seed, list(range(cfg.trials)))
+    # the stage inputs, each group over its own columns (LAYOUT): the 3q rows,
+    # the AB and BC rows as one pair stack, and the calibration rows
+    p3, p2, calibration = block[:, :17], block[:, 17:31, 4:], block[:, 31:, 6:]
+    counts = None
+    if not cfg.exact:
+        # a copy of the 3q settings' counts: the trials' views of the block
         # would keep every group's counts alive
-        counts = counts[0].copy()
+        counts = p3.copy()
+        # each group normalized over its own columns: counts_to_probs sums the
+        # counts as floats, and from 2**53 shots a sum that takes in a row's
+        # leading zeros can round differently
+        p3, p2, calibration = (counts_to_probs(c) for c in (counts, p2, calibration))
+    p2 = p2.reshape(cfg.trials, 2, 7, 4)  # (trial, pair AB|BC, 7, 4)
     # row 2q + b of the calibration group is column b of qubit q's matrix
     f_hats = calibration.reshape(cfg.trials, 3, 2, 2).swapaxes(-1, -2)
     if cfg.exact and cfg.noise is None:
@@ -170,7 +183,6 @@ def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
         matrices["rho_full"] = spectral_correct(reconstruct(tomography_scheme(3), p3))
         f_full = fidelity_pure(psi_w, matrices["rho_full"])
     if cfg.scheme in ("parts2q", "both"):
-        p2 = np.stack([pab, pbc], axis=1)  # (trial, pair AB|BC, 7, 4)
         m2 = kron_qubits(np.stack([inverses[:, :2], inverses[:, 1:]], axis=1))
         rho_2q = spectral_correct(reconstruct(tomography_scheme(2), np.stack([p2, mitigate(m2, p2)])))
         recon = _diosi_reconstruct(MarginalPair(rho_2q[:, :, 0], rho_2q[:, :, 1], eps_b), errors)

@@ -20,6 +20,8 @@ from wtomo.noise import (
 from wtomo.pipeline import ExperimentConfig, TrialResult, _noisy_probs, run_pipeline
 from wtomo.tomography import tomography_scheme
 
+from conftest import layout_widths
+
 
 def written_counts(tmp_path, cfg, counts):
     """The counts_3q.json object write_outputs writes for counts as trial 0 of cfg."""
@@ -150,21 +152,21 @@ class TestReadoutModel:
 
 class TestSampling:
     def test_deterministic_for_seed(self):
-        dists = [outcome_distribution(np.full((1, 8), 1 / 8))]
-        [a] = sample_counts(dists, 5000, 42, [0])
-        [b] = sample_counts(dists, 5000, 42, [0])
+        dist = outcome_distribution(np.full((1, 8), 1 / 8))
+        a = sample_counts(dist, 5000, 42, [0])
+        b = sample_counts(dist, 5000, 42, [0])
         assert np.array_equal(a, b)
         assert a.shape == (1, 1, 8) and a.sum() == 5000
 
     def test_different_seeds_differ(self):
-        dists = [outcome_distribution(np.full((1, 8), 1 / 8))]
-        [a] = sample_counts(dists, 5000, 1, [0])
-        [b] = sample_counts(dists, 5000, 2, [0])
+        dist = outcome_distribution(np.full((1, 8), 1 / 8))
+        a = sample_counts(dist, 5000, 1, [0])
+        b = sample_counts(dist, 5000, 2, [0])
         assert not np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         p = np.array([0.5, 0.3, 0.2, 0.0])
-        [counts] = sample_counts([outcome_distribution(p[None])], 200_000, 7, [0])
+        counts = sample_counts(outcome_distribution(p[None]), 200_000, 7, [0])
         assert np.abs(counts_to_probs(counts)[0, 0] - p).max() <= 0.01
 
     def test_invalid_distribution(self):
@@ -282,24 +284,27 @@ def rng_calls(monkeypatch):
     return calls
 
 
-def replay(dists, shots, key):
-    """Each group's counts drawn row by row, in order, from default_rng(key)."""
+def replay(table, widths, shots, key):
+    """The counts of table's rows drawn one by one from default_rng(key), row j
+    over its own outcomes, its last widths[j] columns; the columns before them
+    count 0."""
     rng = np.random.default_rng(key)
-    return [np.array([rng.multinomial(shots, row) for row in dist]) for dist in dists]
+    counts = np.zeros(table.shape, dtype=np.int64)
+    for j, (row, width) in enumerate(zip(table, widths, strict=True)):
+        counts[j, -width:] = rng.multinomial(shots, row[-width:])
+    return counts
 
 
 class TestSampleCircuits:
     def test_rows_draw_from_keyed_streams(self):
-        # trial t draws its groups in order from the one stream [seed, t], each
-        # group's rows in order, each over the group's own outcomes
-        dists = [np.array([[0.2, 0.8], [1.0, 0.0]]), np.array([[0.1, 0.2, 0.3, 0.4]]),
-                 np.array([[0.5, 0.5]])]
-        counts = sample_counts(dists, 1000, 7, [3, 5])
-        assert [c.shape for c in counts] == [(2, 2, 2), (2, 1, 4), (2, 1, 2)]
-        assert all(c.dtype == np.int64 for c in counts)
+        # trial t draws its rows in order from the one stream [seed, t], each
+        # row of a right-aligned table over its own outcomes
+        table = np.array([[0, 0, 0.2, 0.8], [0, 0, 1.0, 0.0], [0.1, 0.2, 0.3, 0.4],
+                          [0, 0, 0.5, 0.5]])
+        counts = sample_counts(table, 1000, 7, [3, 5])
+        assert counts.shape == (2, 4, 4) and counts.dtype == np.int64
         for i, t in enumerate((3, 5)):
-            for c, r in zip(counts, replay(dists, 1000, [7, t])):
-                assert np.array_equal(c[i], r), t
+            assert np.array_equal(counts[i], replay(table, [2, 2, 4, 2], 1000, [7, t])), t
 
     def test_word_keys_match_list_keys(self):
         # the stream of [seed, t] is the one numpy makes of their uint32 words
@@ -308,54 +313,47 @@ class TestSampleCircuits:
         def words(n):
             return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
 
-        dists = [np.array([[0.3, 0.7]]), np.array([[0.1, 0.2, 0.3, 0.4]])]
+        table = np.array([[0, 0, 0.3, 0.7], [0.1, 0.2, 0.3, 0.4]])
         trials = [0, 1, 2**32 - 1, 2**32 + 5]
         for seed in (0, 1234, 2**32 - 1, 2**32, 5 * 10**9, 2**64 + 3):
-            counts = sample_counts(dists, 1000, seed, trials)
+            counts = sample_counts(table, 1000, seed, trials)
             for i, t in enumerate(trials):
                 key = np.array(words(seed) + words(t), dtype=np.uint32)
-                for c, r in zip(counts, replay(dists, 1000, key)):
-                    assert np.array_equal(c[i], r), (seed, t)
+                assert np.array_equal(counts[i], replay(table, [2, 4], 1000, key)), (seed, t)
 
     def test_negative_key_is_rejected(self):
         # numpy's own key check: a negative seed or trial has no 32-bit words
-        dists = [np.array([[0.5, 0.5]])]
+        dist = np.array([[0.5, 0.5]])
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            sample_counts(dists, 10, -1, [0])
+            sample_counts(dist, 10, -1, [0])
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            sample_counts(dists, 10, 1234, [0, -3])
+            sample_counts(dist, 10, 1234, [0, -3])
 
     @pytest.mark.parametrize("shots", [1, 2**62, 2**63 - 1])
     def test_groups_replay_row_by_row_at_extreme_shots(self, shots):
-        # one multinomial call per trial over the right-aligned table equals
-        # row-by-row draws over each group's own outcomes from the same stream,
-        # and every row is a sample of shots, at numpy's int64 limit too
-        dists = _noisy_probs(ReadoutModel.ibm_osaka())[2]
-        counts = sample_counts(dists, shots, 1234, [0, 1])
+        # one multinomial call per trial over the right-aligned (37, 8) table
+        # equals row-by-row draws over each group's own outcomes from the same
+        # stream, and every row is a sample of shots, at numpy's int64 limit too
+        dist = _noisy_probs(ReadoutModel.ibm_osaka())[2]
+        counts = sample_counts(dist, shots, 1234, [0, 1])
         for i, t in enumerate((0, 1)):
-            for c, r in zip(counts, replay(dists, shots, [1234, t])):
-                assert np.array_equal(c[i], r), t
-        assert all((c.sum(axis=-1) == shots).all() for c in counts)
+            assert np.array_equal(counts[i], replay(dist, layout_widths(dist), shots, [1234, t])), t
+        assert (counts.sum(axis=-1) == shots).all()
 
     @pytest.mark.parametrize("shots", [1, 2**62, 2**63 - 1])
     def test_one_generator_and_one_multinomial_call_per_trial(self, shots, rng_calls):
-        # trial t makes one generator [seed, t] and one multinomial call over a
-        # (37, 8) table whose rows are right-aligned: the leading zero columns
-        # draw no count, and the last d columns are the group's counts
-        dists = _noisy_probs(ReadoutModel.ibm_osaka())[2]
-        counts = sample_counts(dists, shots, 1234, [0, 1, 2])
+        # trial t makes one generator [seed, t] and one multinomial call over
+        # the cached (37, 8) table itself; the columns before a row's group
+        # draw no count
+        dist = _noisy_probs(ReadoutModel.ibm_osaka())[2]
+        counts = sample_counts(dist, shots, 1234, [0, 1, 2])
+        assert counts.shape == (3, 37, 8)
         assert [key for key, _ in rng_calls] == [[1234, t] for t in (0, 1, 2)]
         for i, (_, draws) in enumerate(rng_calls):
             [(table, out)] = draws
-            assert table.shape == out.shape == (37, 8)
-            start = 0
-            for c, dist in zip(counts, dists):
-                rows, d = dist.shape
-                group = slice(start, start + rows)
-                assert not table[group, :8 - d].any() and not out[group, :8 - d].any()
-                assert np.array_equal(table[group, 8 - d:], dist)
-                assert np.array_equal(out[group, 8 - d:], c[i])
-                start += rows
+            assert table is dist and np.array_equal(out, counts[i])
+            for row, width in zip(out, layout_widths(dist), strict=True):
+                assert not row[:8 - width].any()
 
     def test_outcome_distribution_is_what_sample_shots_draws_from(self):
         p = np.array([[0.25, 0.25, 0.5, 1e-12], [0.1, 0.2, 0.3, 0.4]])

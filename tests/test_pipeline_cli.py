@@ -39,6 +39,8 @@ from wtomo.pipeline import ExperimentConfig, run_pipeline
 from wtomo.tomography import tomography_scheme
 from wtomo.wholeparts import MarginalPair, ReconstructionError, diosi_reconstruct
 
+from conftest import layout_groups, layout_widths
+
 
 class TestConfig:
     def test_defaults(self):
@@ -158,19 +160,23 @@ class TestRunTrial:
         assert calls == [31, 31]
 
     def test_cached_probabilities_are_read_only(self):
-        psi_w, tables, dists = pipeline._noisy_probs(ReadoutModel.ibm_osaka())
-        # one table per group of LAYOUT, each at its own width, no padding
-        shapes = [(17, 8), (7, 4), (7, 4), (6, 2)]
-        assert [t.shape for t in tables] == [d.shape for d in dists] == shapes
-        assert [t.shape[1] for t in tables] == [width for width, _ in pipeline.LAYOUT]
-        for a in (psi_w, *tables, *dists):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0
+        # per noise model one (37, 8) table of exact probabilities and one the
+        # sampler draws from; zeros, exactly +0.0, lead each row of a group
+        # narrower than 8
+        for model in (ReadoutModel.ibm_osaka(), None):
+            psi_w, table, dist = pipeline._noisy_probs(model)
+            assert table.shape == dist.shape == (37, 8)
+            for a in (psi_w, table, dist):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+            for a in (table, dist):
+                for row, width in zip(a, layout_widths(a), strict=True):
+                    assert row[:8 - width].tobytes() == bytes(8 * (8 - width)), model
 
     def test_table_rows_follow_the_layout(self):
         # 17 3q settings, 7 AB and 7 BC settings, then qubit A, B, C prepared in |0>, |1>
         model = ReadoutModel.ibm_osaka()
-        _, tables, dists = pipeline._noisy_probs(model)
+        _, table, dist = pipeline._noisy_probs(model)
         rho_w, groups = outer(prepare_w()), []
         full, pair = tomography_scheme(3).settings, tomography_scheme(2).settings
         for qubits, settings in (([0, 1, 2], full), ([0, 1], pair), ([1, 2], pair)):
@@ -178,10 +184,12 @@ class TestRunTrial:
             groups.append([apply_readout_noise(exact_probs(rho, s), sub) for s in settings])
         groups.append([q.calibration_matrix()[:, prep] for q in model.qubits for prep in (0, 1)])
         assert [len(rows) for rows in groups] == [17, 7, 7, 6]
-        for g, (rows, table, dist) in enumerate(zip(groups, tables, dists, strict=True)):
+        assert [len(rows[0]) for rows in groups] == [width for width, _ in pipeline.LAYOUT]
+        for g, (rows, t, d) in enumerate(
+                zip(groups, layout_groups(table), layout_groups(dist), strict=True)):
             for j, row in enumerate(rows):
-                assert np.array_equal(table[j], row), (g, j)
-                assert np.array_equal(dist[j], outcome_distribution(row)), (g, j)
+                assert np.array_equal(t[j], row), (g, j)
+                assert np.array_equal(d[j], outcome_distribution(row)), (g, j)
 
 
 def report_text(cfg, results, out):
@@ -426,7 +434,7 @@ class TestDeterminism:
         # 17 + 7 + 7 settings
         model = ReadoutModel.ibm_osaka()
         cfg = ExperimentConfig(shots=500, trials=3, seed=42, noise=model)
-        settings = pipeline._noisy_probs(model)[2][:3]
+        settings = layout_groups(pipeline._noisy_probs(model)[2])[:3]
         for t, r in enumerate(run_pipeline(cfg)):
             rng = np.random.default_rng([cfg.seed, t])
             for dist in settings:
@@ -485,7 +493,7 @@ class TestOutputs:
             model = load_readout_model(noise, 3)
             rng = np.random.default_rng(obj["seed"])
             draws = [np.array([rng.multinomial(obj["shots"], row) for row in dist])
-                     for dist in pipeline._noisy_probs(model)[2]]
+                     for dist in layout_groups(pipeline._noisy_probs(model)[2])]
             assert np.array_equal(load_counts_file(tdir / "counts_3q.json", 3), draws[0])
             calibration = draws[3].reshape(3, 2, 2).swapaxes(-1, -2) / obj["shots"]
             saved = tmp_path / f"calibration_{t}.json"
