@@ -36,12 +36,11 @@ def first_true(mask: np.ndarray) -> tuple:
     return np.unravel_index(np.argmax(mask), np.shape(mask))
 
 
-def flag(errors: dict | None, mask: np.ndarray, error) -> None:
+def flag(errors: dict, mask: np.ndarray, error) -> None:
     """Record error(k) under the index k of each stack member where mask holds,
-    unless k has an error already; with errors None, raise it for the first k."""
+    unless k has one already. A fresh dict's first entry is the first failing
+    check's first failing member: the error the public functions raise."""
     for k in map(tuple, np.argwhere(mask).tolist()):
-        if errors is None:
-            raise error(k)
         errors.setdefault(k, error(k))
 
 

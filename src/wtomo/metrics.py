@@ -11,8 +11,8 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
     """Square-root fidelity sqrt(<psi|rho|psi>) against a pure target.
 
     Note the convention: this is F, not F^2. Invariant under a global phase
-    of psi; values a hair outside [0, 1] from roundoff are clamped. For a
-    stack of matrices (..., d, d) it returns an array (...) of fidelities.
+    of psi; values a hair outside [0, 1] from roundoff are clamped. A matrix
+    gives a numpy scalar, a stack (..., d, d) an array (...) of fidelities.
     """
     if psi.shape[0] != rho.shape[-1]:
         raise ValueError(f"dimension mismatch: {psi.shape} vs {rho.shape}")
@@ -23,6 +23,5 @@ def fidelity_pure(psi: np.ndarray, rho: np.ndarray) -> float | np.ndarray:
     outside = (val < -1e-12) | (val > 1 + 1e-12)
     if outside.any():
         raise ValueError(f"<psi|rho|psi> = {val[first_true(outside)]} outside [0, 1]")
-    f = np.sqrt(np.clip(val, 0.0, 1.0))
-    return float(f) if f.ndim == 0 else f
+    return np.sqrt(np.clip(val, 0.0, 1.0))
 

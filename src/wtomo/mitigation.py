@@ -10,16 +10,20 @@ from .linalg import eig_hermitian, first_true, flag, kron_qubits
 def mitigation_matrix(fs) -> np.ndarray:
     """(F_A ⊗ F_B ⊗ ...)^-1 as the Kronecker product of the inverses of the
     per-qubit calibration matrices fs, an array (..., n, 2, 2) that gives a
-    map (..., 2**n, 2**n). Raises ValueError for the first unusable matrix."""
+    map (..., 2**n, 2**n). Raises the first ValueError ``_calibration_inverses`` records."""
     fs = np.asarray(fs, dtype=float)
     if fs.ndim < 3 or fs.shape[-2:] != (2, 2):
         raise ValueError(f"expected calibration matrices (..., n, 2, 2), got shape {fs.shape}")
-    return kron_qubits(_calibration_inverses(fs, None))
+    errors: dict = {}
+    inverses = _calibration_inverses(fs, errors)
+    if errors:
+        raise next(iter(errors.values()))
+    return kron_qubits(inverses)
 
 
-def _calibration_inverses(fs: np.ndarray, errors: dict | None) -> np.ndarray:
+def _calibration_inverses(fs: np.ndarray, errors: dict) -> np.ndarray:
     """The inverses (..., n, 2, 2) of the per-qubit calibration matrices fs.
-    Flags (``linalg.flag``) each member of the stack with an unusable matrix,
+    Records (``linalg.flag``) each member of the stack with an unusable matrix,
     one that is not column-stochastic (a non-finite entry counts as such) or
     is numerically singular; such a member's matrices all invert to the identity."""
     in_range = ((fs >= -1e-12) & (fs <= 1 + 1e-12)).all(axis=(-2, -1))  # False for NaN

@@ -34,6 +34,7 @@ from .metrics import fidelity_pure
 from .mitigation import _calibration_inverses, mitigate, spectral_correct
 from .noise import (
     MAX_SHOTS,
+    QubitReadout,
     ReadoutModel,
     apply_readout_noise,
     counts_to_probs,
@@ -118,21 +119,19 @@ def _noisy_probs(model: ReadoutModel | None):
     (``noise.outcome_distribution``). Both are (37, 8): a group of d outcomes
     fills the last d columns, and zeros lead it (``noise.sample_counts``).
     """
+    model = model or ReadoutModel((QubitReadout(0.0, 0.0),) * 3)  # no noise: perfect readout
     psi_w = prepare_w()
     rho_w = outer(psi_w)
     table, dist = np.zeros((2, 37, 8))
     start = 0
     for width, qubits in LAYOUT:
         if width == 2:  # calibration: the columns of each qubit's matrix
-            probs = np.concatenate([
-                np.eye(2) if model is None else model.qubits[q].calibration_matrix().T
-                for q in qubits])
+            probs = np.concatenate([model.qubits[q].calibration_matrix().T for q in qubits])
         else:
             rho = partial_trace(rho_w, qubits)
             settings = tomography_scheme(len(qubits)).settings
-            probs = np.array([exact_probs(rho, s) for s in settings])
-            if model is not None:
-                probs = apply_readout_noise(probs, model.subset(qubits))
+            probs = apply_readout_noise(np.array([exact_probs(rho, s) for s in settings]),
+                                        model.subset(qubits))
         rows = slice(start, start + len(probs))
         table[rows, -width:] = probs
         dist[rows, -width:] = outcome_distribution(probs)

@@ -15,8 +15,8 @@ degenerate (GHZ-like), or whose branches the overlaps do not link, are not
 determined by their marginals and are rejected rather than guessed; a pure
 rho_C makes the state the pure rho_AB times rho_C.
 
-Each check flags (``linalg.flag``) the failing pairs of a stack in a dict of
-errors, and the other pairs come out as alone; with None, the first raises.
+Each check records (``linalg.flag``) the failing pairs of a stack in a dict of
+errors, and the other pairs come out as alone; diosi_reconstruct raises the first.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_hermitian, first_true, flag, outer, partial_trace, vector_norm
+from .linalg import (HERMITICITY_TOL, eig_hermitian, first_true, flag, is_hermitian, outer,
+                     partial_trace, vector_norm)
 
 DEGENERACY_GAP = 1e-6
 PHASE_MAGNITUDE_FLOOR = 1e-8
@@ -75,7 +76,7 @@ class MarginalPair:
     eps_b bounds the allowed disagreement between the two estimates of the
     shared qubit B (``EPS_B`` for experimental inputs, 1e-10 for exact).
     rho_ab and rho_bc may be stacks (..., 4, 4) of pairs sharing eps_b, of
-    one shape; each marginal is stored as ``unit_trace`` gives it.
+    one shape; each is stored as ``unit_trace`` gives it, then checked Hermitian.
     """
 
     rho_ab: np.ndarray
@@ -95,23 +96,20 @@ class MarginalPair:
                              f"got {shapes[0]} and {shapes[1]}")
         for name in ("rho_ab", "rho_bc"):
             object.__setattr__(self, name, unit_trace(getattr(self, name)))
+            if not is_hermitian(getattr(self, name)):
+                raise ValueError(f"{name} is not Hermitian within {HERMITICITY_TOL}")
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
     """psi (..., 8) and its projector rho (..., 8, 8); residuals and truncated
-    masses are floats for one pair, arrays (...) for a stack of pairs."""
+    masses are numpy scalars for one pair, arrays (...) for a stack of pairs."""
 
     psi: np.ndarray
     rho: np.ndarray
     residual_ab: float
     residual_bc: float
     truncated_mass: dict
-
-
-def _scalar(x: np.ndarray) -> float | np.ndarray:
-    """A float for one pair, the array for a stack of pairs."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _fix_vector_gauge(v: np.ndarray) -> np.ndarray:
@@ -122,7 +120,7 @@ def _fix_vector_gauge(v: np.ndarray) -> np.ndarray:
     return np.where(zero, v, v * (mag / np.where(zero, 1, vk)))
 
 
-def _single_party_marginals(pair: MarginalPair, errors) -> tuple[np.ndarray, np.ndarray]:
+def _single_party_marginals(pair: MarginalPair, errors: dict) -> tuple[np.ndarray, np.ndarray]:
     """The 2x2 marginals (rho_A, rho_C) of a trace-normalized pair, whose two
     estimates of the shared qubit B must agree within pair.eps_b (max norm)."""
     gap = np.abs(partial_trace(pair.rho_ab, [1]) - partial_trace(pair.rho_bc, [0])).max(axis=(-2, -1))
@@ -165,7 +163,7 @@ def _phase_matrix(lam_a, lam_c, vec_a, vec_c, vec_ab, vec_bc) -> np.ndarray:
     return np.sqrt(lam_a)[..., :, None] * np.sqrt(lam_c)[..., None, :] * s
 
 
-def _solve_phases(lam_a, m, errors) -> np.ndarray:
+def _solve_phases(lam_a, m, errors: dict) -> np.ndarray:
     """Branch phases alpha_i making the two pure-state decompositions agree.
 
     Spectra are paired in descending order, as _top2 gives them; m is the
@@ -214,21 +212,25 @@ def diosi_reconstruct(pair: MarginalPair) -> ReconstructionResult:
     Residuals compare the partial traces of the output against the original
     (untruncated, trace-normalized) inputs; the global phase is fixed by
     making the largest-magnitude amplitude real positive. A stack of pairs
-    gives a stack of states, each bitwise the same as on its own; the first
-    check that fails raises its ReconstructionError for its first failing pair.
+    gives a stack of states, each bitwise the same as on its own. Raises the first
+    ReconstructionError ``_diosi_reconstruct`` records: the first failing check's first pair.
     """
-    return _diosi_reconstruct(pair, None)
+    errors: dict = {}
+    result = _diosi_reconstruct(pair, errors)
+    if errors:
+        raise next(iter(errors.values()))
+    return result
 
 
-def _diosi_reconstruct(pair: MarginalPair, errors: dict | None) -> ReconstructionResult:
-    """diosi_reconstruct whose checks flag failing pairs in errors (see the module docstring)."""
+def _diosi_reconstruct(pair: MarginalPair, errors: dict) -> ReconstructionResult:
+    """diosi_reconstruct whose checks record failing pairs in errors (see the module docstring)."""
     _, _, (lam_a, lam_c), (vec_a, vec_c) = _top2(
         np.stack(_single_party_marginals(pair, errors), axis=-3)
     )
     kept, lost, _, (vec_bc, vec_ab) = _top2(np.stack([pair.rho_bc, pair.rho_ab], axis=-3))
     truncation: dict = {}
     for label, kept_m, lost_m in zip(("rho_bc", "rho_ab"), kept, lost):
-        truncation[label] = _scalar(lost_m)
+        truncation[label] = lost_m
         flag(errors, kept_m < MIN_KEPT_MASS, lambda k: TooMixedError(
             f"{label}: kept spectral mass {kept_m[k]:.3f} < {MIN_KEPT_MASS}; "
             "input too mixed for a pure-state hypothesis"
@@ -251,5 +253,4 @@ def _diosi_reconstruct(pair: MarginalPair, errors: dict | None) -> Reconstructio
     rho = outer(psi)
     residual_ab = np.abs(partial_trace(rho, [0, 1]) - pair.rho_ab).max(axis=(-2, -1))
     residual_bc = np.abs(partial_trace(rho, [1, 2]) - pair.rho_bc).max(axis=(-2, -1))
-    return ReconstructionResult(psi=psi, rho=rho, residual_ab=_scalar(residual_ab),
-                                residual_bc=_scalar(residual_bc), truncated_mass=truncation)
+    return ReconstructionResult(psi, rho, residual_ab, residual_bc, truncation)

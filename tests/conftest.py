@@ -21,8 +21,11 @@ def random_pure(dim, rng):
 def matched_spectra(pair):
     """The whole-from-parts spectral data of a trace-normalized pair, built as
     _diosi_reconstruct builds it: the top-2 spectra (lam_a, lam_c), the
-    gauge-fixed eigenvectors (a, c, ab, bc) and the phase matrix."""
-    _, _, (lam_a, lam_c), (a, c) = _top2(np.stack(_single_party_marginals(pair, None), axis=-3))
+    gauge-fixed eigenvectors (a, c, ab, bc) and the phase matrix. The shared
+    qubit B of every pair must agree within pair.eps_b."""
+    errors = {}
+    _, _, (lam_a, lam_c), (a, c) = _top2(np.stack(_single_party_marginals(pair, errors), axis=-3))
+    assert errors == {}, errors
     _, _, _, (bc, ab) = _top2(np.stack([pair.rho_bc, pair.rho_ab], axis=-3))
     return lam_a, lam_c, (a, c, ab, bc), _phase_matrix(lam_a, lam_c, a, c, ab, bc)
 

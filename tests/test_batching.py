@@ -1,7 +1,8 @@
 """Stacked inputs: every batched function gives, for each matrix of a stack,
-bitwise the result it gives for that matrix alone. A failing member of a
-stack raises the message it raises alone, and the non-raising cores record
-that message for that member only."""
+bitwise the result it gives for that matrix alone. The private cores record
+each failing member's error under its index, for that member only; the
+public functions record into a fresh dict and raise its first entry, so a
+failing member of a stack raises the message it raises alone."""
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from wtomo.metrics import fidelity_pure
 from wtomo.mitigation import _calibration_inverses, mitigation_matrix, spectral_correct
 from wtomo.tomography import reconstruct, tomography_scheme
 from wtomo.wholeparts import (
+    DegenerateSpectrumError,
     InconsistentMarginalsError,
     MarginalPair,
+    TooMixedError,
+    UnderdeterminedPhaseError,
     _diosi_reconstruct,
     _solve_phases,
     diosi_reconstruct,
@@ -101,7 +105,9 @@ def test_diosi_stack(n, rng):
     states = noisy_pure_states(rng, n)
     stacked = diosi_reconstruct(pairs_of(states))
     lam_a, lam_c, vectors, m = matched_spectra(pairs_of(states))
-    alpha = _solve_phases(lam_a, m, None)
+    errors = {}
+    alpha = _solve_phases(lam_a, m, errors)
+    assert errors == {}
     for k, rho in enumerate(states):
         pair = pairs_of(rho)
         one = diosi_reconstruct(pair)
@@ -113,7 +119,8 @@ def test_diosi_stack(n, rng):
         assert np.array_equal(lam_a[k], lam_a1) and np.array_equal(lam_c[k], lam_c1)
         assert all(np.array_equal(v[k], v1) for v, v1 in zip(vectors, vectors1))
         assert np.array_equal(m[k], m1)
-        assert np.array_equal(alpha[k], _solve_phases(lam_a1, m1, None))
+        assert np.array_equal(alpha[k], _solve_phases(lam_a1, m1, errors))
+    assert errors == {}
 
 
 def test_diosi_stack_reports_first_failing_pair(rng):
@@ -146,3 +153,87 @@ def test_diosi_stack_flags_only_the_failing_pair(rng):
         assert np.array_equal(stacked.rho[k], one.rho)
         assert stacked.residual_ab[k] == one.residual_ab
         assert stacked.residual_bc[k] == one.residual_bc
+
+
+def marginals_of(psi):
+    rho = outer(psi)
+    return partial_trace(rho, [0, 1]), partial_trace(rho, [1, 2])
+
+
+def failing_inputs():
+    """Each failing input tier-1 builds, by name: its route, the input (a pair
+    of marginals, or one trial's (3, 2, 2) calibration matrices), and the
+    type and message its public function raises."""
+    ghz, generalized_ghz = np.zeros(8, dtype=complex), np.zeros(8, dtype=complex)
+    ghz[0] = ghz[7] = 1 / np.sqrt(2)
+    generalized_ghz[0], generalized_ghz[7] = 0.8, 0.6 * np.exp(0.9j)
+    rng = np.random.default_rng(7)
+    f0, f1 = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0].T
+    weak_branch = np.sqrt(1 - 5e-12) * np.kron([1, 0], f0) + np.sqrt(5e-12) * np.kron([0, 1], f1)
+    good = [[0.9, 0.1], [0.1, 0.9]]
+    return {
+        "inconsistent shared qubit": (
+            "diosi", (np.diag([1.0, 0, 0, 0]), np.diag([0, 0, 0, 1.0])), InconsistentMarginalsError,
+            "shared-qubit marginals disagree by 1.0000 (> eps_b = 0.05)"),
+        "too mixed": (
+            "diosi", (np.eye(4) / 4, np.eye(4) / 4), TooMixedError,
+            "rho_bc: kept spectral mass 0.500 < 0.8; input too mixed for a pure-state hypothesis"),
+        "degenerate spectrum": (
+            "diosi", marginals_of(ghz), DegenerateSpectrumError,
+            "rho_A spectrum [0.5 0.5] is degenerate within 1e-06; "
+            "the marginals do not determine the global state"),
+        "no usable overlap": (
+            "diosi", marginals_of(weak_branch), UnderdeterminedPhaseError,
+            "no usable overlap constraint for branch 1"),
+        "unlinked branch": (
+            "diosi", marginals_of(generalized_ghz), UnderdeterminedPhaseError,
+            "branch 1 fixes gamma_1 but its overlap with C branch 0 is 0.0e+00 < 1e-08; "
+            "the relative branch phase is unresolved"),
+        "not column-stochastic": (
+            "calibration", (np.array([good, [[0.9, 0.2], [0.2, 0.9]], good]),), ValueError,
+            "calibration matrix is not column-stochastic"),
+        "singular calibration": (
+            "calibration", (np.array([good, [[0.5, 0.5], [0.5, 0.5]], good]),), ValueError,
+            "calibration matrix is numerically singular"),
+    }
+
+
+# per route: the public function, its recording core, and a passing input
+ROUTES = {
+    "diosi": (lambda x: diosi_reconstruct(MarginalPair(*x, 0.05)),
+              lambda x, errors: _diosi_reconstruct(MarginalPair(*x, 0.05), errors),
+              marginals_of(w_vector())),
+    "calibration": (lambda x: mitigation_matrix(*x),
+                    lambda x, errors: _calibration_inverses(*x, errors),
+                    (np.array([[[0.95, 0.2], [0.05, 0.8]]] * 3),)),
+}
+
+
+@pytest.mark.parametrize("name", failing_inputs())
+def test_public_functions_raise_the_first_recorded_error(name):
+    route, bad, kind, message = failing_inputs()[name]
+    public, record, good = ROUTES[route]
+    middle = tuple(np.stack([g, b, g]) for g, b in zip(good, bad))
+    for inputs, key in ((bad, ()), (middle, (1,))):
+        errors = {}
+        record(inputs, errors)
+        assert list(errors) == [key]
+        with pytest.raises(kind) as raised:
+            public(inputs)
+        assert type(raised.value) is type(errors[key]) is kind
+        assert str(raised.value) == str(errors[key]) == message
+
+
+def test_the_first_failing_check_is_raised_before_an_earlier_member():
+    # member 0 fails only the phase check, member 2 the shared-qubit check,
+    # which runs first: its entry comes first, and it is the one raised
+    inputs = failing_inputs()
+    unlinked, inconsistent = inputs["unlinked branch"][1], inputs["inconsistent shared qubit"][1]
+    w = marginals_of(w_vector())
+    pair = MarginalPair(*(np.stack(ms) for ms in zip(unlinked, w, inconsistent)), 0.05)
+    errors = {}
+    _diosi_reconstruct(pair, errors)
+    assert list(errors) == [(2,), (0,)]
+    with pytest.raises(InconsistentMarginalsError) as raised:
+        diosi_reconstruct(pair)
+    assert str(raised.value) == str(errors[(2,)])

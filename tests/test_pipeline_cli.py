@@ -173,6 +173,12 @@ class TestRunTrial:
                 for row, width in zip(a, layout_widths(a), strict=True):
                     assert row[:8 - width].tobytes() == bytes(8 * (8 - width)), model
 
+    def test_no_noise_is_the_perfect_readout_model(self):
+        perfect = ReadoutModel((QubitReadout(0.0, 0.0),) * 3)
+        for none, model in zip(pipeline._noisy_probs(None), pipeline._noisy_probs(perfect),
+                               strict=True):
+            assert none.dtype == model.dtype and none.tobytes() == model.tobytes()
+
     def test_table_rows_follow_the_layout(self):
         # 17 3q settings, 7 AB and 7 BC settings, then qubit A, B, C prepared in |0>, |1>
         model = ReadoutModel.ibm_osaka()
@@ -366,11 +372,14 @@ class TestBatching:
     # every file of a small passing run: report, metadata, and per trial the
     # four density files, the calibration file and (when sampled) the counts
     # file; the exact run pins the noisy tables and the maps that mitigate them,
-    # and the int64 run the counts at numpy's limit on shots
+    # the int64 run the counts at numpy's limit on shots, and the noiseless run
+    # a sampled run whose readout model is the perfect one
     GOLDEN_RUNS = {
         "golden_run_seed1234_2x2000": (ExperimentConfig(shots=2000, trials=2, seed=1234), 6),
         "golden_run_exact_2trials": (ExperimentConfig(trials=2, exact=True), 5),
         "golden_run_int64shots_2trials": (ExperimentConfig(shots=2**63 - 1, trials=2), 6),
+        "golden_run_noiseless_2trials": (
+            ExperimentConfig(shots=2000, trials=2, seed=1234, noise=None), 6),
     }
 
     @pytest.mark.parametrize("name", GOLDEN_RUNS)
@@ -536,6 +545,25 @@ class TestCli:
         assert main(["fixtures"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_single_input_commands_write_the_golden_bytes(self, tmp_path, monkeypatch, capsys):
+        # one input through the public functions: the fixtures report, a Diosi
+        # state file from trial 0 of the golden run, and the fidelity of its
+        # full-tomography matrix, each as written before one input took the
+        # stack's path and returned numpy scalars
+        golden = Path(__file__).parent / "data" / "cli_single_input"
+        trial = Path(__file__).parent / "data" / "golden_run_seed1234_2x2000" / "trial_0"
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["fixtures"]) == EXIT_OK
+        assert capsys.readouterr().out == (golden / "fixtures_stdout.txt").read_text()
+        assert main(["diosi", str(trial / "rho_ab.json"), str(trial / "rho_bc.json"),
+                     "--eps-b", "0.0642", "--out", "diosi_trial0.json"]) == EXIT_OK
+        assert capsys.readouterr().out == (golden / "diosi_stdout.txt").read_text()
+        assert (Path("diosi_trial0.json").read_bytes()
+                == (golden / "diosi_trial0.json").read_bytes())
+        assert main(["fidelity", str(trial / "rho_full.json")]) == EXIT_OK
+        assert capsys.readouterr().out == (golden / "fidelity_stdout.txt").read_text()
 
     def test_tomo3q_roundtrip(self, tmp_path, capsys):
         run_out = tmp_path / "run"
@@ -752,6 +780,24 @@ class TestCli:
                            f"wtomo diosi: error: eps_b must be a finite number >= 0, "
                            f"got {float(value)}")
         assert not out.exists()
+
+    def test_diosi_names_a_marginal_that_renormalizing_makes_not_hermitian(self, tmp_path,
+                                                                           capsys):
+        # a file of trace 0.5 and skew 7e-9 passes load_density's check at 1e-8;
+        # divided by its trace the skew is 1.4e-8, which eig_hermitian once
+        # rejected with a traceback that named no marginal
+        ab, bc = np.diag([0.25, 0.25, 0, 0]).astype(complex), np.diag([0.5, 0, 0.5, 0])
+        ab[0, 1] = 7e-9
+        paths = tmp_path / "ab.json", tmp_path / "bc.json", tmp_path / "psi.json"
+        for rho, path in zip((ab, bc), paths):
+            path.write_text(json.dumps({"nqubits": 2, "re": np.real(rho).tolist(),
+                                        "im": np.imag(rho).tolist()}))
+        with pytest.raises(SystemExit) as exc:
+            main(["diosi", *map(str, paths[:2]), "--out", str(paths[2])])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "wtomo diosi: error: rho_ab is not Hermitian within 1e-08"
+        assert not paths[2].exists()
 
     @pytest.mark.parametrize("command", ["tomo3q", "tomo2q"])
     @pytest.mark.parametrize("case", [

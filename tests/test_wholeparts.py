@@ -47,15 +47,19 @@ def random_gapped_pure(rng, gap=0.05):
 
 class TestSinglePartyMarginals:
     def test_w_state(self):
-        pair = marginal_pair_of(w_vector())
-        for rho in _single_party_marginals(pair, None):
+        pair, errors = marginal_pair_of(w_vector()), {}
+        for rho in _single_party_marginals(pair, errors):
             assert np.abs(rho - np.diag([2 / 3, 1 / 3])).max() <= 1e-12
+        assert errors == {}
 
     def test_inconsistent_shared_qubit_rejected(self):
         pair = MarginalPair(np.diag([1.0, 0, 0, 0]).astype(complex),
                             np.diag([0, 0, 0, 1.0]).astype(complex), eps_b=0.05)
-        with pytest.raises(InconsistentMarginalsError):
-            _single_party_marginals(pair, None)
+        errors = {}
+        _single_party_marginals(pair, errors)
+        assert list(errors) == [()]
+        assert type(errors[()]) is InconsistentMarginalsError
+        assert str(errors[()]) == "shared-qubit marginals disagree by 1.0000 (> eps_b = 0.05)"
 
     @pytest.mark.parametrize("eps_b", [np.nan, np.inf, -0.01])
     def test_eps_b_must_be_finite_and_non_negative(self, eps_b):
@@ -78,12 +82,12 @@ class TestSinglePartyMarginals:
         assert MarginalPair(rho, rho, eps_b).eps_b == eps_b
 
     def test_unnormalized_inputs_renormalize_without_warning(self):
-        pair = marginal_pair_of(w_vector())
+        pair, errors = marginal_pair_of(w_vector()), {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scaled = MarginalPair(0.98 * pair.rho_ab, 0.98 * pair.rho_bc, 1e-6)
-            rho_a, _ = _single_party_marginals(scaled, None)
-        assert abs(np.trace(rho_a) - 1.0) <= 1e-12
+            rho_a, _ = _single_party_marginals(scaled, errors)
+        assert abs(np.trace(rho_a) - 1.0) <= 1e-12 and errors == {}
         ab = 0.98 * pair.rho_ab
         assert np.array_equal(scaled.rho_ab, ab / np.trace(ab).real)
 
@@ -100,6 +104,27 @@ class TestMarginalPair:
         with pytest.raises(ValueError, match=f"^trace {scale:g} is not positive$"):
             MarginalPair(np.stack([pair.rho_ab] * 2),
                          np.stack([pair.rho_bc, scale * pair.rho_bc]), 0.1)
+
+    def test_a_marginal_that_is_not_hermitian_is_rejected(self):
+        # rho_ab's B marginal is |0><0| and rho_bc's |1><1|: this pair once got
+        # past the constructor and raised InconsistentMarginalsError, and with
+        # agreeing B marginals a ValueError from eig_hermitian naming neither marginal
+        ab, bc = np.diag([1.0, 0, 0, 0]).astype(complex), np.diag([0, 0, 0, 1.0]).astype(complex)
+        ab[0, 1] = 1e-3
+        with pytest.raises(ValueError, match="^rho_ab is not Hermitian within 1e-08$"):
+            MarginalPair(ab, bc, 0.05)
+        with pytest.raises(ValueError, match="^rho_bc is not Hermitian within 1e-08$"):
+            MarginalPair(np.stack([bc, bc]), np.stack([bc, ab]), 0.05)
+
+    @pytest.mark.parametrize("skew, hermitian", [(5e-9, True), (2e-8, False)])
+    def test_hermiticity_tolerance_is_1e_8(self, skew, hermitian):
+        rho = np.diag([0.5, 0.5, 0, 0]).astype(complex)
+        rho[0, 1] = skew  # |rho - rho†| peaks at skew
+        if hermitian:
+            assert MarginalPair(rho, rho, 0.05).rho_ab is rho
+        else:
+            with pytest.raises(ValueError, match="^rho_ab is not Hermitian"):
+                MarginalPair(rho, rho, 0.05)
 
     def test_unit_trace_divides_only_past_the_tolerance(self):
         rho = marginal_pair_of(w_vector()).rho_ab
@@ -146,11 +171,12 @@ class TestPurifyStructures:
         # C[k, i, j] = <i;A j;B | k;AB> in a random orthonormal basis |j;B> of
         # qubit B, one vdot of a Kronecker product per entry, then the sum over j
         for _ in range(20):
-            pair = marginal_pair_of(random_gapped_pure(rng))
+            pair, errors = marginal_pair_of(random_gapped_pure(rng)), {}
             a, c, ab, bc = (
                 np.column_stack([_fix_vector_gauge(v) for v in eig_hermitian(rho)[1][:, :2].T])
-                for rho in (*_single_party_marginals(pair, None), pair.rho_ab, pair.rho_bc)
+                for rho in (*_single_party_marginals(pair, errors), pair.rho_ab, pair.rho_bc)
             )
+            assert errors == {}
             b, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             lam_a, lam_c, vectors, m = matched_spectra(pair)
             for got, ref in zip(vectors, (a, c, ab, bc)):
@@ -190,15 +216,22 @@ class TestSolvePhases:
         ghz = np.zeros(8, dtype=complex)
         ghz[0] = ghz[7] = 1 / np.sqrt(2)
         lam_a, _, _, m = matched_spectra(marginal_pair_of(ghz))
-        with pytest.raises(DegenerateSpectrumError):
-            _solve_phases(lam_a, m, None)
+        errors = {}
+        _solve_phases(lam_a, m, errors)
+        assert list(errors) == [()]
+        assert type(errors[()]) is DegenerateSpectrumError
+        assert str(errors[()]) == ("rho_A spectrum [0.5 0.5] is degenerate within 1e-06; "
+                                   "the marginals do not determine the global state")
 
     def test_unlinked_branches_raise(self):
         # a diagonal m links A branch i to C branch i only, so the relative
         # phase of the two branches is not determined
-        with pytest.raises(UnderdeterminedPhaseError, match="^branch 1 fixes gamma_1 but its "
-                           "overlap with C branch 0 is 0.0e\\+00 < 1e-08"):
-            _solve_phases(np.array([0.6, 0.4]), np.diag([0.6, 0.4]).astype(complex), None)
+        errors = {}
+        _solve_phases(np.array([0.6, 0.4]), np.diag([0.6, 0.4]).astype(complex), errors)
+        assert list(errors) == [()]
+        assert type(errors[()]) is UnderdeterminedPhaseError
+        assert str(errors[()]) == ("branch 1 fixes gamma_1 but its overlap with C branch 0 is "
+                                   "0.0e+00 < 1e-08; the relative branch phase is unresolved")
 
     def test_generalized_ghz_phase_is_not_guessed(self):
         # 0.8|000> + 0.6 e^{0.9i}|111> has the marginals of every relative phase
@@ -218,9 +251,9 @@ class TestSolvePhases:
     def test_rounding_level_branch_is_not_live(self):
         # a pure rho_A rounds to a spectrum (1, ~1e-16): that branch carries no
         # weight and needs no overlap, whatever its square root
-        m = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        alpha = _solve_phases(np.array([1.0, 2.5e-16]), m, None)
-        assert np.array_equal(alpha, [0.0, 0.0])
+        m, errors = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex), {}
+        alpha = _solve_phases(np.array([1.0, 2.5e-16]), m, errors)
+        assert np.array_equal(alpha, [0.0, 0.0]) and errors == {}
 
     def test_one_live_branch_needs_no_overlap(self):
         # (0.8|0> + 0.6|1>) ⊗ (|01> + |10>)/√2: rho_A is pure, so A's one live
@@ -257,7 +290,9 @@ class TestSolvePhases:
             if spectral_gap(psi) <= 0.05:
                 continue
             lam_a, _, _, m = matched_spectra(marginal_pair_of(psi))
-            alpha = _solve_phases(lam_a, m, None)
+            errors = {}
+            alpha = _solve_phases(lam_a, m, errors)
+            assert errors == {}
             factors = np.exp(1j * alpha)
             assert np.abs(factors.imag).max() <= 1e-6
             res = diosi_reconstruct(marginal_pair_of(psi))
