@@ -10,7 +10,7 @@ whole-from-parts route that only ever measures two qubits at a time.
 
 import numpy as np
 
-from wtomo import ExperimentConfig, ReadoutModel, run_pipeline, w_vector
+from wtomo import ExperimentConfig, ReadoutModel, run_pipeline
 
 model = ReadoutModel.ibm_osaka()
 print("per-qubit readout confusion (p01 = P(read 0 | sent 1), p10 = P(read 1 | sent 0)):")

@@ -46,4 +46,4 @@ print("  " + "  ".join(f"{p:.4f}" for p in tables[0]) + "\n")
 # outcome probabilities; with exact tables the round trip is exact.
 rho_hat = reconstruct(scheme, tables)
 print(f"round-trip max entry error: {np.abs(rho_hat - rho).max():.2e}")
-print(f"fidelity vs W: {fidelity_pure(w_vector(), rho_hat):.12f}")
+print(f"fidelity vs W: {fidelity_pure(rho_hat):.12f}")  # against w_vector()

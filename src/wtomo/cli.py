@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures, io
-from .circuits import w_vector
 from .metrics import fidelity_pure
 from .mitigation import mitigate, mitigation_matrix, spectral_correct
 from .noise import ReadoutModel, counts_to_probs
@@ -115,7 +114,7 @@ def _cmd_fixtures(args) -> int:
         float(np.abs(result.rho - fixtures.REF_RHO_PARTS).max()),
         fixtures.ENTRYWISE_TOL,
     )
-    f_parts = fidelity_pure(w_vector(), result.rho)
+    f_parts = fidelity_pure(result.rho)
     check(
         f"fidelity vs W (expected {fixtures.FIDELITY_PARTS_EXPECTED} "
         f"± {fixtures.FIDELITY_PARTS_TOL})",
@@ -126,7 +125,7 @@ def _cmd_fixtures(args) -> int:
     print(f"  residuals: ab {result.residual_ab:.4f}, bc {result.residual_bc:.4f}")
 
     # informational: the published full-tomography matrix is noisy as printed
-    f_full = fidelity_pure(w_vector(), fixtures.REF_RHO_FULL)
+    f_full = fidelity_pure(fixtures.REF_RHO_FULL)
     print(f"  fidelity(W, full-tomography reference) = {f_full:.4f}")
     return EXIT_OK if ok else EXIT_FIXTURE_MISMATCH
 
@@ -177,7 +176,7 @@ def _cmd_diosi(args) -> int:
 def _cmd_fidelity(args) -> int:
     rho = unit_trace(_read(io.load_density, args.state, 3))  # its trace is positive
     try:
-        f = fidelity_pure(w_vector(), rho)
+        f = fidelity_pure(rho)
     except ValueError as exc:  # <W|rho|W> outside [0, 1]
         sys.exit(f"{args.state} is not a state: {exc}")
     print(f"{f:.6f}")

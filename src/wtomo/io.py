@@ -14,8 +14,8 @@ cannot use; the CLI reports those as ``cannot read <path>: ...``.
 
 A run directory of ``write_outputs`` holds ``report.csv``,
 ``run_metadata.json`` and per trial ``trial_<t>/`` with ``rho_full.json``,
-``rho_ab.json``, ``rho_bc.json``, ``rho_parts.json``, ``counts_3q.json`` and
-``calibration.json`` (each where the run produced it).
+``rho_ab.json``, ``rho_bc.json``, ``rho_parts.json`` and ``counts_3q.json``
+(each where the run produced it) and ``calibration.json``.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .circuits import QUBIT_NAMES
 from .linalg import HERMITICITY_TOL, is_hermitian
 from .noise import MAX_SHOTS, RNG_ALGORITHM, QubitReadout, ReadoutModel
 from .tomography import tomography_scheme
+from .wholeparts import ReconstructionResult, unit_trace
 
 if TYPE_CHECKING:
     from .pipeline import ExperimentConfig, TrialResult
-    from .wholeparts import ReconstructionResult
 
 
 def _write_json(path, obj) -> None:
@@ -73,7 +73,8 @@ def save_density(rho: np.ndarray, path) -> None:
 
 
 def load_density(path, nqubits: int) -> np.ndarray:
-    """An nqubits Hermitian density matrix with positive trace from a density file."""
+    """An nqubits density matrix from a density file, as read. Its trace is positive, and
+    divided by it (``unit_trace``, what diosi and fidelity use) it is Hermitian within 1e-8."""
     d = _read_object(path, "a density file holds a JSON object")
     for key in ("nqubits", "re", "im"):
         if key not in d:
@@ -98,7 +99,7 @@ def load_density(path, nqubits: int) -> np.ndarray:
     tr = np.trace(rho).real
     if not tr > 0:
         raise ValueError(f"density matrix has trace {tr:.6g}, not positive")
-    if not is_hermitian(rho):
+    if not is_hermitian(unit_trace(rho)):
         raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
     return rho
 
@@ -237,7 +238,7 @@ def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) 
             (f"{p.f_full:.6f}", f"{p.f_parts:.6f}") if p is not None else ("", "")
             for p in (r.reports.get(False), r.reports.get(True))
         )
-        shots = cfg.shots if r.error is None and r.reports else "error"
+        shots = cfg.shots if r.error is None else "error"
         lines.append(f"{r.trial_id},{shots},{u[0]},{m[0]},{u[1]},{m[1]}")
     (out / "report.csv").write_text("\n".join(lines) + "\n")
     noise = None if cfg.noise is None else {  # a noise-model file's object
@@ -265,5 +266,4 @@ def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) 
             _write_json(tdir / "counts_3q.json", {
                 **tables, "shots": cfg.shots, "seed": [cfg.seed, r.trial_id], "noise": noise,
             })
-        if r.calibration is not None:
-            save_calibration(r.calibration, tdir / "calibration.json")
+        save_calibration(r.calibration, tdir / "calibration.json")

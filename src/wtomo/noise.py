@@ -109,19 +109,19 @@ def outcome_distribution(p: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def sample_counts(dist: np.ndarray, shots: int, seed: int, trials: list[int]) -> np.ndarray:
-    """(T, R, d) counts of the (R, d) distribution dist. Trial t draws every
-    row in one multinomial call from its own stream ``default_rng([seed, t])``,
-    so its counts do not depend on the other trials. numpy rejects a negative
-    seed or t (``ValueError: expected non-negative integer``).
+def sample_counts(dist: np.ndarray, shots: int, seed: int, trials: int) -> np.ndarray:
+    """(trials, R, d) counts of the (R, d) distribution dist. Trial t draws every
+    row in one multinomial call from its own stream ``default_rng([seed, t])``, so
+    its counts do not depend on the other trials. numpy rejects a negative seed
+    (``ValueError: expected non-negative integer``).
 
     numpy draws a row as a chain of binomials, and a binomial with p == 0
     returns 0 without drawing while the remaining mass stays exactly 1.0. So
     zeros that lead a row draw nothing: a row right-aligned in a wider table
     gets the counts a call over its own outcomes gives."""
-    counts = np.empty((len(trials), *dist.shape), dtype=np.int64)
-    for i, t in enumerate(trials):
-        counts[i] = np.random.default_rng([seed, t]).multinomial(shots, dist)
+    counts = np.empty((trials, *dist.shape), dtype=np.int64)
+    for t in range(trials):
+        counts[t] = np.random.default_rng([seed, t]).multinomial(shots, dist)
     return counts
 
 

@@ -100,28 +100,28 @@ class Fidelities(NamedTuple):
 @dataclass
 class TrialResult:
     trial_id: int
+    calibration: np.ndarray  # (3, 2, 2): one matrix per qubit
     reports: dict[bool, Fidelities] = field(default_factory=dict)  # key: mitigated
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
     counts: np.ndarray | None = None  # (17, 8): the 3q counts in setting order
-    calibration: np.ndarray | None = None  # (3, 2, 2): one matrix per qubit
     residuals: dict[str, float] = field(default_factory=dict)
     error: str | None = None
 
 
 @lru_cache(maxsize=None)
 def _noisy_probs(model: ReadoutModel | None):
-    """The W state and the noisy outcome probabilities of every circuit of a trial.
+    """The noisy outcome probabilities of every circuit of a trial, prepared
+    by the W circuit (``circuits.prepare_w``).
 
     They depend on the noise model only, not on the trial, so every trial
-    shares one read-only copy. Returns (psi_w, table, dist): the exact
-    probabilities of the 37 circuits, one row each, the groups of ``LAYOUT``
-    in order, and the same as the sampler draws from them
-    (``noise.outcome_distribution``). Both are (37, 8): a group of d outcomes
-    fills the last d columns, and zeros lead it (``noise.sample_counts``).
+    shares one read-only copy. Returns (table, dist): the exact probabilities
+    of the 37 circuits, one row each, the groups of ``LAYOUT`` in order, and
+    the same as the sampler draws from them (``noise.outcome_distribution``).
+    Both are (37, 8): a group of d outcomes fills the last d columns, and
+    zeros lead it (``noise.sample_counts``).
     """
     model = model or ReadoutModel((QubitReadout(0.0, 0.0),) * 3)  # no noise: perfect readout
-    psi_w = prepare_w()
-    rho_w = outer(psi_w)
+    rho_w = outer(prepare_w())
     table, dist = np.zeros((2, 37, 8))
     start = 0
     for width, qubits in LAYOUT:
@@ -136,19 +136,19 @@ def _noisy_probs(model: ReadoutModel | None):
         table[rows, -width:] = probs
         dist[rows, -width:] = outcome_distribution(probs)
         start = rows.stop
-    for a in (psi_w, table, dist):
+    for a in (table, dist):
         a.setflags(write=False)
-    return psi_w, table, dist
+    return table, dist
 
 
 def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
     """All trials as one batch (see the module docstring); ``io.write_outputs``
     writes them as a run directory."""
-    psi_w, table, dist = _noisy_probs(cfg.noise)
+    table, dist = _noisy_probs(cfg.noise)
     if cfg.exact:
         block = np.broadcast_to(table, (cfg.trials, *table.shape))
     else:
-        block = sample_counts(dist, cfg.shots, cfg.seed, list(range(cfg.trials)))
+        block = sample_counts(dist, cfg.shots, cfg.seed, cfg.trials)
     # the stage inputs, each group over its own columns (LAYOUT): the 3q rows,
     # the AB and BC rows as one pair stack, and the calibration rows
     p3, p2, calibration = block[:, :17], block[:, 17:31, 4:], block[:, 31:, 6:]
@@ -180,13 +180,13 @@ def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
     if cfg.scheme in ("full3q", "both"):
         p3 = np.stack([p3, mitigate(kron_qubits(inverses), p3)])  # (pass, trial, 17, 8)
         matrices["rho_full"] = spectral_correct(reconstruct(tomography_scheme(3), p3))
-        f_full = fidelity_pure(psi_w, matrices["rho_full"])
+        f_full = fidelity_pure(matrices["rho_full"])
     if cfg.scheme in ("parts2q", "both"):
         m2 = kron_qubits(np.stack([inverses[:, :2], inverses[:, 1:]], axis=1))
         rho_2q = spectral_correct(reconstruct(tomography_scheme(2), np.stack([p2, mitigate(m2, p2)])))
         recon = _diosi_reconstruct(MarginalPair(rho_2q[:, :, 0], rho_2q[:, :, 1], eps_b), errors)
         matrices.update(rho_ab=rho_2q[:, :, 0], rho_bc=rho_2q[:, :, 1], rho_parts=recon.rho)
-        f_parts = fidelity_pure(psi_w, recon.rho)
+        f_parts = fidelity_pure(recon.rho)
 
     written = int(cfg.mitigate)
     # a copy of the written pass, so the trials' views do not keep both alive

@@ -79,7 +79,7 @@ def test_criterion_3_published_fixture_regression():
     res = diosi_reconstruct(fixtures.experimental_marginals())
     rho_parts = outer(res.psi)
     dev = float(np.abs(rho_parts - fixtures.REF_RHO_PARTS).max())
-    f = fidelity_pure(w_vector(), rho_parts)
+    f = fidelity_pure(rho_parts)
     ok = dev <= fixtures.ENTRYWISE_TOL and abs(f - fixtures.FIDELITY_PARTS_EXPECTED) <= fixtures.FIDELITY_PARTS_TOL
     report(
         "criterion 3 published-fixture regression",

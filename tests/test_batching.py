@@ -68,8 +68,7 @@ def test_mitigation_stacks(n, rng):
     rhos = noisy_pure_states(rng, n, noise=2e-2)
     corrected = spectral_correct(rhos)
     assert all(np.array_equal(c, spectral_correct(r)) for c, r in zip(corrected, rhos))
-    assert np.array_equal(fidelity_pure(w_vector(), corrected),
-                          [fidelity_pure(w_vector(), c) for c in corrected])
+    assert np.array_equal(fidelity_pure(corrected), [fidelity_pure(c) for c in corrected])
 
 
 def test_mitigation_stack_reports_first_bad_matrix():

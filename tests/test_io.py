@@ -323,17 +323,21 @@ def test_run_directory(tmp_path):
         matrices={"rho_parts": np.diag([1.0, 0.0])},
         counts=np.tile([0, 3, 0, 0, 7, 0, 0, 0], (17, 1)),
         residuals=residuals,
+        calibration=np.array(FS),
     )
-    failed = TrialResult(trial_id=1, error="ReconstructionError: x")
+    failed = TrialResult(trial_id=1, calibration=np.array(FS), error="ReconstructionError: x")
     out = tmp_path / "run"
     io.write_outputs(cfg, [good, failed], out)
     files = sorted(str(p.relative_to(out)) for p in out.rglob("*"))
-    assert files == ["report.csv", "run_metadata.json", "trial_0", "trial_0/counts_3q.json",
-                     "trial_0/rho_parts.json", "trial_1"]
+    assert files == ["report.csv", "run_metadata.json", "trial_0", "trial_0/calibration.json",
+                     "trial_0/counts_3q.json", "trial_0/rho_parts.json", "trial_1",
+                     "trial_1/calibration.json"]
     assert (out / "report.csv").read_text() == REPORT_FILE
     assert (out / "run_metadata.json").read_text() == METADATA_FILE
     assert (out / "trial_0" / "counts_3q.json").read_text() == COUNTS_FILE
     assert (out / "trial_0" / "rho_parts.json").read_text() == RHO_PARTS_FILE
+    for t in (0, 1):  # a failed trial keeps its calibration too
+        assert np.array_equal(io.load_calibration(out / f"trial_{t}" / "calibration.json", 3), FS)
 
     assert np.array_equal(io.load_counts_file(out / "trial_0" / "counts_3q.json", 3), good.counts)
     meta = json.loads((out / "trial_0" / "counts_3q.json").read_text())

@@ -25,7 +25,8 @@ from conftest import layout_widths
 
 def written_counts(tmp_path, cfg, counts):
     """The counts_3q.json object write_outputs writes for counts as trial 0 of cfg."""
-    write_outputs(cfg, [TrialResult(0, counts=counts)], tmp_path / "run")
+    write_outputs(cfg, [TrialResult(0, np.tile(np.eye(2), (3, 1, 1)), counts=counts)],
+                  tmp_path / "run")
     return json.loads((tmp_path / "run" / "trial_0" / "counts_3q.json").read_text())
 
 
@@ -153,20 +154,20 @@ class TestReadoutModel:
 class TestSampling:
     def test_deterministic_for_seed(self):
         dist = outcome_distribution(np.full((1, 8), 1 / 8))
-        a = sample_counts(dist, 5000, 42, [0])
-        b = sample_counts(dist, 5000, 42, [0])
+        a = sample_counts(dist, 5000, 42, 1)
+        b = sample_counts(dist, 5000, 42, 1)
         assert np.array_equal(a, b)
         assert a.shape == (1, 1, 8) and a.sum() == 5000
 
     def test_different_seeds_differ(self):
         dist = outcome_distribution(np.full((1, 8), 1 / 8))
-        a = sample_counts(dist, 5000, 1, [0])
-        b = sample_counts(dist, 5000, 2, [0])
+        a = sample_counts(dist, 5000, 1, 1)
+        b = sample_counts(dist, 5000, 2, 1)
         assert not np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
         p = np.array([0.5, 0.3, 0.2, 0.0])
-        counts = sample_counts(outcome_distribution(p[None]), 200_000, 7, [0])
+        counts = sample_counts(outcome_distribution(p[None]), 200_000, 7, 1)
         assert np.abs(counts_to_probs(counts)[0, 0] - p).max() <= 0.01
 
     def test_invalid_distribution(self):
@@ -301,43 +302,39 @@ class TestSampleCircuits:
         # row of a right-aligned table over its own outcomes
         table = np.array([[0, 0, 0.2, 0.8], [0, 0, 1.0, 0.0], [0.1, 0.2, 0.3, 0.4],
                           [0, 0, 0.5, 0.5]])
-        counts = sample_counts(table, 1000, 7, [3, 5])
-        assert counts.shape == (2, 4, 4) and counts.dtype == np.int64
-        for i, t in enumerate((3, 5)):
-            assert np.array_equal(counts[i], replay(table, [2, 2, 4, 2], 1000, [7, t])), t
+        counts = sample_counts(table, 1000, 7, 6)
+        assert counts.shape == (6, 4, 4) and counts.dtype == np.int64
+        for t in (3, 5):
+            assert np.array_equal(counts[t], replay(table, [2, 2, 4, 2], 1000, [7, t])), t
 
     def test_word_keys_match_list_keys(self):
         # the stream of [seed, t] is the one numpy makes of their uint32 words
-        # (least significant first), also where seed or t spans more than one
-        # 32-bit word: no word is dropped or truncated
+        # (least significant first), also where seed spans more than one 32-bit
+        # word: no word is dropped or truncated
         def words(n):
             return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
 
         table = np.array([[0, 0, 0.3, 0.7], [0.1, 0.2, 0.3, 0.4]])
-        trials = [0, 1, 2**32 - 1, 2**32 + 5]
         for seed in (0, 1234, 2**32 - 1, 2**32, 5 * 10**9, 2**64 + 3):
-            counts = sample_counts(table, 1000, seed, trials)
-            for i, t in enumerate(trials):
+            counts = sample_counts(table, 1000, seed, 2)
+            for t in (0, 1):
                 key = np.array(words(seed) + words(t), dtype=np.uint32)
-                assert np.array_equal(counts[i], replay(table, [2, 4], 1000, key)), (seed, t)
+                assert np.array_equal(counts[t], replay(table, [2, 4], 1000, key)), (seed, t)
 
     def test_negative_key_is_rejected(self):
-        # numpy's own key check: a negative seed or trial has no 32-bit words
-        dist = np.array([[0.5, 0.5]])
+        # numpy's own key check: a negative seed has no 32-bit words
         with pytest.raises(ValueError, match="expected non-negative integer"):
-            sample_counts(dist, 10, -1, [0])
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            sample_counts(dist, 10, 1234, [0, -3])
+            sample_counts(np.array([[0.5, 0.5]]), 10, -1, 1)
 
     @pytest.mark.parametrize("shots", [1, 2**62, 2**63 - 1])
     def test_groups_replay_row_by_row_at_extreme_shots(self, shots):
         # one multinomial call per trial over the right-aligned (37, 8) table
         # equals row-by-row draws over each group's own outcomes from the same
         # stream, and every row is a sample of shots, at numpy's int64 limit too
-        dist = _noisy_probs(ReadoutModel.ibm_osaka())[2]
-        counts = sample_counts(dist, shots, 1234, [0, 1])
-        for i, t in enumerate((0, 1)):
-            assert np.array_equal(counts[i], replay(dist, layout_widths(dist), shots, [1234, t])), t
+        dist = _noisy_probs(ReadoutModel.ibm_osaka())[1]
+        counts = sample_counts(dist, shots, 1234, 2)
+        for t in (0, 1):
+            assert np.array_equal(counts[t], replay(dist, layout_widths(dist), shots, [1234, t])), t
         assert (counts.sum(axis=-1) == shots).all()
 
     @pytest.mark.parametrize("shots", [1, 2**62, 2**63 - 1])
@@ -345,8 +342,8 @@ class TestSampleCircuits:
         # trial t makes one generator [seed, t] and one multinomial call over
         # the cached (37, 8) table itself; the columns before a row's group
         # draw no count
-        dist = _noisy_probs(ReadoutModel.ibm_osaka())[2]
-        counts = sample_counts(dist, shots, 1234, [0, 1, 2])
+        dist = _noisy_probs(ReadoutModel.ibm_osaka())[1]
+        counts = sample_counts(dist, shots, 1234, 3)
         assert counts.shape == (3, 37, 8)
         assert [key for key, _ in rng_calls] == [[1234, t] for t in (0, 1, 2)]
         for i, (_, draws) in enumerate(rng_calls):

@@ -142,6 +142,20 @@ class TestRunTrial:
         assert np.isnan(r.reports[True].f_full)
         assert not np.isnan(r.reports[True].f_parts)
 
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(shots=2000, trials=20, seed=1234),
+        ExperimentConfig(exact=True, trials=2, seed=1234),
+        ExperimentConfig(shots=2000, trials=20, seed=1234, mitigate=False),
+    ], ids=["sampled", "exact", "no-mitigate"])
+    def test_reported_fidelities_are_those_of_the_written_matrices(self, cfg):
+        # every fidelity is against the one W: the report's numbers are what
+        # fidelity_pure, and so `wtomo fidelity`, gives on the trial's matrices
+        for r in run_pipeline(cfg):
+            assert r.error is None
+            written = r.reports[cfg.mitigate]
+            assert fidelity_pure(r.matrices["rho_full"]) == written.f_full, r.trial_id
+            assert fidelity_pure(r.matrices["rho_parts"]) == written.f_parts, r.trial_id
+
     def test_setting_unitaries_are_built_once_per_noise_model(self, monkeypatch):
         # 17 + 7 + 7 settings, however many trials; the schemes are derived first
         # so that only the pipeline's own calls are counted
@@ -164,12 +178,11 @@ class TestRunTrial:
         # sampler draws from; zeros, exactly +0.0, lead each row of a group
         # narrower than 8
         for model in (ReadoutModel.ibm_osaka(), None):
-            psi_w, table, dist = pipeline._noisy_probs(model)
+            table, dist = pipeline._noisy_probs(model)
             assert table.shape == dist.shape == (37, 8)
-            for a in (psi_w, table, dist):
+            for a in (table, dist):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0
-            for a in (table, dist):
                 for row, width in zip(a, layout_widths(a), strict=True):
                     assert row[:8 - width].tobytes() == bytes(8 * (8 - width)), model
 
@@ -182,7 +195,7 @@ class TestRunTrial:
     def test_table_rows_follow_the_layout(self):
         # 17 3q settings, 7 AB and 7 BC settings, then qubit A, B, C prepared in |0>, |1>
         model = ReadoutModel.ibm_osaka()
-        _, table, dist = pipeline._noisy_probs(model)
+        table, dist = pipeline._noisy_probs(model)
         rho_w, groups = outer(prepare_w()), []
         full, pair = tomography_scheme(3).settings, tomography_scheme(2).settings
         for qubits, settings in (([0, 1, 2], full), ([0, 1], pair), ([1, 2], pair)):
@@ -443,7 +456,7 @@ class TestDeterminism:
         # 17 + 7 + 7 settings
         model = ReadoutModel.ibm_osaka()
         cfg = ExperimentConfig(shots=500, trials=3, seed=42, noise=model)
-        settings = layout_groups(pipeline._noisy_probs(model)[2])[:3]
+        settings = layout_groups(pipeline._noisy_probs(model)[1])[:3]
         for t, r in enumerate(run_pipeline(cfg)):
             rng = np.random.default_rng([cfg.seed, t])
             for dist in settings:
@@ -502,7 +515,7 @@ class TestOutputs:
             model = load_readout_model(noise, 3)
             rng = np.random.default_rng(obj["seed"])
             draws = [np.array([rng.multinomial(obj["shots"], row) for row in dist])
-                     for dist in layout_groups(pipeline._noisy_probs(model)[2])]
+                     for dist in layout_groups(pipeline._noisy_probs(model)[1])]
             assert np.array_equal(load_counts_file(tdir / "counts_3q.json", 3), draws[0])
             calibration = draws[3].reshape(3, 2, 2).swapaxes(-1, -2) / obj["shots"]
             saved = tmp_path / f"calibration_{t}.json"
@@ -656,12 +669,12 @@ class TestCli:
         save_density(scale * rho / np.trace(scale * rho).real, divided)
         seen = []
         monkeypatch.setattr(cli, "fidelity_pure",
-                            lambda psi, r: seen.append(np.trace(r).real) or fidelity_pure(psi, r))
+                            lambda r: seen.append(np.trace(r).real) or fidelity_pure(r))
         printed = []
         for path in (state, divided):
             assert main(["fidelity", str(path)]) == EXIT_OK
             printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1] == f"{fidelity_pure(w_vector(), rho):.6f}\n"
+        assert printed[0] == printed[1] == f"{fidelity_pure(rho):.6f}\n"
         assert seen[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_diosi_failure_exit_code(self, tmp_path, capsys):
@@ -783,21 +796,23 @@ class TestCli:
 
     def test_diosi_names_a_marginal_that_renormalizing_makes_not_hermitian(self, tmp_path,
                                                                            capsys):
-        # a file of trace 0.5 and skew 7e-9 passes load_density's check at 1e-8;
-        # divided by its trace the skew is 1.4e-8, which eig_hermitian once
-        # rejected with a traceback that named no marginal
-        ab, bc = np.diag([0.25, 0.25, 0, 0]).astype(complex), np.diag([0.5, 0, 0.5, 0])
-        ab[0, 1] = 7e-9
-        paths = tmp_path / "ab.json", tmp_path / "bc.json", tmp_path / "psi.json"
-        for rho, path in zip((ab, bc), paths):
-            path.write_text(json.dumps({"nqubits": 2, "re": np.real(rho).tolist(),
-                                        "im": np.imag(rho).tolist()}))
-        with pytest.raises(SystemExit) as exc:
-            main(["diosi", *map(str, paths[:2]), "--out", str(paths[2])])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err[-1] == "wtomo diosi: error: rho_ab is not Hermitian within 1e-08"
-        assert not paths[2].exists()
+        # a file of trace 0.5 and skew 7e-9 is within 1e-8 of Hermitian as
+        # read, but divided by its trace, the matrix diosi and fidelity use,
+        # the skew is 1.4e-8: a malformed input file for both commands
+        ab, bc, state = tmp_path / "ab.json", tmp_path / "bc.json", tmp_path / "state.json"
+        for d, path in ((4, ab), (8, state)):
+            rho = np.diag([0.25, 0.25] + [0] * (d - 2)).astype(complex)
+            rho[0, 1] = 7e-9
+            save_density(rho, path)
+        save_density(np.diag([0.5, 0, 0.5, 0]), bc)
+        out = tmp_path / "psi.json"
+        for argv, bad in ((["diosi", str(ab), str(bc), "--out", str(out)], ab),
+                          (["fidelity", str(state)], state)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == f"cannot read {bad}: density matrix is not Hermitian within 1e-08"
+            assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["tomo3q", "tomo2q"])
     @pytest.mark.parametrize("case", [
