@@ -29,7 +29,7 @@ from .mitigation import mitigate, mitigation_matrix, spectral_correct
 from .noise import ReadoutModel, counts_to_probs
 from .pipeline import RUN_SCHEMES, ExperimentConfig, run_pipeline
 from .tomography import reconstruct, tomography_scheme
-from .wholeparts import EPS_B, MarginalPair, ReconstructionError, diosi_reconstruct, unit_trace
+from .wholeparts import EPS_B, MarginalPair, ReconstructionError, diosi_reconstruct
 
 EXIT_OK = 0
 EXIT_FIXTURE_MISMATCH = 2
@@ -150,8 +150,7 @@ def _cmd_tomo(args, nqubits: int) -> int:
 def _cmd_diosi(args) -> int:
     rhos = []
     for path in (args.rho_ab, args.rho_bc):
-        rho = _read(io.load_density, path, 2)  # its trace is positive
-        unit = unit_trace(rho)
+        rho, unit = _read(io._read_density, path, 2)  # its trace is positive
         if unit is not rho:
             print(f"{path} has trace {np.trace(rho).real:.12g}; renormalizing to 1",
                   file=sys.stderr)
@@ -174,7 +173,7 @@ def _cmd_diosi(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    rho = unit_trace(_read(io.load_density, args.state, 3))  # its trace is positive
+    rho = _read(io.load_density, args.state, 3)
     try:
         f = fidelity_pure(rho)
     except ValueError as exc:  # <W|rho|W> outside [0, 1]

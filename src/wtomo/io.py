@@ -73,8 +73,12 @@ def save_density(rho: np.ndarray, path) -> None:
 
 
 def load_density(path, nqubits: int) -> np.ndarray:
-    """An nqubits density matrix from a density file, as read. Its trace is positive, and
-    divided by it (``unit_trace``, what diosi and fidelity use) it is Hermitian within 1e-8."""
+    """An nqubits density matrix from a density file, divided by its trace (``unit_trace``)."""
+    return _read_density(path, nqubits)[1]
+
+
+def _read_density(path, nqubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(as read, divided by its trace) of a density file; divided, it is Hermitian within 1e-8."""
     d = _read_object(path, "a density file holds a JSON object")
     for key in ("nqubits", "re", "im"):
         if key not in d:
@@ -99,9 +103,9 @@ def load_density(path, nqubits: int) -> np.ndarray:
     tr = np.trace(rho).real
     if not tr > 0:
         raise ValueError(f"density matrix has trace {tr:.6g}, not positive")
-    if not is_hermitian(unit_trace(rho)):
+    if not is_hermitian(unit := unit_trace(rho)):
         raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
-    return rho
+    return rho, unit
 
 
 # counts files: {label -> {bitstring -> count}, "shots", "seed", "noise"}, written

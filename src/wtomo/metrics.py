@@ -24,5 +24,5 @@ def fidelity_pure(rho: np.ndarray) -> float | np.ndarray:
     val = np.real(_W.conj() @ (rho @ _W)[..., None])[..., 0]
     outside = (val < -1e-12) | (val > 1 + 1e-12)
     if outside.any():
-        raise ValueError(f"<psi|rho|psi> = {val[first_true(outside)]} outside [0, 1]")
+        raise ValueError(f"<W|rho|W> = {val[first_true(outside)]} outside [0, 1]")
     return np.sqrt(np.clip(val, 0.0, 1.0))

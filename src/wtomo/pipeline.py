@@ -1,23 +1,24 @@
 """End-to-end simulated experiment: calibration, noisy measurement of every
 setting, optional mitigation, reconstruction, and fidelity reporting.
 
-Each trial mirrors one hardware run: 37 circuits in four groups
-(``LAYOUT``), the 17 three-qubit settings, 7 two-qubit settings per
-marginal and 6 calibration circuits. ``_noisy_probs`` builds their (37, 8)
-table once per noise model, each group's rows right-aligned. Trial t draws
-all its circuits in one multinomial call from one stream keyed [seed, t]
-(``noise.sample_counts``), so a fixed configuration reproduces
-byte-identical reports and no two trials share a stream. The stages read
-views of the (trial, 37, 8) block, each group over its own columns.
+Each trial mirrors one hardware run: 37 circuits in four groups (``LAYOUT``),
+the 17 three-qubit settings, 7 two-qubit settings per marginal and 6
+calibration circuits. ``_noisy_probs`` builds their (37, 8) table once per
+noise model, each group's rows right-aligned; ``_groups`` gives each group's
+view of any (..., 37, 8) block.
 
-The trials of a run form one batch: after sampling, every stage runs once
-on stacks with leading axes (pass, trial), pass 0 unmitigated and pass 1
-mitigated; the two-qubit route adds a pair axis, AB then BC, so (pass,
-trial, pair, 7, 4). A trial's result is bitwise the same in a batch of any
-size. Errors are keyed (pass, trial): the calibration check fails pass 1, a
-Diosi check (a ``ReconstructionError``) the pass it flags. A failing trial
-gets the error of its first failing pass and keeps the passes before it;
-any other error propagates.
+A run is draw, ``_estimate``, assemble; only the draw differs between exact and
+sampled runs. An exact run gives every trial the table. A sampled run draws
+trial t in one multinomial call from one stream keyed [seed, t]
+(``noise.sample_counts``), so a fixed configuration reproduces byte-identical
+reports and no two trials share a stream. ``_estimate`` runs every later stage
+once on the (trial, 37, 8) block of frequencies, on stacks with leading axes
+(pass, trial), pass 0 unmitigated and pass 1 mitigated; the two-qubit route
+adds a pair axis, AB then BC, so (pass, trial, pair, 7, 4). A trial's result is
+bitwise the same in a batch of any size. Errors are keyed (pass, trial): the
+calibration check fails pass 1, a Diosi check (a ``ReconstructionError``) the
+pass it flags. A failing trial gets the error of its first failing pass and
+keeps the passes before it; any other error propagates.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .wholeparts import EPS_B, MarginalPair, _diosi_reconstruct
 # per circuit, measured qubits): the 3q, AB and BC settings in setting order,
 # then qubit A, B, C each prepared in |0> then |1> and read alone.
 LAYOUT = ((8, (0, 1, 2)), (4, (0, 1)), (4, (1, 2)), (2, (0, 1, 2)))
+_ROWS = (slice(0, 17), slice(17, 24), slice(24, 31), slice(31, 37))  # their rows of a block
 
 # The routes a run can take: the 17-setting full scheme, the 7-setting marginals, or both.
 RUN_SCHEMES = ("full3q", "parts2q", "both")
@@ -108,6 +110,11 @@ class TrialResult:
     error: str | None = None
 
 
+def _groups(block: np.ndarray) -> list[np.ndarray]:
+    """The groups of LAYOUT in a (..., 37, 8) block, each a view over its own (last) columns."""
+    return [block[..., rows, -width:] for rows, (width, _) in zip(_ROWS, LAYOUT, strict=True)]
+
+
 @lru_cache(maxsize=None)
 def _noisy_probs(model: ReadoutModel | None):
     """The noisy outcome probabilities of every circuit of a trial, prepared
@@ -123,8 +130,7 @@ def _noisy_probs(model: ReadoutModel | None):
     model = model or ReadoutModel((QubitReadout(0.0, 0.0),) * 3)  # no noise: perfect readout
     rho_w = outer(prepare_w())
     table, dist = np.zeros((2, 37, 8))
-    start = 0
-    for width, qubits in LAYOUT:
+    for (width, qubits), t, d in zip(LAYOUT, _groups(table), _groups(dist), strict=True):
         if width == 2:  # calibration: the columns of each qubit's matrix
             probs = np.concatenate([model.qubits[q].calibration_matrix().T for q in qubits])
         else:
@@ -132,65 +138,34 @@ def _noisy_probs(model: ReadoutModel | None):
             settings = tomography_scheme(len(qubits)).settings
             probs = apply_readout_noise(np.array([exact_probs(rho, s) for s in settings]),
                                         model.subset(qubits))
-        rows = slice(start, start + len(probs))
-        table[rows, -width:] = probs
-        dist[rows, -width:] = outcome_distribution(probs)
-        start = rows.stop
+        t[...] = probs
+        d[...] = outcome_distribution(probs)
     for a in (table, dist):
         a.setflags(write=False)
     return table, dist
 
 
 def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
-    """All trials as one batch (see the module docstring); ``io.write_outputs``
-    writes them as a run directory."""
+    """All trials as one batch (see the module docstring): draw, ``_estimate``,
+    assemble. ``io.write_outputs`` writes them as a run directory."""
     table, dist = _noisy_probs(cfg.noise)
-    if cfg.exact:
-        block = np.broadcast_to(table, (cfg.trials, *table.shape))
+    if cfg.exact:  # the only difference between exact and sampled runs
+        freqs, counts = np.broadcast_to(table, (cfg.trials, *table.shape)), None
+        eps_b = 1e-8 if cfg.noise is None else EPS_B
     else:
         block = sample_counts(dist, cfg.shots, cfg.seed, cfg.trials)
-    # the stage inputs, each group over its own columns (LAYOUT): the 3q rows,
-    # the AB and BC rows as one pair stack, and the calibration rows
-    p3, p2, calibration = block[:, :17], block[:, 17:31, 4:], block[:, 31:, 6:]
-    counts = None
-    if not cfg.exact:
-        # a copy of the 3q settings' counts: the trials' views of the block
-        # would keep every group's counts alive
-        counts = p3.copy()
         # each group normalized over its own columns: counts_to_probs sums the
         # counts as floats, and from 2**53 shots a sum that takes in a row's
         # leading zeros can round differently
-        p3, p2, calibration = (counts_to_probs(c) for c in (counts, p2, calibration))
-    p2 = p2.reshape(cfg.trials, 2, 7, 4)  # (trial, pair AB|BC, 7, 4)
-    # row 2q + b of the calibration group is column b of qubit q's matrix
-    f_hats = calibration.reshape(cfg.trials, 3, 2, 2).swapaxes(-1, -2)
-    if cfg.exact and cfg.noise is None:
-        eps_b = 1e-8
-    else:
+        freqs = np.zeros(block.shape)
+        for f, c in zip(_groups(freqs), _groups(block), strict=True):
+            f[...] = counts_to_probs(c)
+        counts = _groups(block)[0].copy()  # the 3q counts; a view would keep the block alive
         # base experimental tolerance plus a shot-noise allowance
-        eps_b = EPS_B + (0.0 if cfg.exact else 2.0 / np.sqrt(cfg.shots))
-
-    # Pass 0 is unmitigated, pass 1 mitigated. The 3q and AB/BC maps compose one
-    # checked stack of per-qubit inverses; a calibration error fails pass 1.
-    found: dict = {}  # (t,): a calibration error
-    inverses = _calibration_inverses(f_hats, found)
-    errors = {(1, *k): exc for k, exc in found.items()}  # (pass, t): its first error
-    f_full = f_parts = np.full((2, cfg.trials), np.nan)
-    matrices, recon = {}, None
-    if cfg.scheme in ("full3q", "both"):
-        p3 = np.stack([p3, mitigate(kron_qubits(inverses), p3)])  # (pass, trial, 17, 8)
-        matrices["rho_full"] = spectral_correct(reconstruct(tomography_scheme(3), p3))
-        f_full = fidelity_pure(matrices["rho_full"])
-    if cfg.scheme in ("parts2q", "both"):
-        m2 = kron_qubits(np.stack([inverses[:, :2], inverses[:, 1:]], axis=1))
-        rho_2q = spectral_correct(reconstruct(tomography_scheme(2), np.stack([p2, mitigate(m2, p2)])))
-        recon = _diosi_reconstruct(MarginalPair(rho_2q[:, :, 0], rho_2q[:, :, 1], eps_b), errors)
-        matrices.update(rho_ab=rho_2q[:, :, 0], rho_bc=rho_2q[:, :, 1], rho_parts=recon.rho)
-        f_parts = fidelity_pure(recon.rho)
+        eps_b = EPS_B + 2.0 / np.sqrt(cfg.shots)
+    f_full, f_parts, matrices, recon, f_hats, errors = _estimate(freqs, eps_b, cfg)
 
     written = int(cfg.mitigate)
-    # a copy of the written pass, so the trials' views do not keep both alive
-    matrices = {name: m[written].copy() for name, m in matrices.items()}
     results = []
     for t in range(cfg.trials):
         r = TrialResult(t, counts=None if counts is None else counts[t], calibration=f_hats[t])
@@ -210,3 +185,35 @@ def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
                     }
         results.append(r)
     return results
+
+
+def _estimate(freqs: np.ndarray, eps_b: float, cfg: ExperimentConfig):
+    """Every stage after the draw on a (T, 37, 8) block of outcome frequencies.
+    Returns the fidelities (pass, trial) of both schemes, the written pass's
+    matrices, the Diosi result (None without the parts route), the (T, 3, 2, 2)
+    calibration stack and the errors keyed (pass, trial)."""
+    p3, ab, bc, calibration = _groups(freqs)
+    # row 2q + b is column b of qubit q's matrix; copied, so no trial keeps the block alive
+    f_hats = calibration.reshape(-1, 3, 2, 2).swapaxes(-1, -2).copy()
+
+    # Pass 0 is unmitigated, pass 1 mitigated. The 3q and AB/BC maps compose one
+    # checked stack of per-qubit inverses; a calibration error fails pass 1.
+    found: dict = {}  # (t,): a calibration error
+    inverses = _calibration_inverses(f_hats, found)
+    errors = {(1, *k): exc for k, exc in found.items()}  # (pass, t): its first error
+    f_full = f_parts = np.full((2, len(freqs)), np.nan)
+    matrices, recon = {}, None
+    if cfg.scheme in ("full3q", "both"):
+        p3 = np.stack([p3, mitigate(kron_qubits(inverses), p3)])  # (pass, trial, 17, 8)
+        matrices["rho_full"] = spectral_correct(reconstruct(tomography_scheme(3), p3))
+        f_full = fidelity_pure(matrices["rho_full"])
+    if cfg.scheme in ("parts2q", "both"):
+        p2 = np.stack([ab, bc], axis=1)  # (trial, pair AB|BC, 7, 4)
+        m2 = kron_qubits(np.stack([inverses[:, :2], inverses[:, 1:]], axis=1))
+        rho_2q = spectral_correct(reconstruct(tomography_scheme(2), np.stack([p2, mitigate(m2, p2)])))
+        recon = _diosi_reconstruct(MarginalPair(rho_2q[:, :, 0], rho_2q[:, :, 1], eps_b), errors)
+        matrices.update(rho_ab=rho_2q[:, :, 0], rho_bc=rho_2q[:, :, 1], rho_parts=recon.rho)
+        f_parts = fidelity_pure(recon.rho)
+    # a copy of the written pass, so the trials' views do not keep both alive
+    matrices = {name: m[int(cfg.mitigate)].copy() for name, m in matrices.items()}
+    return f_full, f_parts, matrices, recon, f_hats, errors

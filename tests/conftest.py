@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wtomo.pipeline import LAYOUT
+from wtomo.pipeline import _groups
 from wtomo.wholeparts import _phase_matrix, _single_party_marginals, _top2
 
 
@@ -30,20 +30,9 @@ def matched_spectra(pair):
     return lam_a, lam_c, (a, c, ab, bc), _phase_matrix(lam_a, lam_c, a, c, ab, bc)
 
 
-def layout_groups(table):
-    """The groups of pipeline.LAYOUT in a trial's (..., 37, 8) table, in order,
-    each as a view over its own columns: 17 3q, 7 AB and 7 BC settings, then
-    the 6 calibration circuits."""
-    groups, start = [], 0
-    for rows, (width, _) in zip((17, 7, 7, 6), LAYOUT, strict=True):
-        groups.append(table[..., start:start + rows, 8 - width:])
-        start += rows
-    return groups
-
-
 def layout_widths(table):
     """The outcomes of each row of a trial's (37, 8) table, by its group of LAYOUT."""
-    return [group.shape[-1] for group in layout_groups(table) for _ in range(group.shape[-2])]
+    return [group.shape[-1] for group in _groups(table) for _ in range(group.shape[-2])]
 
 
 @pytest.fixture

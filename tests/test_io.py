@@ -203,6 +203,16 @@ def test_density_file(tmp_path):
     assert np.array_equal(io.load_density(path, 1), rho)
 
 
+def test_density_file_is_read_divided_by_its_trace(tmp_path):
+    # the one division of a file: load_density returns the unit-trace matrix it checked
+    rho = np.array([[2 / 3, 0.1 - 0.2j], [0.1 + 0.2j, 1 / 3]])
+    path = tmp_path / "rho.json"
+    io.save_density(0.5 * rho, path)
+    assert np.array_equal(io.load_density(path, 1), 0.5 * rho / np.trace(0.5 * rho).real)
+    raw, unit = io._read_density(path, 1)
+    assert np.array_equal(raw, 0.5 * rho) and np.array_equal(unit, io.load_density(path, 1))
+
+
 @pytest.mark.parametrize("literal, shown", [
     ("null", "None"), ("[3]", "[3]"), ("1e400", "inf"), ("3.5", "3.5"), ("true", "True"),
     ("0", "0"), ("4", "4"), ("100000000", "100000000"), ('"3"', "'3'"),

@@ -79,6 +79,23 @@ class TestCheckCalibrationMatrix:
         with pytest.raises(ValueError, match="not column-stochastic"):
             mitigation_matrix([f(5e-9)])
 
+    @pytest.mark.parametrize("inside, outside, message", [
+        # an entry within 1e-12 outside [0, 1] is roundoff and is accepted; 5e-12 is not
+        (-5e-13, -5e-12, "not column-stochastic"),
+        # |det| above 1e-6 inverts; |det| 5e-7 is numerically singular
+        (2e-6, 5e-7, "numerically singular"),
+    ], ids=["entry-range", "determinant"])
+    def test_entry_range_and_determinant_tolerances(self, inside, outside, message):
+        def f(x):
+            if message == "not column-stochastic":
+                return np.array([[0.99, x], [0.01, 1 - x]])
+            return np.array([[0.5, 0.5 - x], [0.5, 0.5 + x]])  # det x
+
+        inv = np.linalg.inv(f(inside))
+        assert np.array_equal(mitigation_matrix([f(inside)] * 3), np.kron(np.kron(inv, inv), inv))
+        with pytest.raises(ValueError, match=message):
+            mitigation_matrix([f(outside)] * 3)
+
     def test_singular(self):
         with pytest.raises(ValueError, match="numerically singular"):
             mitigation_matrix([np.full((2, 2), 0.5)])

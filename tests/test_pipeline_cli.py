@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -39,7 +40,7 @@ from wtomo.pipeline import ExperimentConfig, run_pipeline
 from wtomo.tomography import tomography_scheme
 from wtomo.wholeparts import MarginalPair, ReconstructionError, diosi_reconstruct
 
-from conftest import layout_groups, layout_widths
+from conftest import layout_widths
 
 
 class TestConfig:
@@ -205,7 +206,7 @@ class TestRunTrial:
         assert [len(rows) for rows in groups] == [17, 7, 7, 6]
         assert [len(rows[0]) for rows in groups] == [width for width, _ in pipeline.LAYOUT]
         for g, (rows, t, d) in enumerate(
-                zip(groups, layout_groups(table), layout_groups(dist), strict=True)):
+                zip(groups, pipeline._groups(table), pipeline._groups(dist), strict=True)):
             for j, row in enumerate(rows):
                 assert np.array_equal(t[j], row), (g, j)
                 assert np.array_equal(d[j], outcome_distribution(row)), (g, j)
@@ -309,6 +310,45 @@ class TestBatching:
         monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(a.shape) or inv(a))
         run_pipeline(self.CFG)
         assert shapes == [(6, 3, 2, 2)]
+
+    # each failing seed is the first from 1234 up whose middle trial alone fails
+    ESTIMATE_RUNS = {
+        "sampled": ExperimentConfig(shots=2000, trials=4, seed=31),
+        "exact": ExperimentConfig(exact=True, trials=3),
+        "no-mitigate": ExperimentConfig(shots=2000, trials=4, seed=31, mitigate=False),
+        "middle-fails-diosi": ExperimentConfig(shots=2, trials=3, seed=1234),
+        "middle-fails-calibration": ExperimentConfig(shots=1, trials=3, seed=1245, mitigate=False),
+    }
+
+    @pytest.mark.parametrize("name", ESTIMATE_RUNS)
+    def test_estimate_on_one_trial_of_the_block_gives_its_arrays(self, name, monkeypatch):
+        # _estimate on a one-trial slice of the block run_pipeline drew gives
+        # that trial's arrays bitwise; it reads no shots, seed or exact
+        cfg, seen = self.ESTIMATE_RUNS[name], []
+        estimate = pipeline._estimate
+        monkeypatch.setattr(pipeline, "_estimate", lambda *a: seen.append(a) or estimate(*a))
+        results = run_pipeline(cfg)
+        [(freqs, eps_b, _)] = seen
+        assert freqs.shape == (cfg.trials, 37, 8)
+        f_full, f_parts, matrices, recon, f_hats, errors = estimate(freqs, eps_b, cfg)
+        assert [r.error is not None for r in results] == (
+            [False, True, False] if name.startswith("middle-fails") else [False] * cfg.trials)
+        other = dataclasses.replace(cfg, shots=7, seed=0, exact=not cfg.exact)
+        for t in range(cfg.trials):
+            one = estimate(freqs[t:t + 1], eps_b, other)
+            assert np.array_equal(one[0][:, 0], f_full[:, t], equal_nan=True)
+            assert np.array_equal(one[1][:, 0], f_parts[:, t], equal_nan=True)
+            assert one[2].keys() == matrices.keys()
+            for key, m in matrices.items():
+                assert np.array_equal(one[2][key][0], m[t], equal_nan=True), key
+            for attr in ("psi", "rho", "residual_ab", "residual_bc"):
+                assert np.array_equal(getattr(one[3], attr)[:, 0], getattr(recon, attr)[:, t],
+                                      equal_nan=True), attr
+            for key, v in recon.truncated_mass.items():
+                assert np.array_equal(one[3].truncated_mass[key][:, 0], v[:, t]), key
+            assert np.array_equal(one[4][0], f_hats[t])
+            assert ({p: repr(e) for (p, _), e in one[5].items()}
+                    == {p: repr(e) for (p, k), e in errors.items() if k == t})
 
     def test_a_programming_error_propagates(self, monkeypatch):
         # only calibration and reconstruction checks make a trial fail
@@ -456,7 +496,7 @@ class TestDeterminism:
         # 17 + 7 + 7 settings
         model = ReadoutModel.ibm_osaka()
         cfg = ExperimentConfig(shots=500, trials=3, seed=42, noise=model)
-        settings = layout_groups(pipeline._noisy_probs(model)[1])[:3]
+        settings = pipeline._groups(pipeline._noisy_probs(model)[1])[:3]
         for t, r in enumerate(run_pipeline(cfg)):
             rng = np.random.default_rng([cfg.seed, t])
             for dist in settings:
@@ -515,7 +555,7 @@ class TestOutputs:
             model = load_readout_model(noise, 3)
             rng = np.random.default_rng(obj["seed"])
             draws = [np.array([rng.multinomial(obj["shots"], row) for row in dist])
-                     for dist in layout_groups(pipeline._noisy_probs(model)[1])]
+                     for dist in pipeline._groups(pipeline._noisy_probs(model)[1])]
             assert np.array_equal(load_counts_file(tdir / "counts_3q.json", 3), draws[0])
             calibration = draws[3].reshape(3, 2, 2).swapaxes(-1, -2) / obj["shots"]
             saved = tmp_path / f"calibration_{t}.json"
@@ -577,21 +617,6 @@ class TestCli:
                 == (golden / "diosi_trial0.json").read_bytes())
         assert main(["fidelity", str(trial / "rho_full.json")]) == EXIT_OK
         assert capsys.readouterr().out == (golden / "fidelity_stdout.txt").read_text()
-
-    def test_tomo3q_roundtrip(self, tmp_path, capsys):
-        run_out = tmp_path / "run"
-        cfg = ExperimentConfig(shots=20000, trials=1, seed=21)
-        write_outputs(cfg, run_pipeline(cfg), run_out)
-        rho_file = tmp_path / "rho.json"
-        rc = main([
-            "tomo3q", str(run_out / "trial_0" / "counts_3q.json"),
-            "--calib", str(run_out / "trial_0" / "calibration.json"),
-            "--out", str(rho_file),
-        ])
-        assert rc == EXIT_OK
-        rho = load_density(rho_file, 3)
-        saved = load_density(run_out / "trial_0" / "rho_full.json", 3)
-        assert np.abs(rho - saved).max() <= 1e-9
 
     def test_diosi_and_fidelity_commands(self, tmp_path, capsys):
         rho = outer(w_vector())
@@ -961,9 +986,9 @@ class TestCli:
         (["fidelity", "{f}"], np.diag([1.0, -1, 0, 0, 0, 0, 0, 0]),
          "cannot read {f}: density matrix has trace 0, not positive"),
         (["fidelity", "{f}"], np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]),
-         "{f} is not a state: <psi|rho|psi> = -0.1666666666666667 outside [0, 1]"),
+         "{f} is not a state: <W|rho|W> = -0.1666666666666667 outside [0, 1]"),
         (["fidelity", "{f}"], outer(w_vector()) + np.diag([-0.03, 0.03, 0, 0, 0, 0, 0, 0]),
-         "{f} is not a state: <psi|rho|psi> = 1.0100000000000007 outside [0, 1]"),
+         "{f} is not a state: <W|rho|W> = 1.0100000000000007 outside [0, 1]"),
         (["diosi", "{f}", "{f}", "--out", "{out}"],
          partial_trace(outer(w_vector()), [0, 1]) + np.diag([1e-3, 0, 0], 1),
          "cannot read {f}: density matrix is not Hermitian within 1e-08"),
@@ -1060,18 +1085,22 @@ class TestCli:
         errors = json.loads((out / "run_metadata.json").read_text())["errors"]
         assert sorted(errors) == [str(t) for t in range(failing)]
 
-    def test_cli_read_backs_equal_pipeline_files_bitwise(self, tmp_path, capsys):
-        # tomo3q and diosi on one trial's files give bitwise the matrices the
-        # batched pipeline wrote for that trial
+    @pytest.mark.parametrize("mitigate", [True, False], ids=["mitigate", "no-mitigate"])
+    def test_cli_read_backs_equal_pipeline_files_bitwise(self, mitigate, tmp_path, capsys):
+        # tomo3q (with --calib when the run mitigates) and diosi on one trial's
+        # files give bitwise the matrices the batched pipeline wrote for that trial
         out, back = tmp_path / "run", tmp_path / "back"
         eps_b = repr(0.05 + 2.0 / math.sqrt(20000))  # the pipeline's allowance at 20000 shots
-        assert main(["pipeline", "--trials", "4", "--seed", "77", "--out", str(out)]) == EXIT_OK
+        option = [] if mitigate else ["--no-mitigate"]
+        assert main(["pipeline", "--trials", "4", "--seed", "77", *option,
+                     "--out", str(out)]) == EXIT_OK
         back.mkdir()
         for t in range(4):
             tdir = out / f"trial_{t}"
             full, psi = back / f"full_{t}.json", back / f"parts_{t}.json"
-            assert main(["tomo3q", str(tdir / "counts_3q.json"),
-                         "--calib", str(tdir / "calibration.json"), "--out", str(full)]) == EXIT_OK
+            calib = ["--calib", str(tdir / "calibration.json")] if mitigate else []
+            assert main(["tomo3q", str(tdir / "counts_3q.json"), *calib,
+                         "--out", str(full)]) == EXIT_OK
             assert main(["diosi", str(tdir / "rho_ab.json"), str(tdir / "rho_bc.json"),
                          "--eps-b", eps_b, "--out", str(psi)]) == EXIT_OK
             assert np.array_equal(load_density(full, 3), load_density(tdir / "rho_full.json", 3))
