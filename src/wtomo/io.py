@@ -15,7 +15,8 @@ cannot use; the CLI reports those as ``cannot read <path>: ...``.
 A run directory of ``write_outputs`` holds ``report.csv``,
 ``run_metadata.json`` and per trial ``trial_<t>/`` with ``rho_full.json``,
 ``rho_ab.json``, ``rho_bc.json``, ``rho_parts.json`` and ``counts_3q.json``
-(each where the run produced it) and ``calibration.json``.
+(each where the run produced it) and ``calibration.json``; ``rho_parts.json``
+carries the three Diosi fields of the ``diosi`` state file beside its matrix.
 """
 
 from __future__ import annotations
@@ -100,9 +101,6 @@ def _read_density(path, nqubits: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"matrix shape {rho.shape} inconsistent with nqubits")
     if n != nqubits:
         raise ValueError(f"density matrix is for {n} qubits, not {nqubits}")
-    tr = np.trace(rho).real
-    if not tr > 0:
-        raise ValueError(f"density matrix has trace {tr:.6g}, not positive")
     if not is_hermitian(unit := unit_trace(rho)):
         raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_TOL}")
     return rho, unit
@@ -217,13 +215,14 @@ def load_readout_model(path, nqubits: int) -> ReadoutModel:
 # the Diosi state file: psi as {"nqubits": 3, "re", "im"} plus its residuals
 
 
+def _diosi_object(result: ReconstructionResult, a: np.ndarray) -> dict:
+    """The complex object of a (psi or rho of one Diosi result) beside the result's fields."""
+    return {**_complex_object(a), "residual_ab": result.residual_ab,
+            "residual_bc": result.residual_bc, "truncated_mass": result.truncated_mass}
+
+
 def save_reconstruction(result: ReconstructionResult, path) -> None:
-    _write_json(path, {
-        **_complex_object(result.psi),
-        "residual_ab": result.residual_ab,
-        "residual_bc": result.residual_bc,
-        "truncated_mass": result.truncated_mass,
-    })
+    _write_json(path, _diosi_object(result, result.psi))
 
 
 # run directories
@@ -259,10 +258,9 @@ def write_outputs(cfg: ExperimentConfig, results: list[TrialResult], out: Path) 
         tdir = out / f"trial_{r.trial_id}"
         tdir.mkdir(exist_ok=True)
         for name, rho in r.matrices.items():
-            obj = _complex_object(rho)
-            if name == "rho_parts":
-                obj.update(r.residuals)
-            _write_json(tdir / f"{name}.json", obj)
+            save_density(rho, tdir / f"{name}.json")
+        if r.parts is not None:
+            _write_json(tdir / "rho_parts.json", _diosi_object(r.parts, r.parts.rho))
         # zero counts are left out; default_rng(seed) replays the trial's draws
         if r.counts is not None:
             tables = {label: {format(k, "03b"): int(c) for k, c in enumerate(row) if c}

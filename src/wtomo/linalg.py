@@ -60,11 +60,7 @@ def outer(v: np.ndarray) -> np.ndarray:
     off = np.abs(norm - 1.0) > 1e-10
     if off.any():
         raise ValueError(f"vector not normalized: |v| = {norm[first_true(off)]}")
-    out = np.empty(v.shape + v.shape[-1:], dtype=v.dtype)
-    vc = v.conj()
-    for i in range(v.shape[-1]):  # row by row: a broadcast product allocates ufunc buffers
-        np.multiply(v[..., i, None], vc, out=out[..., i, :])
-    return out
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ keeps the passes before it; any other error propagates.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -44,7 +45,7 @@ from .noise import (
     sample_counts,
 )
 from .tomography import reconstruct, tomography_scheme
-from .wholeparts import EPS_B, MarginalPair, _diosi_reconstruct
+from .wholeparts import EPS_B, MarginalPair, ReconstructionResult, _diosi_reconstruct
 
 
 # A trial's circuit groups in the order they draw from its stream, as (outcomes
@@ -106,7 +107,7 @@ class TrialResult:
     reports: dict[bool, Fidelities] = field(default_factory=dict)  # key: mitigated
     matrices: dict[str, np.ndarray] = field(default_factory=dict)
     counts: np.ndarray | None = None  # (17, 8): the 3q counts in setting order
-    residuals: dict[str, float] = field(default_factory=dict)
+    parts: ReconstructionResult | None = None  # the written pass's Diosi result
     error: str | None = None
 
 
@@ -176,13 +177,7 @@ def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
             r.reports[bool(p)] = Fidelities(float(f_full[p, t]), float(f_parts[p, t]))
             if p == written:
                 r.matrices = {name: m[t] for name, m in matrices.items()}
-                if recon is not None:
-                    r.residuals = {
-                        "residual_ab": float(recon.residual_ab[p, t]),
-                        "residual_bc": float(recon.residual_bc[p, t]),
-                        "truncated_mass": {k: float(v[p, t])
-                                           for k, v in recon.truncated_mass.items()},
-                    }
+                r.parts = None if recon is None else _member(recon, t)
         results.append(r)
     return results
 
@@ -190,7 +185,7 @@ def run_pipeline(cfg: ExperimentConfig) -> list[TrialResult]:
 def _estimate(freqs: np.ndarray, eps_b: float, cfg: ExperimentConfig):
     """Every stage after the draw on a (T, 37, 8) block of outcome frequencies.
     Returns the fidelities (pass, trial) of both schemes, the written pass's
-    matrices, the Diosi result (None without the parts route), the (T, 3, 2, 2)
+    matrices and Diosi result (None without the parts route), the (T, 3, 2, 2)
     calibration stack and the errors keyed (pass, trial)."""
     p3, ab, bc, calibration = _groups(freqs)
     # row 2q + b is column b of qubit q's matrix; copied, so no trial keeps the block alive
@@ -212,8 +207,16 @@ def _estimate(freqs: np.ndarray, eps_b: float, cfg: ExperimentConfig):
         m2 = kron_qubits(np.stack([inverses[:, :2], inverses[:, 1:]], axis=1))
         rho_2q = spectral_correct(reconstruct(tomography_scheme(2), np.stack([p2, mitigate(m2, p2)])))
         recon = _diosi_reconstruct(MarginalPair(rho_2q[:, :, 0], rho_2q[:, :, 1], eps_b), errors)
-        matrices.update(rho_ab=rho_2q[:, :, 0], rho_bc=rho_2q[:, :, 1], rho_parts=recon.rho)
+        matrices.update(rho_ab=rho_2q[:, :, 0], rho_bc=rho_2q[:, :, 1])
         f_parts = fidelity_pure(recon.rho)
-    # a copy of the written pass, so the trials' views do not keep both alive
+    # copies of the written pass, so the trials' views do not keep both alive
     matrices = {name: m[int(cfg.mitigate)].copy() for name, m in matrices.items()}
+    recon = None if recon is None else copy.deepcopy(_member(recon, int(cfg.mitigate)))
     return f_full, f_parts, matrices, recon, f_hats, errors
+
+
+def _member(result: ReconstructionResult, k) -> ReconstructionResult:
+    """Member k of a stack of Diosi results; its arrays are views of the stack's."""
+    masses = {label: m[k] for label, m in result.truncated_mass.items()}
+    return ReconstructionResult(result.psi[k], result.rho[k], result.residual_ab[k],
+                                result.residual_bc[k], masses)

@@ -330,9 +330,8 @@ def test_run_directory(tmp_path):
     good = TrialResult(
         trial_id=0,
         reports={m: Fidelities(0.5, 0.75 + m / 8) for m in (False, True)},
-        matrices={"rho_parts": np.diag([1.0, 0.0])},
         counts=np.tile([0, 3, 0, 0, 7, 0, 0, 0], (17, 1)),
-        residuals=residuals,
+        parts=ReconstructionResult(np.array([1.0, 0.0]), np.diag([1.0, 0.0]), **residuals),
         calibration=np.array(FS),
     )
     failed = TrialResult(trial_id=1, calibration=np.array(FS), error="ReconstructionError: x")

@@ -121,7 +121,8 @@ class TestRunTrial:
         cfg = ExperimentConfig(shots=2000, trials=1, seed=7)
         r = run_pipeline(cfg)[0]
         assert r.error is None
-        assert set(r.matrices) == {"rho_full", "rho_ab", "rho_bc", "rho_parts"}
+        assert set(r.matrices) == {"rho_full", "rho_ab", "rho_bc"}
+        assert r.parts.psi.shape == (8,) and r.parts.rho.shape == (8, 8)
         assert r.counts.shape == (17, 8)
         assert (r.counts.sum(axis=1) == 2000).all()
         assert len(r.calibration) == 3
@@ -130,8 +131,7 @@ class TestRunTrial:
 
     def test_matrices_are_physical(self):
         r = run_pipeline(ExperimentConfig(shots=2000, trials=1, seed=7))[0]
-        for name in ("rho_full", "rho_ab", "rho_bc", "rho_parts"):
-            rho = r.matrices[name]
+        for rho in (*r.matrices.values(), r.parts.rho):
             assert abs(np.trace(rho) - 1.0) <= 1e-9
             assert np.linalg.eigvalsh(rho).min() >= -1e-9
 
@@ -155,7 +155,7 @@ class TestRunTrial:
             assert r.error is None
             written = r.reports[cfg.mitigate]
             assert fidelity_pure(r.matrices["rho_full"]) == written.f_full, r.trial_id
-            assert fidelity_pure(r.matrices["rho_parts"]) == written.f_parts, r.trial_id
+            assert fidelity_pure(r.parts.rho) == written.f_parts, r.trial_id
 
     def test_setting_unitaries_are_built_once_per_noise_model(self, monkeypatch):
         # 17 + 7 + 7 settings, however many trials; the schemes are derived first
@@ -249,12 +249,12 @@ class TestBatching:
             assert r.trial_id == one.trial_id
             assert r.error is None and one.error is None
             assert r.reports == one.reports
-            assert r.residuals == one.residuals
-            assert r.matrices.keys() == one.matrices.keys() == {
-                "rho_full", "rho_ab", "rho_bc", "rho_parts"
-            }
+            assert r.matrices.keys() == one.matrices.keys() == {"rho_full", "rho_ab", "rho_bc"}
             for name in r.matrices:
                 assert np.array_equal(r.matrices[name], one.matrices[name]), name
+            for attr in ("psi", "rho", "residual_ab", "residual_bc"):
+                assert np.array_equal(getattr(r.parts, attr), getattr(one.parts, attr)), attr
+            assert r.parts.truncated_mass == one.parts.truncated_mass
             assert np.array_equal(r.counts, one.counts)
             assert all(np.array_equal(a, b) for a, b in zip(r.calibration, one.calibration))
 
@@ -282,11 +282,12 @@ class TestBatching:
         )
         assert results[2].reports[False] == u
         assert True not in results[2].reports and not results[2].matrices
+        assert results[2].parts is None
         assert np.array_equal(results[2].counts, clean[2].counts)
         for r, c in zip(results, clean):
             if r.trial_id != 2:
                 assert r.reports == c.reports
-                assert np.array_equal(r.matrices["rho_parts"], c.matrices["rho_parts"])
+                assert np.array_equal(r.parts.rho, c.parts.rho)
 
     def test_both_passes_and_both_pairs_share_one_call_per_stage(self, monkeypatch):
         # one spectral_correct per route and one Diosi call on (pass, trial)
@@ -342,10 +343,10 @@ class TestBatching:
             for key, m in matrices.items():
                 assert np.array_equal(one[2][key][0], m[t], equal_nan=True), key
             for attr in ("psi", "rho", "residual_ab", "residual_bc"):
-                assert np.array_equal(getattr(one[3], attr)[:, 0], getattr(recon, attr)[:, t],
+                assert np.array_equal(getattr(one[3], attr)[0], getattr(recon, attr)[t],
                                       equal_nan=True), attr
             for key, v in recon.truncated_mass.items():
-                assert np.array_equal(one[3].truncated_mass[key][:, 0], v[:, t]), key
+                assert np.array_equal(one[3].truncated_mass[key][0], v[t]), key
             assert np.array_equal(one[4][0], f_hats[t])
             assert ({p: repr(e) for (p, _), e in one[5].items()}
                     == {p: repr(e) for (p, k), e in errors.items() if k == t})
@@ -984,7 +985,7 @@ class TestCli:
         (["diosi", "{f}", "{f}", "--out", "{out}"], np.eye(8) / 8,
          "cannot read {f}: density matrix is for 3 qubits, not 2"),
         (["fidelity", "{f}"], np.diag([1.0, -1, 0, 0, 0, 0, 0, 0]),
-         "cannot read {f}: density matrix has trace 0, not positive"),
+         "cannot read {f}: trace 0 is not positive"),
         (["fidelity", "{f}"], np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]),
          "{f} is not a state: <W|rho|W> = -0.1666666666666667 outside [0, 1]"),
         (["fidelity", "{f}"], outer(w_vector()) + np.diag([-0.03, 0.03, 0, 0, 0, 0, 0, 0]),
@@ -1107,6 +1108,23 @@ class TestCli:
             d = json.loads(psi.read_text())
             v = np.array(d["re"]) + 1j * np.array(d["im"])
             assert np.array_equal(np.outer(v, v.conj()), load_density(tdir / "rho_parts.json", 3))
+
+    def test_rho_parts_carries_the_diosi_fields_of_its_trials_marginals(self, tmp_path, capsys):
+        # rho_parts.json and the diosi state file are written by one helper: a
+        # trial's residuals and truncated masses are those diosi writes from its
+        # rho_ab.json and rho_bc.json, to the last bit (compared as JSON text)
+        out, psi = tmp_path / "run", tmp_path / "psi.json"
+        eps_b = repr(0.05 + 2.0 / math.sqrt(2000))  # the pipeline's allowance at 2000 shots
+        assert main(["pipeline", "--trials", "6", "--shots", "2000", "--seed", "5",
+                     "--out", str(out)]) == EXIT_OK
+        fields = ("residual_ab", "residual_bc", "truncated_mass")
+        for t in range(6):
+            tdir = out / f"trial_{t}"
+            assert main(["diosi", str(tdir / "rho_ab.json"), str(tdir / "rho_bc.json"),
+                         "--eps-b", eps_b, "--out", str(psi)]) == EXIT_OK
+            parts, state = (json.loads(p.read_text()) for p in (tdir / "rho_parts.json", psi))
+            assert json.dumps([parts[k] for k in fields]) == json.dumps([state[k] for k in fields])
+            assert set(parts["truncated_mass"]) == {"rho_ab", "rho_bc"}, t
 
     @pytest.mark.parametrize("qubit, message", [
         (5, "qubit 'qA' is not an object of p01 and p10"),

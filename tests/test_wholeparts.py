@@ -135,6 +135,11 @@ class TestMarginalPair:
         assert np.array_equal(out[0], near)
         for k in (1, 2):
             assert np.array_equal(out[k], stack[k] / np.trace(stack[k]).real)
+        # literal traces pin the tolerance itself, 1e-10: a tolerance of 1e-12
+        # would divide the first, one of 1e-9 keep the second
+        kept, divided = (1 + 5e-11) * rho, (1 + 5e-10) * rho
+        assert wholeparts.unit_trace(kept) is kept
+        assert np.array_equal(wholeparts.unit_trace(divided), divided / np.trace(divided).real)
 
     @pytest.mark.parametrize("ab_shape, bc_shape", [
         ((8, 8), (8, 8)), ((2, 2), (2, 2)), ((2, 4, 4), (4, 4)), ((4, 4), (3, 4, 4)), ((4,), (4,)),
