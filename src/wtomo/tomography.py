@@ -5,11 +5,11 @@
 array p (..., L, d) of outcome tables, row i for setting i in
 ``scheme.settings`` order (L = 17 settings of d = 8 outcomes for three qubits,
 7 of 4 for two); labels name the rows only in files (``io``). Each scheme is
-derived once into two real arrays over the d² real parameters x of the
-density matrix: ``measurement`` maps x to the flattened tables p, and
-``reconstruction`` maps p back to x. The reconstruction weights are not
-hardcoded: row k is the exact linear inversion of the measurement rows of
-the settings assigned to parameter k. This makes every sign a derivation
+derived once into one real array, ``reconstruction``, which maps the
+flattened tables p to the d² real parameters x of the density matrix. Its
+weights are not hardcoded: row k is the exact linear inversion of the
+measurement rows (p = M x, built only during the derivation) of the
+settings assigned to parameter k. This makes every sign a derivation
 output, pinned by the round-trip property reconstruct(exact_probs(rho)) == rho.
 
 Diagonal elements come from the all-Z setting alone; each off-diagonal
@@ -59,11 +59,10 @@ SCHEMES = {
 
 @dataclass(frozen=True, eq=False)
 class TomographyScheme:
-    """A scheme's settings and its two derived linear maps (read-only)."""
+    """A scheme's settings and its one derived linear map (read-only)."""
 
     name: str
     settings: tuple[MeasurementSetting, ...]
-    measurement: np.ndarray  # (L·d, d²): p = measurement @ x
     reconstruction: np.ndarray  # (d², L·d): x = reconstruction @ p
 
     @property
@@ -100,7 +99,7 @@ def derive_scheme(
     settings: tuple[MeasurementSetting, ...],
     assignment: dict[int, tuple[tuple[str, ...], tuple[str, ...]]],
 ) -> TomographyScheme:
-    """Derive a scheme's arrays; raises if any parameter is not determined."""
+    """Derive a scheme's reconstruction map; raises if any parameter is not determined."""
     dim = 2 ** settings[0].nqubits
     params = real_parameters(dim)
     measurement = np.vstack([_measurement_rows(s, params) for s in settings])
@@ -123,9 +122,8 @@ def derive_scheme(
                 f"(inversion residual {residual:.2e})"
             )
         reconstruction[k, cols] = np.where(np.abs(w) > 1e-12, w, 0.0)
-    measurement.setflags(write=False)
     reconstruction.setflags(write=False)
-    return TomographyScheme(name, settings, measurement, reconstruction)
+    return TomographyScheme(name, settings, reconstruction)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,8 @@
-"""The public API carries no name, and no parameter with a default, that only
-tests use."""
+"""The public API carries no name, no parameter with a default and no
+dataclass field that only tests use."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -53,6 +54,12 @@ def passed_parameters(tree: ast.AST, name: str, params: list[str]) -> set[str]:
     return passed
 
 
+def read_attributes(tree: ast.AST) -> set[str]:
+    """Every attribute a module reads (obj.name in a load context)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_public_name_has_a_caller():
     used = set().union(*map(used_names, caller_trees()))
     assert sorted(set(wtomo.__all__) - used) == []
@@ -73,6 +80,18 @@ def test_every_public_default_has_a_caller():
             if p.default is not p.empty and p.name not in passed
         ]
     assert unused == []
+
+
+def test_every_public_field_has_a_reader():
+    read = set().union(*map(read_attributes, caller_trees()))
+    unread = [
+        f"{name}.{field.name}"
+        for name in wtomo.__all__
+        if dataclasses.is_dataclass(getattr(wtomo, name))
+        for field in dataclasses.fields(getattr(wtomo, name))
+        if field.name not in read
+    ]
+    assert unread == []
 
 
 # one reader and at most one writer per file format: the functions the CLI

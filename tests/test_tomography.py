@@ -21,6 +21,21 @@ def tables_for(rho, settings):
     return np.array([exact_probs(rho, s) for s in settings])
 
 
+def parameters(rho):
+    """The real parameters x of rho in real_parameters order: the inverse of _assemble."""
+    return np.array([rho[r, c].imag if part == "im" else rho[r, c].real
+                     for part, r, c in real_parameters(rho.shape[-1])])
+
+
+def forward_map(scheme, rng):
+    """The scheme's forward map M (L·d, d²), p = M x, taken from the simulator:
+    exact_probs on d² random probe states gives the tables P = M X, so M = P X⁻¹."""
+    dim = 2**scheme.nqubits
+    probes = [random_density(dim, rng) for _ in range(dim**2)]
+    tables = np.stack([tables_for(rho, scheme.settings).reshape(-1) for rho in probes], axis=1)
+    return tables @ np.linalg.inv(np.stack([parameters(rho) for rho in probes], axis=1))
+
+
 def row_settings(scheme, k):
     """Labels of the settings whose outcomes reconstruction row k reads."""
     dim = 2**scheme.nqubits
@@ -47,13 +62,13 @@ class TestSchemes:
             tomography_scheme(nqubits)
         assert str(exc.value) == f"tomography schemes are for 2 or 3 qubits, not {nqubits}"
 
-    def test_rule_counts(self):
+    def test_rule_counts(self, rng):
         # 8 diagonal + 2 * 28 off-diagonal real parameters for 3 qubits,
         # read from 17 (resp. 7) settings of 8 (resp. 4) outcomes each
         assert tomography_scheme(3).reconstruction.shape == (8 + 2 * 28, 17 * 8)
         assert tomography_scheme(2).reconstruction.shape == (4 + 2 * 6, 7 * 4)
-        assert tomography_scheme(3).measurement.shape == (17 * 8, 64)
-        assert tomography_scheme(2).measurement.shape == (7 * 4, 16)
+        assert forward_map(tomography_scheme(3), rng).shape == (17 * 8, 64)
+        assert forward_map(tomography_scheme(2), rng).shape == (7 * 4, 16)
 
     def test_every_element_covered(self):
         params = real_parameters(8)
@@ -97,10 +112,11 @@ class TestSchemes:
             w = scheme.reconstruction
             assert np.abs(4 * w - np.round(4 * w)).max() <= 1e-9
 
-    def test_reconstruction_inverts_measurement(self):
+    def test_reconstruction_inverts_measurement(self, rng):
+        # against the physics the pipeline samples, not the derivation's own forward map
         for scheme in (tomography_scheme(3), tomography_scheme(2)):
-            n = scheme.measurement.shape[1]
-            assert np.abs(scheme.reconstruction @ scheme.measurement - np.eye(n)).max() <= 1e-12
+            m = forward_map(scheme, rng)
+            assert np.abs(scheme.reconstruction @ m - np.eye(m.shape[1])).max() <= 1e-12
 
 
 class TestDerivation:
@@ -169,14 +185,15 @@ class TestRoundTrip:
             reconstruct(tomography_scheme(3), dict(zip(labels, tables)))
 
 
-def lsq_fit(scheme, tables):
-    """Least-squares fit of a Hermitian matrix to every table of the scheme."""
-    x, *_ = np.linalg.lstsq(scheme.measurement, tables.reshape(-1), rcond=None)
+def lsq_fit(scheme, tables, rng):
+    """Least-squares fit of a Hermitian matrix to every table of the scheme,
+    through its forward map from the simulator."""
+    x, *_ = np.linalg.lstsq(forward_map(scheme, rng), tables.reshape(-1), rcond=None)
     return _assemble(x, 2**scheme.nqubits)
 
 
 class TestLsqReconstruct:
-    """The measurement map is exact and complete: least squares over all
+    """The forward map is exact and complete: least squares over all
     settings recovers exact data, and keeps unit trace on normalized tables
     because each setting's outcome operators sum to the identity."""
 
@@ -184,19 +201,19 @@ class TestLsqReconstruct:
         scheme = tomography_scheme(2)
         rho = random_density(4, rng)
         tables = tables_for(rho, tomography_scheme(2).settings)
-        assert np.abs(lsq_fit(scheme, tables) - rho).max() <= 1e-9
+        assert np.abs(lsq_fit(scheme, tables, rng) - rho).max() <= 1e-9
 
     def test_three_qubit_exact(self, rng):
         scheme = tomography_scheme(3)
         rho = random_density(8, rng)
         tables = tables_for(rho, tomography_scheme(3).settings)
-        assert np.abs(lsq_fit(scheme, tables) - rho).max() <= 1e-8
+        assert np.abs(lsq_fit(scheme, tables, rng) - rho).max() <= 1e-8
 
     def test_output_constraints_on_noisy_data(self, rng):
         scheme = tomography_scheme(2)
         tables = tables_for(random_density(4, rng), tomography_scheme(2).settings)
         noisy = np.clip(tables + rng.normal(0, 0.02, tables.shape), 0, None)
-        rho = lsq_fit(scheme, noisy / noisy.sum(axis=-1, keepdims=True))
+        rho = lsq_fit(scheme, noisy / noisy.sum(axis=-1, keepdims=True), rng)
         assert np.abs(rho - rho.conj().T).max() <= 1e-10
         assert abs(np.trace(rho) - 1.0) <= 1e-10
 

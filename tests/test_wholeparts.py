@@ -38,6 +38,13 @@ def spectral_gap(psi):
     return abs(w[1] - w[0])
 
 
+def two_branch_state(rng, w):
+    """sqrt(1 - w)|0>_A|f0> + sqrt(w)|1>_A|f1>, with f0 ⟂ f1 random BC vectors:
+    rho_A has the spectrum (1 - w, w)."""
+    f0, f1 = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0].T
+    return np.sqrt(1 - w) * np.kron([1, 0], f0) + np.sqrt(w) * np.kron([0, 1], f1)
+
+
 def random_gapped_pure(rng, gap=0.05):
     while True:
         psi = random_pure(8, rng)
@@ -271,12 +278,10 @@ class TestSolvePhases:
     @pytest.mark.parametrize("eps, live", [(5e-13, False), (5e-12, True)],
                              ids=["rounding", "live"])
     def test_live_weight_bounds_a_live_branch(self, eps, live, rng):
-        # sqrt(1 - eps)|0>|f0> + sqrt(eps)|1>|f1> with f0 ⟂ f1: below LIVE_WEIGHT
-        # (1e-12) the weak A branch is rounding and needs no phase; above it the
-        # branch is live, and its overlaps, of order eps, are below
-        # PHASE_MAGNITUDE_FLOOR (1e-8), so its phase is not guessed
-        f0, f1 = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0].T
-        psi = np.sqrt(1 - eps) * np.kron([1, 0], f0) + np.sqrt(eps) * np.kron([0, 1], f1)
+        # below LIVE_WEIGHT (1e-12) the weak A branch is rounding and needs no
+        # phase; above it the branch is live, and its overlaps, of order eps, are
+        # below PHASE_MAGNITUDE_FLOOR (1e-8), so its phase is not guessed
+        psi = two_branch_state(rng, eps)
         if live:
             with pytest.raises(UnderdeterminedPhaseError,
                                match="^no usable overlap constraint for branch 1$"):
@@ -284,6 +289,31 @@ class TestSolvePhases:
         else:
             res = diosi_reconstruct(marginal_pair_of(psi))
             assert abs(abs(np.vdot(psi, res.psi)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("gap, degenerate", [(0.8e-6, True), (1.2e-6, False)],
+                             ids=["inside", "outside"])
+    def test_degeneracy_gap_bounds_a_determined_spectrum(self, gap, degenerate, rng):
+        # rho_A's spectrum (1/2 + gap/2, 1/2 - gap/2) is split by gap, so
+        # DEGENERACY_GAP (1e-6) decides
+        for _ in range(5):
+            psi = two_branch_state(rng, 0.5 - gap / 2)
+            pair = marginal_pair_of(psi, eps_b=1e-8)
+            if degenerate:
+                with pytest.raises(DegenerateSpectrumError):
+                    diosi_reconstruct(pair)
+            else:
+                res = diosi_reconstruct(pair)
+                assert 1 - abs(np.vdot(psi, res.psi)) ** 2 <= 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=UnderdeterminedPhaseError,
+                       reason="the dead band between LIVE_WEIGHT and PHASE_MAGNITUDE_FLOOR: "
+                              "a live weak branch is rejected until ROADMAP item 3(c)'s gate")
+    def test_a_weak_live_branch_in_the_dead_band_reconstructs(self, rng):
+        # at w = 5e-10 the marginals determine the state, but the weak branch's
+        # overlaps, of order w, are below PHASE_MAGNITUDE_FLOOR (1e-8)
+        psi = two_branch_state(rng, 5e-10)
+        res = diosi_reconstruct(marginal_pair_of(psi))
+        assert 1 - abs(np.vdot(psi, res.psi)) ** 2 <= 1e-12
 
     def test_real_nonnegative_state_gives_sign_factors(self, rng):
         # for a real, entrywise non-negative global state the solved branch
